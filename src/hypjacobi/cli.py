@@ -254,22 +254,16 @@ def _run_coeffs(args):
     return doc, rows
 
 
-def _spectrum_payload(args, p: HypParams):
-    res = spectral.discrete_spectrum(p, N=args.N, tol=args.tol)
-    holds = res.distance_sum <= res.trace_bound + 1e-9
-    return res, holds
-
-
 def _run_spectrum(args):
     p = _params(args)
-    res, holds = _spectrum_payload(args, p)
+    res = spectral.discrete_spectrum(p, N=args.N, tol=args.tol)
     doc = _head(args, p)
     doc.update(
         {
             "eigenvalues": [_cplx(v) for v in res.eigenvalues],
             "distance_sum": res.distance_sum,
             "trace_bound": res.trace_bound,
-            "holds": holds,
+            "holds": res.holds,
             "N_used": res.N_used,
             "N_check": res.N_check,
             "discarded": [_cplx(v) for v in res.discarded],
@@ -281,9 +275,9 @@ def _run_spectrum(args):
     if res.eigenvalues:
         for i, v in enumerate(res.eigenvalues):
             rows.append((i, v.real, v.imag, spectral.band_distance(v),
-                         res.distance_sum, res.trace_bound, holds))
+                         res.distance_sum, res.trace_bound, res.holds))
     else:
-        rows.append(("", "", "", "", res.distance_sum, res.trace_bound, holds))
+        rows.append(("", "", "", "", res.distance_sum, res.trace_bound, res.holds))
     return doc, rows
 
 
@@ -462,7 +456,6 @@ def _run_sweep(args):
         try:
             p = validate_params(a, b, c)
             res = spectral.discrete_spectrum(p, N=args.N, tol=args.tol)
-            holds = res.distance_sum <= res.trace_bound + 1e-9
             kappa = classify.sign_signature(p).kappa if p.is_real else None
             rec.update(
                 {
@@ -470,14 +463,14 @@ def _run_sweep(args):
                     "eigenvalues": [_cplx(v) for v in res.eigenvalues],
                     "distance_sum": res.distance_sum,
                     "trace_bound": res.trace_bound,
-                    "holds": holds,
+                    "holds": res.holds,
                     "kappa": kappa,
                 }
             )
             rows.append(
                 (a.real, a.imag, b.real, b.imag, c.real, c.imag, "ok",
                  len(res.eigenvalues), res.distance_sum, res.trace_bound,
-                 holds, "" if kappa is None else kappa)
+                 res.holds, "" if kappa is None else kappa)
             )
         except HypJacobiError as exc:
             rec.update({"status": "error", "error": f"{type(exc).__name__}: {exc}"})

@@ -22,6 +22,10 @@ class CNonpositiveInteger(ParameterError):
     """Parameter c is (within guard distance of) a nonpositive integer."""
 
 
+class NonFiniteParameter(ParameterError):
+    """A parameter has a NaN or infinite real or imaginary part."""
+
+
 class DegenerateRatio(ParameterError):
     """The leading fraction coefficient vanishes (a = 0 or c = b); the
     normalized function B is undefined for this parameter triple."""

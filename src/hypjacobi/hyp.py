@@ -13,6 +13,7 @@ terminates (a or b a nonpositive integer).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     CNonpositiveInteger,
     DenominatorZero,
     NoConvergence,
+    NonFiniteParameter,
     OutsideDisk,
 )
 
@@ -83,11 +85,16 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
 
     Raises
     ------
+    NonFiniteParameter
+        If a real or imaginary part of a, b or c is NaN or infinite.
     CNonpositiveInteger
         If c lies within ``eps_c`` of {0, -1, -2, ...}.  The series (and
         every continued-fraction coefficient denominator) degenerates there.
     """
     a, b, c = complex(a), complex(b), complex(c)
+    for name, x in (("a", a), ("b", b), ("c", c)):
+        if not cmath.isfinite(x):
+            raise NonFiniteParameter(f"{name} = {x} is not finite")
     if _dist_to_nonpositive_integers(c) <= eps_c:
         raise CNonpositiveInteger(
             f"c = {c} is within {eps_c} of a nonpositive integer"

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .cfrac import (
+    JacobiCoeffs,
     c_coeff,
     c_is_zero,
     cf_ratio_eval,
@@ -227,25 +228,85 @@ class SpectralResult:
     discarded: tuple[complex, ...]
     merged: tuple[complex, ...]
 
+    @property
+    def holds(self) -> bool:
+        """The Lieb-Thirring inequality distance_sum <= trace_bound, with
+        1e-9 slack for rounding in the sum."""
+        return self.distance_sum <= self.trace_bound + 1e-9
 
-def _eig_with_contract(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the leading order-n block of J, without eigenvectors.
+
+    The block is solved in the form
+
+        T = diag(a_k) + superdiag(s_k) + subdiag(b_k^2 / s_k),   s_k = |b_k^2|^(1/2),
+
+    which is diagonally similar to J (no b_k inside a block vanishes) and
+    needs no complex square root, so T is real whenever every a_k and b_k^2
+    is, which holds for every real triple.  Scaling by s_k rather than
+    putting 1 on the superdiagonal keeps the off-diagonal magnitudes of J:
+    with a unit superdiagonal, complex triples with large leading
+    coefficients lost a decimal digit in their eigenvalues.  Returns T in
+    ``solve_banded`` storage (rows: superdiagonal, diagonal, subdiagonal)
+    together with its eigenvalues as complex128.
+    """
+    diag = np.asarray(coeffs.diag[:n], dtype=complex)
+    sq = np.asarray(coeffs.offdiag_sq[: n - 1], dtype=complex)
+    if not (diag.imag.any() or sq.imag.any()):
+        diag, sq = diag.real, sq.real
+    scale = np.sqrt(np.abs(sq))
+    bands = np.zeros((3, len(diag)), dtype=diag.dtype)
+    bands[0, 1:] = scale
+    bands[1] = diag
+    bands[2, :-1] = sq / scale
+    t = np.diag(bands[1])
+    if len(diag) > 1:
+        t += np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
     try:
-        vals, vecs = np.linalg.eig(m)
+        vals = np.linalg.eigvals(t)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"QR iteration failed: {exc}") from exc
-    return vals, vecs
+    return bands, vals.astype(complex)
 
 
-def _check_residuals(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray, keep: list[int]) -> None:
-    if not keep:
+def _check_eigenvalues(bands: np.ndarray, vals) -> None:
+    """Residual contract for eigenvalues of the tridiagonal T in ``bands``.
+
+    Each value gets two steps of inverse iteration, O(N) apiece, from a
+    fixed start vector.  The shift is nudged by 8 eps ||T||_inf so that an
+    exact eigenvalue (a terminating 1x1 block) leaves the solve regular.
+    The resulting vector must satisfy ||(T - lam) v|| <= EIG_RESIDUAL *
+    max(||T||_inf, 1) with ||v|| = 1.
+    """
+    if len(vals) == 0:
         return
-    scale = np.linalg.norm(m, np.inf)
-    for i in keep:
-        v = vecs[:, i]
-        res = np.linalg.norm(m @ v - vals[i] * v)
-        if res > EIG_RESIDUAL * max(scale, 1.0):
+    n = bands.shape[1]
+    row_sums = np.abs(bands[1])
+    row_sums[:-1] += np.abs(bands[0, 1:])
+    row_sums[1:] += np.abs(bands[2, :-1])
+    scale = max(float(np.max(row_sums)), 1.0)
+    nudge = 8.0 * np.finfo(float).eps * scale
+    # irregular entries: a constant start vector is orthogonal to the
+    # antisymmetric eigenvectors of a persymmetric block
+    start = np.random.default_rng(0).uniform(0.5, 1.5, n).astype(complex)
+    for lam in vals:
+        shifted = bands.astype(complex)
+        shifted[1] -= lam + nudge
+        v = start
+        try:
+            for _ in range(2):
+                v = solve_banded((1, 1), shifted, v, check_finite=False)
+                v = v / np.linalg.norm(v)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverFailure(f"inverse iteration singular at eigenvalue {lam}") from exc
+        tv = bands[1] * v
+        tv[:-1] += bands[0, 1:] * v[1:]
+        tv[1:] += bands[2, :-1] * v[:-1]
+        res = float(np.linalg.norm(tv - lam * v))
+        if not res <= EIG_RESIDUAL * scale:
             raise EigensolverFailure(
-                f"eigenpair residual {res:.3e} exceeds contract at eigenvalue {vals[i]}"
+                f"eigenpair residual {res:.3e} exceeds contract at eigenvalue {lam}"
             )
 
 
@@ -292,14 +353,20 @@ def discrete_spectrum(
 ) -> SpectralResult:
     """Stable eigenvalues of J outside the band.
 
-    Non-terminating triples are diagonalized at truncation orders N and 2N
-    (dense non-Hermitian QR); an order-N eigenvalue with band distance
-    above ``band_guard`` is retained only if an order-2N eigenvalue sits
-    within ``tol * max(1, |.|)`` of it, in which case the finer value is
-    reported.  Everything else lands in ``discarded``: truncations pollute
-    the band vicinity and only double-truncation agreement separates
-    genuine poles of B from that debris.  Terminating triples are exact and
-    skip the filter.
+    Non-terminating triples are solved at truncation orders N and 2N, both
+    taken from one order-2N coefficient build; an order-N eigenvalue with
+    band distance above ``band_guard`` is retained only if an order-2N
+    eigenvalue sits within ``tol * max(1, |.|)`` of it, in which case the
+    finer value is reported.  Everything else lands in ``discarded``:
+    truncations pollute the band vicinity and only double-truncation
+    agreement separates genuine poles of B from that debris.  Terminating
+    triples are exact and skip the filter.
+
+    Each truncation is solved for eigenvalues only (dense QR on a
+    tridiagonal matrix similar to J, see ``_tridiagonal_eigvals``), in real
+    arithmetic for a real triple.  Every retained eigenvalue is then
+    checked against the residual contract EIG_RESIDUAL by O(N) inverse
+    iteration; a failure raises EigensolverFailure.
 
     Near-coincident retained values (within MERGE_TOL) are averaged and
     repeated, so multiplicity is reported by repetition and the merge is
@@ -308,38 +375,32 @@ def discrete_spectrum(
     if N < 8 and termination_index(p) is None:
         raise ValueError("truncation order must be >= 8 for non-terminating triples")
 
-    tj = build_truncated(p, N)
-    if tj.terminated:
-        m = tj.matrix()
-        vals, vecs = _eig_with_contract(m)
-        keep = [i for i in range(len(vals)) if band_distance(vals[i]) > band_guard]
-        _check_residuals(m, vals, vecs, keep)
-        retained = [complex(vals[i]) for i in keep]
+    coeffs = jacobi_coeffs(p, 2 * N)
+    if coeffs.terminated_at is not None and coeffs.terminated_at < N - 1:
+        # the order-N build would already have stopped at the exact block
+        bands, vals = _tridiagonal_eigvals(coeffs, N)
+        retained = [complex(v) for v in vals if band_distance(v) > band_guard]
+        _check_eigenvalues(bands, retained)
         discarded: list[complex] = []
-        n_used = n_check = tj.order
+        n_used = n_check = bands.shape[1]
     else:
-        m1 = tj.matrix()
-        vals1, _ = _eig_with_contract(m1)
-        tj2 = build_truncated(p, 2 * N)
-        m2 = tj2.matrix()
-        vals2, vecs2 = _eig_with_contract(m2)
+        _, vals1 = _tridiagonal_eigvals(coeffs, N)
+        bands2, vals2 = _tridiagonal_eigvals(coeffs, 2 * N)
 
         candidates = [complex(v) for v in vals1 if band_distance(v) > band_guard]
         claimed = [False] * len(vals2)
         retained = []
         discarded = []
-        kept_idx = []
         for lam in candidates:
             dists = np.abs(vals2 - lam)
             dists[claimed] = np.inf
             j = int(np.argmin(dists))
             if dists[j] <= tol * max(1.0, abs(lam)) and band_distance(vals2[j]) > band_guard:
                 claimed[j] = True
-                kept_idx.append(j)
                 retained.append(complex(vals2[j]))
             else:
                 discarded.append(lam)
-        _check_residuals(m2, vals2, vecs2, kept_idx)
+        _check_eigenvalues(bands2, retained)
         n_used, n_check = N, 2 * N
 
     if p.is_real:
@@ -468,7 +529,7 @@ class LiebThirring(NamedTuple):
 def lieb_thirring_check(p: HypParams, N: int = 256, tol: float = 1e-10) -> LiebThirring:
     """Distance sum of the stable spectrum against the trace-norm bound."""
     res = discrete_spectrum(p, N=N, tol=tol)
-    return LiebThirring(res.distance_sum, res.trace_bound, res.distance_sum <= res.trace_bound + 1e-9)
+    return LiebThirring(res.distance_sum, res.trace_bound, res.holds)
 
 
 def hyp_zeros(

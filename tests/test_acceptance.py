@@ -291,7 +291,7 @@ def test_criterion_9_schur_chain_and_h_form():
     )
 
 
-def test_criterion_10_cli_determinism():
+def test_criterion_10_cli_determinism(cli_env):
     runs = [
         ["classify", "-a", "-1.5", "-b", "0", "-c", "1", "--trials", "25", "--seed", "42"],
         ["spectrum", "-a", "-2", "-b", "0", "-c", "1"],
@@ -300,8 +300,8 @@ def test_criterion_10_cli_determinism():
     ok = True
     for args in runs:
         cmd = [sys.executable, "-m", "hypjacobi.cli", *args]
-        r1 = subprocess.run(cmd, capture_output=True)
-        r2 = subprocess.run(cmd, capture_output=True)
+        r1 = subprocess.run(cmd, capture_output=True, env=cli_env)
+        r2 = subprocess.run(cmd, capture_output=True, env=cli_env)
         if r1.returncode != 0 or r1.stdout != r2.stdout or not r1.stdout:
             ok = False
         json.loads(r1.stdout)  # payload must stay well-formed JSON

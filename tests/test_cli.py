@@ -210,6 +210,22 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "-b", "0", "-c", "1"],
+            ["eval", "-b", "0", "-c", "1", "--z", "4,0"],
+            ["coeffs", "-b", "0", "-c", "1"],
+        ],
+    )
+    def test_non_finite_parameter_is_validation(self, args, value, cli_env):
+        cmd = [sys.executable, "-m", "hypjacobi.cli", *args, "-a", value]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert "not finite" in r.stderr
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -220,10 +236,10 @@ class TestDeterminism:
             ["eval", "-a", "2,1", "-b", "0.5", "-c", "3", "--z", "5,2"],
         ],
     )
-    def test_byte_identical(self, args):
+    def test_byte_identical(self, args, cli_env):
         cmd = [sys.executable, "-m", "hypjacobi.cli", *args]
-        r1 = subprocess.run(cmd, capture_output=True)
-        r2 = subprocess.run(cmd, capture_output=True)
+        r1 = subprocess.run(cmd, capture_output=True, env=cli_env)
+        r2 = subprocess.run(cmd, capture_output=True, env=cli_env)
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert len(r1.stdout) > 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypjacobi import (
+    EigensolverFailure,
     NearSingular,
     OnBand,
     ShiftInvalid,
@@ -25,6 +26,7 @@ from hypjacobi import (
     trace_norm_bound,
     validate_params,
 )
+from hypjacobi.spectral import _check_eigenvalues, _tridiagonal_eigvals
 
 P101 = validate_params(1, 0, 1)
 PTERM1 = validate_params(-1, -1.5, 1)
@@ -198,6 +200,43 @@ class TestDiscreteSpectrum:
             sorted(r2.eigenvalues, key=lambda x: (x.real, x.imag)),
         ):
             assert abs(u - v) < 1e-9
+
+
+class TestEigensolveLayer:
+    @pytest.mark.parametrize("abc", [(-3.7, 0.2, 1.1), (1 + 2j, 3, -0.5)])
+    def test_matches_complex_symmetric_reference(self, abc):
+        # eigenvalues-only solve of the scaled real/complex form against the
+        # dense complex symmetric J with eigenvectors
+        p = validate_params(*abc)
+        res = discrete_spectrum(p, 64)
+        ref_n = np.linalg.eig(build_truncated(p, 64).matrix())[0]
+        ref_2n = np.linalg.eig(build_truncated(p, 128).matrix())[0]
+        assert res.eigenvalues and not res.merged
+        for lam in res.eigenvalues:
+            assert np.min(np.abs(ref_2n - lam)) <= 1e-12
+        for lam in res.discarded:
+            assert np.min(np.abs(ref_n - lam)) <= 1e-12
+
+    def test_real_triple_solved_in_real_arithmetic(self):
+        bands, _ = _tridiagonal_eigvals(jacobi_coeffs(PKAPPA, 64), 64)
+        assert bands.dtype == np.float64
+        bands, _ = _tridiagonal_eigvals(jacobi_coeffs(validate_params(1 + 2j, 3, -0.5), 64), 64)
+        assert bands.dtype == np.complex128
+
+    def test_residual_check_exact_block(self):
+        # 1x1 terminating block: the eigenvalue is exact, the nudged shift
+        # keeps the inverse iteration regular
+        bands, vals = _tridiagonal_eigvals(jacobi_coeffs(PTERM1, 16), 16)
+        assert bands.shape == (3, 1) and vals[0] == 3.0
+        _check_eigenvalues(bands, vals)
+
+    def test_residual_check_rejects_moved_eigenvalue(self):
+        p = validate_params(-3.7, 0.2, 1.1)
+        lam = discrete_spectrum(p, 64).eigenvalues[0]
+        bands, _ = _tridiagonal_eigvals(jacobi_coeffs(p, 128), 128)
+        _check_eigenvalues(bands, [lam])
+        with pytest.raises(EigensolverFailure):
+            _check_eigenvalues(bands, [lam + 1e-6])
 
 
 class TestTraceNormBound:
