@@ -25,6 +25,10 @@ These index placements are forced by the even-part contraction and are
 cross-checked two independent ways in the test suite: against the moment
 expansion of B at infinity (``moment_oracle``) and against exact rational
 closed forms in the terminating polynomial cases.
+
+Every coefficient comes from one vectorized kernel, :func:`c_array`.
+Termination is decided in closed form by :func:`zero_indices`, without a
+scan; both termination indices derive from it.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from .errors import (
     NoConvergence,
     OnCut,
     PoleOfApproximant,
+    TerminationTooDeep,
 )
-from .hyp import HypParams
+from .hyp import HypParams, is_nonpositive_integer
 
 #: points closer than this to [1, inf) are rejected by cf_ratio_eval
 CUT_GUARD = 1e-9
@@ -50,50 +55,76 @@ CUT_GUARD = 1e-9
 TINY = 1e-280
 
 
-def _c_factors(p: HypParams, j: int):
-    """Numerator factors and denominator of c_j, unreduced.
+#: a fraction that terminates beyond this coefficient index is refused:
+#: its exact evaluation would take work proportional to the index
+TERMINATION_CAP = 1 << 20
 
-    Keeping the factored form lets termination be detected by an exact zero
-    of a linear factor instead of a floating threshold.
+
+def c_array(p: HypParams, n: int) -> np.ndarray:
+    """C-fraction coefficients c_1..c_n as one array.
+
+    float64 for a real triple, complex128 otherwise.  An entry is exactly 0
+    where a linear factor of its numerator vanishes (the indices of
+    :func:`zero_indices`).
     """
-    if j % 2 == 1:
-        m = (j - 1) // 2
-        return (p.a + m), (p.c - p.b + m), (p.c + 2 * m) * (p.c + 2 * m + 1)
-    m = j // 2
-    return (p.b + m), (p.c - p.a + m), (p.c + 2 * m - 1) * (p.c + 2 * m)
+    a, b, c = (x.real if p.is_real else x for x in (p.a, p.b, p.c))
+    out = np.empty(n, dtype=float if p.is_real else complex)
+    m = np.arange((n + 1) // 2, dtype=float)  # c_{2m+1}
+    out[0::2] = -(a + m) * (c - b + m) / ((c + 2 * m) * (c + 2 * m + 1))
+    m = np.arange(1, n // 2 + 1, dtype=float)  # c_{2m}
+    out[1::2] = -(b + m) * (c - a + m) / ((c + 2 * m - 1) * (c + 2 * m))
+    for k in zero_indices(p):
+        if k <= n:
+            out[k - 1] = 0.0
+    return out
 
 
 def c_coeff(p: HypParams, j: int) -> complex:
     """The j-th C-fraction coefficient, j >= 1."""
     if j < 1:
         raise ValueError("coefficient index starts at 1")
-    f1, f2, den = _c_factors(p, j)
-    if f1 == 0 or f2 == 0:
-        return 0.0 + 0.0j
-    return -f1 * f2 / den
+    return complex(c_array(p, j)[-1])
 
 
-def c_is_zero(p: HypParams, j: int) -> bool:
-    """Exact-zero test for c_j via its linear factors."""
-    f1, f2, _ = _c_factors(p, j)
-    return f1 == 0 or f2 == 0
+def zero_indices(p: HypParams) -> tuple[int, ...]:
+    """Every index j >= 1 with c_j exactly zero, ascending.
+
+    c_{2m+1} carries the factors (a+m) and (c-b+m), c_{2m} (m >= 1) the
+    factors (b+m) and (c-a+m).  A factor x + m vanishes only at m = -x, and
+    only when x is a nonpositive integer, so there are at most four such
+    indices and no scan is needed.  A zero c_j truncates the fraction: it
+    becomes a rational function of z, convergent everywhere off its poles
+    (including on the cut).
+    """
+    factors = ((p.a, 1), (p.c - p.b, 1), (p.b, 0), (p.c - p.a, 0))
+    js = {parity - 2 * int(x.real) for x, parity in factors if is_nonpositive_integer(x)}
+    return tuple(sorted(js - {0}))
+
+
+def _first_zero(p: HypParams, start: int) -> Optional[int]:
+    """First j >= start with c_j exactly zero; TerminationTooDeep above the cap."""
+    j = next((k for k in zero_indices(p) if k >= start), None)
+    if j is not None and j > TERMINATION_CAP:
+        raise TerminationTooDeep(
+            f"the fraction for (a,b,c) = ({p.a}, {p.b}, {p.c}) terminates "
+            f"beyond coefficient index {TERMINATION_CAP}"
+        )
+    return j
 
 
 def cfrac_termination_index(p: HypParams) -> Optional[int]:
-    """First index j >= 1 with c_j exactly zero, or None.
+    """First index j >= 1 with c_j exactly zero, or None."""
+    return _first_zero(p, 1)
 
-    Zero factors only occur for indices up to the parameter magnitudes, so
-    a bounded scan settles the question for the whole sequence.  A zero c_j
-    truncates the fraction: it becomes a rational function of z, convergent
-    everywhere off its poles (including on the cut).
+
+def termination_index(p: HypParams) -> Optional[int]:
+    """First n with b_n^2 exactly zero, or None.
+
+    b_n^2 = 16 d_{2n+2} d_{2n+3}, so n = (j - 2) // 2 for the first zero
+    coefficient index j >= 2.
     """
-    bound = 2 * int(
-        np.ceil(max(abs(p.a), abs(p.b), abs(p.c - p.a), abs(p.c - p.b)))
-    ) + 4
-    for j in range(1, bound + 1):
-        if c_is_zero(p, j):
-            return j
-    return None
+    j = _first_zero(p, 2)
+    return None if j is None else (j - 2) // 2
 
 
 def require_nondegenerate(p: HypParams) -> None:
@@ -111,8 +142,9 @@ def require_nondegenerate(p: HypParams) -> None:
 class CoeffStream:
     """Lazily extended, cached sequence of C-fraction coefficients.
 
-    Extension is serialized by a lock so a stream may be shared between
-    threads; reads of already-cached entries are plain list indexing.
+    Each extension is one :func:`c_array` call, serialized by a lock so a
+    stream may be shared between threads.  The library itself reads
+    :func:`c_array` directly.
     """
 
     def __init__(self, params: HypParams):
@@ -122,8 +154,9 @@ class CoeffStream:
 
     def _extend(self, n: int) -> None:
         with self._lock:
-            for j in range(len(self._cache) + 1, n + 1):
-                self._cache.append(c_coeff(self.params, j))
+            if n > len(self._cache):
+                new = c_array(self.params, n)[len(self._cache):]
+                self._cache.extend(new.astype(complex).tolist())
 
     def c(self, j: int) -> complex:
         if j < 1:
@@ -184,7 +217,9 @@ def _dist_to_cut(z: complex) -> float:
 
 
 def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> complex:
-    # coeffs holds c_1..c_depth; tail initialized at 1
+    # coeffs starts with c_1..c_depth; tail initialized at 1.  complex128
+    # entries because a float64 entry times a complex z is ~5x slower per step
+    coeffs = coeffs[:depth].astype(complex)
     t = 1.0 + 0.0j
     for j in range(depth - 1, -1, -1):
         t = 1.0 + coeffs[j] * z / t
@@ -218,22 +253,26 @@ def cf_ratio_eval(
     if z == 0:
         return CFValue(1.0 + 0.0j, 1, 0.0, True)
 
-    stream = CoeffStream(p)
     j_zero = cfrac_termination_index(p)
     if j_zero is not None:
         depth = j_zero - 1
         if depth == 0:
             return CFValue(1.0 + 0.0j, 1, 0.0, True)
-        val = _backward_eval(stream.c_array(depth), z, depth)
+        val = _backward_eval(c_array(p, depth), z, depth)
         return CFValue(val, depth, 0.0, True)
 
     if _dist_to_cut(z) <= CUT_GUARD:
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
     depth = 8
+    coeffs = c_array(p, 0)
     prev: Optional[complex] = None
     corr = np.inf
     while depth <= max_depth:
-        val = _backward_eval(stream.c_array(depth), z, depth)
+        if depth > len(coeffs):
+            # one kernel call serves three doublings: at small depths the
+            # call overhead, not the entry count, is the cost
+            coeffs = c_array(p, min(8 * depth, max_depth))
+        val = _backward_eval(coeffs, z, depth)
         if prev is not None:
             corr = abs(val - prev)
             if corr <= tol * max(1.0, abs(val)):
@@ -260,22 +299,19 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     require_nondegenerate(p)
-    stream = CoeffStream(p)
-    d = stream.d
+    t = termination_index(p)
+    terminated_at = t if t is not None and t < n_max - 1 else None
+    n = n_max if terminated_at is None else terminated_at + 1
+    d = -c_array(p, 2 * n)  # d[j - 1] = d_j, j = 1..2n
 
-    diag: list[complex] = [2.0 - 4.0 * d(2)]
-    offdiag_sq: list[complex] = []
-    terminated_at: Optional[int] = None
-    for n in range(n_max - 1):
-        if c_is_zero(p, 2 * n + 2) or c_is_zero(p, 2 * n + 3):
-            terminated_at = n
-            break
-        offdiag_sq.append(16.0 * d(2 * n + 2) * d(2 * n + 3))
-        diag.append(2.0 - 4.0 * d(2 * n + 3) - 4.0 * d(2 * n + 4))
+    diag = np.empty(n, dtype=d.dtype)
+    diag[0] = 2.0 - 4.0 * d[1]
+    diag[1:] = 2.0 - 4.0 * d[2::2] - 4.0 * d[3::2]
+    offdiag_sq = 16.0 * d[1 : 2 * n - 2 : 2] * d[2 : 2 * n - 1 : 2]
     return JacobiCoeffs(
         params=p,
-        diag=tuple(diag),
-        offdiag_sq=tuple(offdiag_sq),
+        diag=tuple(diag.astype(complex).tolist()),
+        offdiag_sq=tuple(offdiag_sq.astype(complex).tolist()),
         terminated_at=terminated_at,
     )
 
@@ -294,42 +330,37 @@ def offdiag_roots(coeffs: JacobiCoeffs, policy: RootPolicy = "principal") -> Jac
     and the spectrum only ever see b_n^2, so the choice is recorded but not
     load-bearing.
     """
+    sq = np.asarray(coeffs.offdiag_sq, dtype=complex)
     # -0.0 imaginary parts (artifacts of d_j = -c_j) would land on the
     # wrong side of the sqrt branch cut; a negative real square must give
     # the positive imaginary root
-    cleaned = [
-        complex(b.real, 0.0) if b.imag == 0.0 else complex(b)
-        for b in coeffs.offdiag_sq
-    ]
-    roots = []
-    branches = []
-    principal = np.sqrt(np.asarray(cleaned, dtype=complex))
-    stab = len(coeffs.offdiag_sq)
-    while stab > 0 and coeffs.offdiag_sq[stab - 1].real > 0:
-        stab -= 1
-    for n, bsq in enumerate(coeffs.offdiag_sq):
-        r = principal[n]
-        if n < stab and callable(policy):
-            r = policy(n, bsq, r)
-        roots.append(complex(r))
-        branches.append(1 if complex(r) == complex(principal[n]) else -1)
+    sq.imag[sq.imag == 0.0] = 0.0
+    principal = np.sqrt(sq)
+    unstable = np.flatnonzero(~(sq.real > 0))
+    stab = int(unstable[-1]) + 1 if unstable.size else 0
+    roots = principal.copy()
+    if callable(policy):
+        for n in range(stab):
+            roots[n] = policy(n, coeffs.offdiag_sq[n], complex(principal[n]))
+    branches = np.where(roots == principal, 1, -1)
     name = policy if isinstance(policy, str) else getattr(policy, "__name__", "custom")
     return replace(
         coeffs,
-        offdiag=tuple(roots),
+        offdiag=tuple(roots.tolist()),
         root_policy=name,
-        root_branches=tuple(branches),
+        root_branches=tuple(branches.tolist()),
     )
 
 
 def _cfrac_approximant(p: HypParams, n: int, z: complex) -> complex:
     if n == 0:
         return 1.0 + 0.0j
+    cs = c_array(p, n).astype(complex).tolist()
     t = 1.0 + 0.0j
     for j in range(n, 0, -1):
         if abs(t) < TINY:
             raise PoleOfApproximant(f"C-fraction approximant {n} has a pole near z = {z}")
-        t = 1.0 + c_coeff(p, j) * z / t
+        t = 1.0 + cs[j - 1] * z / t
     return t
 
 
@@ -337,15 +368,16 @@ def _sfrac_approximant(p: HypParams, m: int, zeta: complex) -> complex:
     # 1 + d1/(zeta + d2/(1 + d3/(zeta + ...))), truncated after d_m
     if m == 0:
         return 1.0 + 0.0j
+    cs = c_array(p, m).astype(complex).tolist()
     t = zeta if m % 2 == 1 else 1.0 + 0.0j
     for j in range(m - 1, 0, -1):
         if abs(t) < TINY:
             raise PoleOfApproximant(f"S-fraction approximant {m} has a pole near {zeta}")
         den = zeta if j % 2 == 1 else 1.0
-        t = den + (-c_coeff(p, j + 1)) / t
+        t = den + (-cs[j]) / t
     if abs(t) < TINY:
         raise PoleOfApproximant(f"S-fraction approximant {m} has a pole near {zeta}")
-    return 1.0 + (-c_coeff(p, 1)) / t
+    return 1.0 + (-cs[0]) / t
 
 
 def _jfrac_approximant(p: HypParams, n: int, z: complex) -> complex:

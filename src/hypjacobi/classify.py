@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 
-from .cfrac import jacobi_coeffs, require_nondegenerate
+from .cfrac import jacobi_coeffs, require_nondegenerate, termination_index
 from .errors import (
     DegenerateSamples,
     NearPole,
-    NearSingular,
     NoConvergence,
     NotRealParams,
     NotStieltjes,
@@ -32,7 +31,7 @@ from .errors import (
     Terminating,
 )
 from .hyp import HypParams
-from .spectral import GROWTH_LIMIT, b_function, termination_index
+from .spectral import b_function, resolvent_first
 
 #: default number of b_j^2 entries examined for the sign signature
 SCAN_LIMIT = 1000
@@ -83,6 +82,13 @@ class SignSignature:
         if j < 0:
             raise ValueError("index must be >= 0")
         return self.epsilons[j] if j < len(self.epsilons) else 1
+
+
+def _real_bands(p: HypParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal a_j and roots btilde_j = sqrt(|b_j^2|) of a real triple,
+    from ``jacobi_coeffs(p, n)``."""
+    coeffs = jacobi_coeffs(p, n)
+    return np.asarray(coeffs.diag).real, np.sqrt(np.abs(np.asarray(coeffs.offdiag_sq).real))
 
 
 def _stabilization_bound(p: HypParams) -> int:
@@ -239,21 +245,6 @@ def schur_step(
     return phi
 
 
-def _tail_m(diag: np.ndarray, off: np.ndarray, z: complex) -> complex:
-    n = len(diag)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[1] = diag - z
-    if n > 1:
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-    rhs = np.zeros(n, dtype=complex)
-    rhs[0] = 1.0
-    x = solve_banded((1, 1), ab, rhs)
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > GROWTH_LIMIT:
-        raise NearSingular(f"tail resolvent blew up at z = {z}")
-    return complex(x[0])
-
-
 def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     """Rebuild eps_0 B(z) by the N-step backward Schur chain.
 
@@ -268,20 +259,17 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     sig = sign_signature(p)
     n_stab = sig.N
 
+    def tail_at(n: int):
+        diag, btilde = _real_bands(p, n)
+        return diag, btilde, resolvent_first(diag[n_stab:], btilde[n_stab:], btilde[n_stab:], z)
+
     if sig.terminated_at is not None:
-        block = sig.terminated_at + 1
-        coeffs = jacobi_coeffs(p, block + 1)
-        diag = np.asarray([x.real for x in coeffs.diag])
-        btilde = np.asarray([math.sqrt(abs(x.real)) for x in coeffs.offdiag_sq])
-        tail = _tail_m(diag[n_stab:], btilde[n_stab:], z)
+        diag, btilde, tail = tail_at(sig.terminated_at + 2)
     else:
         m = max(64, 2 * n_stab + 2)
         tail = None
         while m <= 8192:
-            coeffs = jacobi_coeffs(p, n_stab + m + 1)
-            diag = np.asarray([x.real for x in coeffs.diag])
-            btilde = np.asarray([math.sqrt(abs(x.real)) for x in coeffs.offdiag_sq])
-            cur = _tail_m(diag[n_stab:], btilde[n_stab:], z)
+            diag, btilde, cur = tail_at(n_stab + m + 1)
             if tail is not None and abs(cur - tail) <= tol * max(1.0, abs(cur)):
                 tail = cur
                 break
@@ -320,10 +308,7 @@ def quadrature(p: HypParams, N: int) -> Quadrature:
         raise NotStieltjes(
             f"(a,b,c) = ({p.a.real}, {p.b.real}, {p.c.real}) violates the classical box"
         )
-    coeffs = jacobi_coeffs(p, N)
-    diag = np.asarray([x.real for x in coeffs.diag])
-    off = np.sqrt(np.asarray([x.real for x in coeffs.offdiag_sq]))
-    nodes, vecs = eigh_tridiagonal(diag, off)
+    nodes, vecs = eigh_tridiagonal(*_real_bands(p, N))
     weights = vecs[0, :] ** 2
     return Quadrature(nodes=nodes, weights=weights, order=N)
 
@@ -342,9 +327,7 @@ def build_H(p: HypParams, N: int, scan_limit: int = SCAN_LIMIT) -> tuple[np.ndar
         raise ValueError(f"N = {N} is below the stabilization index {sig.N}")
     if sig.terminated_at is not None:
         N = min(N, sig.terminated_at + 1)
-    coeffs = jacobi_coeffs(p, N)
-    diag = np.asarray([x.real for x in coeffs.diag])
-    btilde = np.asarray([math.sqrt(abs(x.real)) for x in coeffs.offdiag_sq])
+    diag, btilde = _real_bands(p, N)
     n = len(diag)
     h = np.diag(diag)
     for k in range(n - 1):
@@ -361,17 +344,6 @@ def h_m_function(p: HypParams, z: complex, N: int) -> complex:
     for terminating triples), which is the numerical face of the statement
     that eps_0 B is a generalized Nevanlinna function modeled by H.
     """
-    z = complex(z)
     h, g = build_H(p, N)
-    n = h.shape[0]
-    ab = np.zeros((3, n), dtype=complex)
-    ab[1] = np.diag(h) - z
-    if n > 1:
-        ab[0, 1:] = np.diag(h, 1)
-        ab[2, :-1] = np.diag(h, -1)
-    rhs = np.zeros(n, dtype=complex)
-    rhs[0] = 1.0
-    x = solve_banded((1, 1), ab, rhs)
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > GROWTH_LIMIT:
-        raise NearSingular(f"H-resolvent solve blew up at z = {z}")
-    return complex(g[0, 0] * x[0])
+    x0 = resolvent_first(np.diag(h), np.diag(h, 1), np.diag(h, -1), complex(z))
+    return complex(g[0, 0] * x0)

@@ -228,8 +228,7 @@ def _run_eval(args):
 def _run_coeffs(args):
     p = _params(args)
     n = args.N
-    stream = cfrac.CoeffStream(p)
-    cs = [stream.c(j) for j in range(1, 2 * n + 1)]
+    cs = cfrac.c_array(p, 2 * n)
     coeffs = cfrac.jacobi_coeffs(p, n)
     doc = _head(args, p)
     doc.update(

@@ -60,6 +60,11 @@ class DegenerateSamples(ParameterError):
     """Kernel sample points coincide or sit on the real axis."""
 
 
+class TerminationTooDeep(ParameterError):
+    """The fraction terminates, but at a coefficient index beyond
+    ``cfrac.TERMINATION_CAP``; its exact evaluation is refused."""
+
+
 class Terminating(HypJacobiError):
     """A continued-fraction coefficient vanishes before sign stabilization;
     raised only when the caller asked for strict (non-terminating) input."""

@@ -14,9 +14,10 @@ underlying hypergeometric function through w = -4/(z-2).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -24,11 +25,11 @@ from scipy.linalg import solve_banded
 from .cfrac import (
     JacobiCoeffs,
     c_coeff,
-    c_is_zero,
     cf_ratio_eval,
     jacobi_coeffs,
     offdiag_roots,
     require_nondegenerate,
+    termination_index,
 )
 from .errors import (
     CNonpositiveInteger,
@@ -36,6 +37,7 @@ from .errors import (
     NearPole,
     NearSingular,
     NoConvergence,
+    NonFiniteParameter,
     OnBand,
     ShiftInvalid,
 )
@@ -63,20 +65,6 @@ MERGE_TOL = 1e-6
 #: the trace-norm bound sums the explicit coefficient formulas out to at
 #: least this index before switching to the dominating series
 TAIL_HORIZON = 20000
-
-
-def termination_index(p: HypParams) -> Optional[int]:
-    """First n with b_n^2 exactly zero, or None.
-
-    A coefficient factor (a+m), (b+m), (c-a+m) or (c-b+m) can only vanish
-    for m up to the magnitude of the parameters, so a bounded scan decides
-    termination for the whole infinite sequence.
-    """
-    bound = int(math.ceil(max(abs(p.a), abs(p.b), abs(p.c - p.a), abs(p.c - p.b)))) + 2
-    for n in range(bound + 1):
-        if c_is_zero(p, 2 * n + 2) or c_is_zero(p, 2 * n + 3):
-            return n
-    return None
 
 
 def band_distance(z: complex) -> float:
@@ -133,13 +121,15 @@ def build_truncated(p: HypParams, N: int) -> TruncatedJacobi:
     )
 
 
-def _resolvent_first(tj: TruncatedJacobi, z: complex) -> complex:
-    n = tj.order
+def resolvent_first(diag, upper, lower, z: complex) -> complex:
+    """x_0 of (T - z) x = e_0, T = diag + superdiag(upper) + subdiag(lower),
+    by a pivoted banded solve; NearSingular if x is not finite or exceeds
+    GROWTH_LIMIT (z numerically indistinguishable from an eigenvalue)."""
+    n = len(diag)
     ab = np.zeros((3, n), dtype=complex)
-    ab[1] = tj.diag - z
-    if n > 1:
-        ab[0, 1:] = tj.offdiag
-        ab[2, :-1] = tj.offdiag
+    ab[0, 1:] = upper
+    ab[1] = diag - z
+    ab[2, :-1] = lower
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
     x = solve_banded((1, 1), ab, rhs)
@@ -150,7 +140,8 @@ def _resolvent_first(tj: TruncatedJacobi, z: complex) -> complex:
 
 def m_function(p: HypParams, z: complex, N: int) -> complex:
     """<(J_N - z)^{-1} e, e> via a pivoted tridiagonal solve."""
-    return _resolvent_first(build_truncated(p, N), complex(z))
+    tj = build_truncated(p, N)
+    return resolvent_first(tj.diag, tj.offdiag, tj.offdiag, complex(z))
 
 
 def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12) -> complex:
@@ -167,12 +158,16 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
 
     Raises
     ------
+    NonFiniteParameter
+        z has a NaN or infinite real or imaginary part.
     OnBand
         z within guard distance of [-2, 2] for a non-terminating triple.
     NearPole
         The continued fraction would not settle (z at or next to a pole).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise NonFiniteParameter(f"z = {z} is not finite")
     require_nondegenerate(p)
     t = termination_index(p)
     if t is None and band_distance(z) <= BAND_EVAL_GUARD:
@@ -472,52 +467,35 @@ def _tail_constants(p: HypParams) -> tuple[float, float, int, float]:
     return ca, cb, n_min, beta
 
 
-def _deviation_sums(p: HypParams, n: int) -> float:
-    """sum_{k<n} |a_k| + 2|b_k - 1| from the vectorized rational formulas."""
-    idx = np.arange(n, dtype=float)
-    a, b, c = p.a, p.b, p.c
-    d_lo = (a + idx) * (c - b + idx) / ((c + 2 * idx) * (c + 2 * idx + 1))
-    d_mid = (b + idx + 1) * (c - a + idx + 1) / ((c + 2 * idx + 1) * (c + 2 * idx + 2))
-    d_hi = (a + idx + 1) * (c - b + idx + 1) / ((c + 2 * idx + 2) * (c + 2 * idx + 3))
-    diag = 2.0 - 4.0 * d_lo - 4.0 * d_mid
-    diag[0] = 2.0 - 4.0 * d_mid[0]
-    bsq = (16.0 * d_mid * d_hi).astype(complex)
-    bsq.imag[bsq.imag == 0.0] = 0.0  # sqrt branch: -0.0 would flip the root
-    roots = np.sqrt(bsq)
-    return float(np.sum(np.abs(diag)) + 2.0 * np.sum(np.abs(roots - 1.0)))
-
-
 def trace_norm_bound(p: HypParams, K: int) -> float:
     """Computable upper bound for ||J - J_0||_1.
 
     Each diagonal entry contributes |a_k| and each symmetric off-diagonal
-    pair at most 2|b_k - 1| to the trace norm.  The bound sums the explicit
-    rational formulas out to max(K, TAIL_HORIZON) and caps the rest by the
+    pair at most 2|b_k - 1| to the trace norm.  The bound sums the
+    coefficients k < n and adds what lies beyond.  For a non-terminating
+    triple n = max(K, TAIL_HORIZON, ...) and the rest is capped by the
     dominating series C/k^2 of ``_tail_constants`` via integral comparison,
-    so it is a true upper bound for every K and essentially constant once
-    K is moderate.
-
-    For a terminating triple the sum is finite and exact, except that the
-    broken bond b_t = 0 against the free matrix still costs 2|b_t - 1| = 2.
+    so the bound is a true upper bound for every K and essentially
+    constant once K is moderate.  For a terminating triple the sum over
+    the block is exact, and the broken bond b_t = 0 against the free
+    matrix still costs 2|b_t - 1| = 2.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     require_nondegenerate(p)
 
     t = termination_index(p)
-    if t is not None:
-        coeffs = offdiag_roots(jacobi_coeffs(p, t + 2))
-        total = sum(abs(x) for x in coeffs.diag)
-        total += 2.0 * sum(abs(x - 1.0) for x in coeffs.offdiag)
-        total += 2.0  # broken bond against the free matrix
-        return float(total)
-
-    ca, cb, n_min, beta = _tail_constants(p)
-    horizon = max(K, TAIL_HORIZON, n_min)
-    explicit = _deviation_sums(p, horizon)
-    # sum_{n >= h} 1/(2n - beta)^2 <= 1/(2 (2(h - 1) - beta))
-    tail = (ca + 2.0 * cb) / (2.0 * (2.0 * (horizon - 1.0) - beta))
-    return float(explicit + tail)
+    if t is None:
+        ca, cb, n_min, beta = _tail_constants(p)
+        n = max(K, TAIL_HORIZON, n_min)
+        # sum_{k >= n} 1/(2k - beta)^2 <= 1/(2 (2(n - 1) - beta))
+        rest = (ca + 2.0 * cb) / (2.0 * (2.0 * (n - 1.0) - beta))
+    else:
+        n, rest = t + 1, 2.0
+    coeffs = offdiag_roots(jacobi_coeffs(p, n + 1))
+    diag = np.asarray(coeffs.diag[:n], dtype=complex)
+    roots = np.asarray(coeffs.offdiag[:n], dtype=complex)
+    return float(np.sum(np.abs(diag)) + 2.0 * np.sum(np.abs(roots - 1.0)) + rest)
 
 
 class LiebThirring(NamedTuple):

@@ -12,6 +12,7 @@ from hypjacobi import (
     DegenerateRatio,
     NoConvergence,
     OnCut,
+    TerminationTooDeep,
     approximant,
     c_coeff,
     cf_ratio_eval,
@@ -19,8 +20,10 @@ from hypjacobi import (
     moment_oracle,
     offdiag_roots,
     ratio_series,
+    termination_index,
     validate_params,
 )
+from hypjacobi.cfrac import TERMINATION_CAP, c_array, cfrac_termination_index, zero_indices
 
 P101 = validate_params(1, 0, 1)
 PTERM1 = validate_params(-1, -1.5, 1)   # terminates at b_0^2 = 0
@@ -283,3 +286,126 @@ class TestMomentOracle:
         assert abs(s[1] - a0) < 1e-10
         assert abs(s[2] - (a0 * a0 + b0)) < 1e-10
         assert abs(s[3] - (a0**3 + 2 * a0 * b0 + a1 * b0)) < 1e-10
+
+
+def _ref_factors(p, j):
+    """Numerator factors and denominator of c_j, unreduced, in Python
+    complex arithmetic (the scalar formula the kernel vectorizes)."""
+    if j % 2 == 1:
+        m = (j - 1) // 2
+        return (p.a + m), (p.c - p.b + m), (p.c + 2 * m) * (p.c + 2 * m + 1)
+    m = j // 2
+    return (p.b + m), (p.c - p.a + m), (p.c + 2 * m - 1) * (p.c + 2 * m)
+
+
+def _ref_c(p, j):
+    f1, f2, den = _ref_factors(p, j)
+    if f1 == 0 or f2 == 0:
+        return 0.0 + 0.0j
+    return -f1 * f2 / den
+
+
+def _ref_is_zero(p, j):
+    f1, f2, _ = _ref_factors(p, j)
+    return f1 == 0 or f2 == 0
+
+
+def _scan_bound(p):
+    return max(abs(p.a), abs(p.b), abs(p.c - p.a), abs(p.c - p.b))
+
+
+def _scan_c_index(p):
+    """Reference: linear scan for the first j >= 1 with c_j exactly zero."""
+    bound = 2 * int(np.ceil(_scan_bound(p))) + 4
+    for j in range(1, bound + 1):
+        if _ref_is_zero(p, j):
+            return j
+    return None
+
+
+def _scan_j_index(p):
+    """Reference: linear scan for the first n with b_n^2 exactly zero."""
+    bound = int(math.ceil(_scan_bound(p))) + 2
+    for n in range(bound + 1):
+        if _ref_is_zero(p, 2 * n + 2) or _ref_is_zero(p, 2 * n + 3):
+            return n
+    return None
+
+
+_PARTS = (-3, -2.5, -1, 0, 0.5, 2, -2 + 0.5j)
+_CS = (1, 2.5, -1.5, 3, 2 + 0.5j)
+_TERMINATION_GRID = [
+    (a, b, c) for a in _PARTS for b in _PARTS for c in _CS
+] + [
+    (1 + 1j, 3 + 1j, 1 + 1j),      # c - b = -2: complex triple, odd index 5
+    (-1 + 1j, 0.5, -2 + 1j),       # c - a = -1: complex triple, even index 2
+    (-7, -4, 0.5), (-4, -7, -0.5), (0, 1, 2), (1, 2, 2), (0, 0, 1),
+]
+
+
+class TestClosedFormTermination:
+    def test_matches_linear_scans(self):
+        terminating = 0
+        for abc in _TERMINATION_GRID:
+            p = validate_params(*abc)
+            bound = 2 * int(np.ceil(_scan_bound(p))) + 4
+            scanned = tuple(j for j in range(1, bound + 1) if _ref_is_zero(p, j))
+            assert zero_indices(p) == scanned, abc
+            assert cfrac_termination_index(p) == _scan_c_index(p), abc
+            assert termination_index(p) == _scan_j_index(p), abc
+            terminating += termination_index(p) is not None
+        # the grid exercises both outcomes
+        assert 0 < terminating < len(_TERMINATION_GRID)
+
+    def test_cap(self):
+        # odd index 1 - 2a, even index -2b
+        half = TERMINATION_CAP // 2
+        assert cfrac_termination_index(validate_params(1 - half, 0.5, 1.5)) == TERMINATION_CAP - 1
+        assert cfrac_termination_index(validate_params(1, -half, 1.5)) == TERMINATION_CAP
+        for abc in [(-half, 0.5, 1.5), (1e7, 0, 1), (1e300, 0, 1), (-1e300, 0, 1)]:
+            p = validate_params(*abc)
+            with pytest.raises(TerminationTooDeep):
+                cfrac_termination_index(p)
+            with pytest.raises(TerminationTooDeep):
+                termination_index(p)
+
+    def test_zero_indices_need_no_cap(self):
+        p = validate_params(1e300, 0, 1)  # c - a rounds to -1e300
+        assert zero_indices(p) == (2 * int(1e300),)
+        assert c_array(p, 8).shape == (8,)
+
+
+class TestCArray:
+    @pytest.mark.parametrize(
+        "abc", [(1, 0, 1), (-1.5, 0.25, 2.5), (-3, -2.5, 1.5), (0.7, 0.3, 2.1), (-250.5, 3.1, 20.2)]
+    )
+    def test_real_equals_scalar_reference(self, abc):
+        p = validate_params(*abc)
+        arr = c_array(p, 300)
+        assert arr.dtype == np.float64
+        for j in range(1, 301):
+            ref = _ref_c(p, j)
+            assert ref.imag == 0.0
+            assert arr[j - 1] == ref.real, j
+
+    @pytest.mark.parametrize(
+        "abc",
+        [(2 + 1j, 0.5, 3), (1 + 2j, 3, -0.5), (0.5 + 0.1j, 1.2, 2.0), (-1 + 0.5j, 0, 2),
+         (1.2 - 0.5j, 0.7, 1.8), (1 + 1j, 3 + 1j, 1 + 1j)],
+    )
+    def test_complex_within_four_ulp(self, abc):
+        p = validate_params(*abc)
+        arr = c_array(p, 300)
+        assert arr.dtype == np.complex128
+        eps = np.finfo(float).eps
+        for j in range(1, 301):
+            ref = _ref_c(p, j)
+            assert abs(arr[j - 1] - ref) <= 4 * eps * abs(ref), j
+
+    def test_exact_zeros(self):
+        p = validate_params(-2, -1.5, 1)  # a + 2 = 0 at j = 5, b + 1.5 never
+        arr = c_array(p, 12)
+        assert [j for j in range(1, 13) if arr[j - 1] == 0] == [5]
+        assert math.copysign(1.0, arr[4]) == 1.0
+        q = validate_params(1 + 1j, 3 + 1j, 1 + 1j)  # c - b + 2 = 0 at j = 5
+        assert c_array(q, 12)[4] == 0

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -210,21 +211,47 @@ class TestExitCodes:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1,nan"])
     @pytest.mark.parametrize(
         "args",
         [
-            ["spectrum", "-b", "0", "-c", "1"],
-            ["eval", "-b", "0", "-c", "1", "--z", "4,0"],
-            ["coeffs", "-b", "0", "-c", "1"],
+            ["spectrum", "-b", "0", "-c", "1", "-a"],
+            ["eval", "-b", "0", "-c", "1", "--z", "4,0", "-a"],
+            ["coeffs", "-b", "0", "-c", "1", "-a"],
+            ["eval", "-a", "1", "-b", "0", "-c", "1", "--z"],
         ],
     )
     def test_non_finite_parameter_is_validation(self, args, value, cli_env):
-        cmd = [sys.executable, "-m", "hypjacobi.cli", *args, "-a", value]
+        cmd = [sys.executable, "-m", "hypjacobi.cli", *args, value]
         r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert "not finite" in r.stderr
+
+
+# ``eval -a -100000 -b 0 -c 1 --z 4`` as printed before termination was
+# decided in closed form: the fraction terminates at coefficient 200001,
+# well inside the cap, and its payload must not move
+DEEP_TERMINATING_EVAL = (
+    '{"schema_version":1,"subcommand":"eval","params":{"a":{"re":-100000,"im":0},'
+    '"b":{"re":0,"im":0},"c":{"re":1,"im":0}},"z":{"re":4,"im":0},"tol":1e-10,'
+    '"cf":{"re":-4.99999999999807e-06,"im":0},"resolvent":{"re":-4.9999999999988883e-06,'
+    '"im":-0},"abs_difference":8.1823382704765413e-19,"agree":true}\n'
+)
+
+
+class TestBoundedDepth:
+    @pytest.mark.parametrize("a", ["1e7", "1e300"])
+    def test_termination_beyond_cap_is_validation(self, a, tmp_path):
+        t0 = time.perf_counter()
+        code, _ = run_cli(["eval", "-a", a, "-b", "0", "-c", "1", "--z", "4"], tmp_path)
+        assert code == 2
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_deep_terminating_eval_unchanged(self, tmp_path):
+        code, text = run_cli(["eval", "-a", "-100000", "-b", "0", "-c", "1", "--z", "4"], tmp_path)
+        assert code == 0
+        assert text == DEEP_TERMINATING_EVAL
 
 
 class TestDeterminism:
