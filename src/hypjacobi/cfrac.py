@@ -28,14 +28,16 @@ closed forms in the terminating polynomial cases.
 
 Every coefficient comes from one vectorized kernel, :func:`c_array`.
 Termination is decided in closed form by :func:`zero_indices`, without a
-scan; both termination indices derive from it.
+scan; both termination indices derive from it.  So is the sign pattern of
+the b_n^2 of a real triple (:func:`stabilization_index`).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -127,6 +129,31 @@ def termination_index(p: HypParams) -> Optional[int]:
     return None if j is None else (j - 2) // 2
 
 
+def stabilization_index(p: HypParams) -> int:
+    """Stabilization index N of a real triple: b_n^2 > 0 for every n >= N
+    below termination, and b_{N-1}^2 < 0 when N > 0.
+
+    With m = n + 1, b_n^2 is a positive multiple of
+
+        (a+m)(b+m)(c-a+m)(c-b+m) / ((c+2m-1)(c+2m+1)),
+
+    six factors that increase with n, so each is negative on an initial run
+    n <= last (ceil(-x) - 2 for a numerator factor x + m).  The sign of b_n^2
+    is (-1)^(number of negative factors) and can change only at the end of
+    a run; the run ends, clipped below :func:`termination_index`, are the
+    only candidates for the last negative b_n^2.  O(1), no coefficient is
+    built.
+    """
+    a, b, c = p.a.real, p.b.real, p.c.real
+    lasts = [math.ceil(-x) - 2 for x in (a, b, c - a, c - b)]
+    lasts += [math.ceil(-(c + 1.0) / 2.0) - 1, math.ceil(-(c + 3.0) / 2.0) - 1]
+    t = termination_index(p)
+    if t is not None:
+        lasts = [min(last, t - 1) for last in lasts]
+    odd = [k for k in lasts if k >= 0 and sum(k <= last for last in lasts) % 2]
+    return max(odd) + 1 if odd else 0
+
+
 def require_nondegenerate(p: HypParams) -> None:
     """Reject triples with c_1 = 0 (a = 0 or c = b).
 
@@ -188,13 +215,11 @@ class CFValue:
 @dataclass(frozen=True)
 class JacobiCoeffs:
     """J-fraction data: diagonal a_n, off-diagonal squares b_n^2 and the
-    chosen roots b_n.
+    roots b_n.
 
     ``terminated_at`` is the first n with b_n^2 exactly zero; the sequences
     are truncated there (``diag`` keeps n+1 entries, ``offdiag_sq`` keeps n).
-    ``offdiag`` stays empty until :func:`offdiag_roots` picks roots;
-    ``root_branches`` then records, per index, whether the principal branch
-    (+1) or its negative (-1) was taken.
+    ``offdiag`` stays empty until :func:`offdiag_roots` fills it.
     """
 
     params: HypParams
@@ -202,8 +227,6 @@ class JacobiCoeffs:
     offdiag_sq: tuple[complex, ...]
     offdiag: tuple[complex, ...] = field(default=())
     terminated_at: Optional[int] = None
-    root_policy: str = ""
-    root_branches: tuple[int, ...] = field(default=())
 
     @property
     def length(self) -> int:
@@ -316,40 +339,18 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     )
 
 
-RootPolicy = Union[str, Callable[[int, complex, complex], complex]]
+def offdiag_roots(coeffs: JacobiCoeffs) -> JacobiCoeffs:
+    """Principal square roots b_n of the squares b_n^2.
 
-
-def offdiag_roots(coeffs: JacobiCoeffs, policy: RootPolicy = "principal") -> JacobiCoeffs:
-    """Pick square roots b_n of the squares b_n^2.
-
-    Past the stabilization point (b_n^2 with positive real part, which the
-    coefficient limits guarantee for all large n) the principal root is the
-    canonical choice.  For earlier indices ``policy`` decides: the default
-    keeps the principal root there too, or a callable
-    ``(index, b_sq, principal_root) -> root`` may override.  The m-function
-    and the spectrum only ever see b_n^2, so the choice is recorded but not
-    load-bearing.
+    A negative real square gets the positive imaginary root.  The
+    m-function and the spectrum only ever see b_n^2, so any other choice of
+    branch would give a diagonally similar matrix with the same results.
     """
     sq = np.asarray(coeffs.offdiag_sq, dtype=complex)
     # -0.0 imaginary parts (artifacts of d_j = -c_j) would land on the
-    # wrong side of the sqrt branch cut; a negative real square must give
-    # the positive imaginary root
+    # wrong side of the sqrt branch cut
     sq.imag[sq.imag == 0.0] = 0.0
-    principal = np.sqrt(sq)
-    unstable = np.flatnonzero(~(sq.real > 0))
-    stab = int(unstable[-1]) + 1 if unstable.size else 0
-    roots = principal.copy()
-    if callable(policy):
-        for n in range(stab):
-            roots[n] = policy(n, coeffs.offdiag_sq[n], complex(principal[n]))
-    branches = np.where(roots == principal, 1, -1)
-    name = policy if isinstance(policy, str) else getattr(policy, "__name__", "custom")
-    return replace(
-        coeffs,
-        offdiag=tuple(roots.tolist()),
-        root_policy=name,
-        root_branches=tuple(branches.tolist()),
-    )
+    return replace(coeffs, offdiag=tuple(np.sqrt(sq).tolist()))
 
 
 def _cfrac_approximant(p: HypParams, n: int, z: complex) -> complex:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .cfrac import jacobi_coeffs, require_nondegenerate, termination_index
+from .cfrac import jacobi_coeffs, require_nondegenerate, stabilization_index, termination_index
 from .errors import (
     DegenerateSamples,
     NearPole,
@@ -33,7 +33,7 @@ from .errors import (
 from .hyp import HypParams
 from .spectral import b_function, resolvent_first
 
-#: default number of b_j^2 entries examined for the sign signature
+#: default bound on the stabilization index accepted by the sign signature
 SCAN_LIMIT = 1000
 
 #: kernel eigenvalues below -KERNEL_TOL count as negative squares
@@ -91,23 +91,15 @@ def _real_bands(p: HypParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(coeffs.diag).real, np.sqrt(np.abs(np.asarray(coeffs.offdiag_sq).real))
 
 
-def _stabilization_bound(p: HypParams) -> int:
-    # all linear factors of d_{2j+2}, d_{2j+3} strictly positive from here on
-    a, b, c = p.a.real, p.b.real, p.c.real
-    worst = max(-a - 1.0, -b - 1.0, a - c - 1.0, b - c - 1.0, -(c + 1.0) / 2.0, 0.0)
-    return int(math.ceil(worst)) + 1
-
-
 def sign_signature(
     p: HypParams, scan_limit: int = SCAN_LIMIT, allow_terminating: bool = True
 ) -> SignSignature:
     """Compute the eps-sequence, stabilization index N and kappa.
 
-    Scans b_j^2 for the last negative entry; positivity of everything past
-    the scanned range is certified analytically (each coefficient factor is
-    an increasing linear function of the index, positive beyond an explicit
-    bound), so the result does not depend on ``scan_limit`` once the limit
-    clears the stabilization index.  The backward fill
+    N comes in closed form from :func:`cfrac.stabilization_index` (each
+    linear factor of b_j^2 changes sign at most once), so no coefficient
+    beyond the stored prefix of max(N + 3, 8) entries is built.  The
+    backward fill
 
         eps_j = eps_{j+1} * sign(b_j^2),  eps_j = 1 for j >= N,
 
@@ -120,7 +112,8 @@ def sign_signature(
         By default the signature is computed on the leading block and
         flagged instead.
     ScanExhausted
-        A negative b_j^2 sits at or beyond ``scan_limit``.
+        A negative b_j^2 sits at or beyond ``scan_limit``; raised before
+        any coefficient is built.
     """
     _require_real(p)
     require_nondegenerate(p)
@@ -129,24 +122,19 @@ def sign_signature(
     if term is not None and not allow_terminating:
         raise Terminating(f"b_{term}^2 = 0: fraction terminates before stabilization")
 
-    scan_eff = max(scan_limit, _stabilization_bound(p) + 2)
-    coeffs = jacobi_coeffs(p, scan_eff + 1)
-    bsq = np.asarray([x.real for x in coeffs.offdiag_sq])
-
-    negatives = np.nonzero(bsq < 0.0)[0]
-    n_stab = int(negatives[-1]) + 1 if negatives.size else 0
+    n_stab = stabilization_index(p)
     if n_stab > scan_limit:
         raise ScanExhausted(
             f"negative b^2 at index {n_stab - 1} >= scan_limit {scan_limit}"
         )
 
-    prefix = max(n_stab + 3, 8)
-    prefix = min(prefix, len(bsq) + 1)
+    bsq = np.asarray(jacobi_coeffs(p, max(n_stab + 3, 8)).offdiag_sq).real
+    prefix = len(bsq) + 1
     eps = [1] * prefix
-    for j in range(min(n_stab, prefix - 1) - 1, -1, -1):
+    for j in range(n_stab - 1, -1, -1):
         eps[j] = eps[j + 1] * (1 if bsq[j] > 0 else -1)
     kappa = sum(1 for j in range(n_stab) if eps[j] == -1)
-    btilde = tuple(math.sqrt(abs(x)) for x in bsq[: prefix - 1])
+    btilde = tuple(math.sqrt(abs(x)) for x in bsq)
     return SignSignature(
         epsilons=tuple(eps),
         N=n_stab,
@@ -313,7 +301,20 @@ def quadrature(p: HypParams, N: int) -> Quadrature:
     return Quadrature(nodes=nodes, weights=weights, order=N)
 
 
-def build_H(p: HypParams, N: int, scan_limit: int = SCAN_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+def _h_bands(p: HypParams, N: int) -> tuple[np.ndarray, ...]:
+    """Diagonal, superdiagonal, subdiagonal of H and the signs eps_k."""
+    _require_real(p)
+    sig = sign_signature(p)
+    if N < sig.N:
+        raise ValueError(f"N = {N} is below the stabilization index {sig.N}")
+    if sig.terminated_at is not None:
+        N = min(N, sig.terminated_at + 1)
+    diag, btilde = _real_bands(p, N)
+    eps = np.array([float(sig.eps(k)) for k in range(len(diag))])
+    return diag, btilde, eps[:-1] * eps[1:] * btilde, eps
+
+
+def build_H(p: HypParams, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The real nonsymmetric model H and its signature matrix G.
 
     H_{k,k} = a_k, H_{k,k+1} = btilde_k, H_{k+1,k} = eps_k eps_{k+1} btilde_k
@@ -321,20 +322,12 @@ def build_H(p: HypParams, N: int, scan_limit: int = SCAN_LIMIT) -> tuple[np.ndar
     (Hx, y)_G = (x, Hy)_G holds as an algebraic identity, making H a finite
     rank perturbation of a real symmetric matrix.
     """
-    _require_real(p)
-    sig = sign_signature(p, scan_limit=scan_limit)
-    if N < sig.N:
-        raise ValueError(f"N = {N} is below the stabilization index {sig.N}")
-    if sig.terminated_at is not None:
-        N = min(N, sig.terminated_at + 1)
-    diag, btilde = _real_bands(p, N)
-    n = len(diag)
+    diag, upper, lower, eps = _h_bands(p, N)
     h = np.diag(diag)
-    for k in range(n - 1):
-        h[k, k + 1] = btilde[k]
-        h[k + 1, k] = sig.eps(k) * sig.eps(k + 1) * btilde[k]
-    g = np.diag([float(sig.eps(k)) for k in range(n)])
-    return h, g
+    k = np.arange(len(diag) - 1)
+    h[k, k + 1] = upper
+    h[k + 1, k] = lower
+    return h, np.diag(eps)
 
 
 def h_m_function(p: HypParams, z: complex, N: int) -> complex:
@@ -344,6 +337,5 @@ def h_m_function(p: HypParams, z: complex, N: int) -> complex:
     for terminating triples), which is the numerical face of the statement
     that eps_0 B is a generalized Nevanlinna function modeled by H.
     """
-    h, g = build_H(p, N)
-    x0 = resolvent_first(np.diag(h), np.diag(h, 1), np.diag(h, -1), complex(z))
-    return complex(g[0, 0] * x0)
+    diag, upper, lower, eps = _h_bands(p, N)
+    return complex(eps[0] * resolvent_first(diag, upper, lower, complex(z)))

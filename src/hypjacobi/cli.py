@@ -25,6 +25,8 @@ SCHEMA_VERSION = 1
 
 TOL_RANGE = (1e-14, 1e-2)
 N_RANGE = (8, 8192)
+TRIALS_RANGE = (1, 10000)
+SAMPLES_RANGE = (1, 256)
 
 _VALUE_FLAGS = ("-a", "-b", "-c", "--z")
 
@@ -177,10 +179,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_config(args) -> None:
-    if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
-        raise ParameterError(f"tol must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
-    if not (N_RANGE[0] <= args.N <= N_RANGE[1]):
-        raise ParameterError(f"N must lie in [{N_RANGE[0]}, {N_RANGE[1]}]")
+    ranges = [("tol", TOL_RANGE), ("N", N_RANGE)]
+    if args.subcommand == "classify":
+        ranges += [("trials", TRIALS_RANGE), ("samples", SAMPLES_RANGE)]
+    for name, (lo, hi) in ranges:
+        if not (lo <= getattr(args, name) <= hi):
+            raise ParameterError(f"{name} must lie in [{lo}, {hi}]")
 
 
 def _params(args) -> HypParams:

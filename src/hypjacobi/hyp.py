@@ -86,13 +86,14 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
     Raises
     ------
     NonFiniteParameter
-        If a real or imaginary part of a, b or c is NaN or infinite.
+        If a real or imaginary part of a, b, c, c - a or c - b is NaN or
+        infinite (the differences enter every fraction coefficient).
     CNonpositiveInteger
         If c lies within ``eps_c`` of {0, -1, -2, ...}.  The series (and
         every continued-fraction coefficient denominator) degenerates there.
     """
     a, b, c = complex(a), complex(b), complex(c)
-    for name, x in (("a", a), ("b", b), ("c", c)):
+    for name, x in (("a", a), ("b", b), ("c", c), ("c - a", c - a), ("c - b", c - b)):
         if not cmath.isfinite(x):
             raise NonFiniteParameter(f"{name} = {x} is not finite")
     if _dist_to_nonpositive_integers(c) <= eps_c:

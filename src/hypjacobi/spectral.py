@@ -305,44 +305,6 @@ def _check_eigenvalues(bands: np.ndarray, vals) -> None:
             )
 
 
-def _pair_conjugates(values: list[complex], tol: float) -> list[complex]:
-    """Enforce exact conjugate pairing for real-parameter spectra.
-
-    The spectrum of a real-parameter operator is conjugation symmetric; the
-    eigensolver only delivers this to rounding.  Values with negligible
-    imaginary part are realified, the rest matched and replaced by exact
-    conjugate pairs.
-    """
-    out: list[complex] = []
-    pending: list[complex] = []
-    for lam in values:
-        thr = max(tol * max(1.0, abs(lam)), 1e-12)
-        if abs(lam.imag) <= thr:
-            out.append(complex(lam.real, 0.0))
-        else:
-            pending.append(lam)
-    used = [False] * len(pending)
-    for i, lam in enumerate(pending):
-        if used[i]:
-            continue
-        used[i] = True
-        best, best_j = np.inf, -1
-        for j in range(i + 1, len(pending)):
-            if used[j]:
-                continue
-            d = abs(pending[j] - lam.conjugate())
-            if d < best:
-                best, best_j = d, j
-        thr = max(tol * max(1.0, abs(lam)), 1e-12)
-        if best_j >= 0 and best <= 2 * thr:
-            used[best_j] = True
-            w = (lam + pending[best_j].conjugate()) / 2.0
-            out.extend([w, w.conjugate()])
-        else:
-            out.append(lam)
-    return out
-
-
 def discrete_spectrum(
     p: HypParams, N: int = 256, tol: float = 1e-10, band_guard: float = BAND_GUARD
 ) -> SpectralResult:
@@ -399,7 +361,13 @@ def discrete_spectrum(
         n_used, n_check = N, 2 * N
 
     if p.is_real:
-        retained = _pair_conjugates(retained, tol)
+        # a real triple is solved in real arithmetic, so non-real values
+        # already come in exact conjugate pairs; only rounding-level
+        # imaginary parts are dropped
+        retained = [
+            complex(v.real, 0.0) if abs(v.imag) <= max(tol * max(1.0, abs(v)), 1e-12) else v
+            for v in retained
+        ]
 
     # collapse near-coincident values into explicit multiplicities
     retained.sort(key=lambda v: (v.real, v.imag))

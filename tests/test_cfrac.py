@@ -6,8 +6,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypjacobi import (
+    CNonpositiveInteger,
     CoeffStream,
     DegenerateRatio,
     NoConvergence,
@@ -23,7 +26,13 @@ from hypjacobi import (
     termination_index,
     validate_params,
 )
-from hypjacobi.cfrac import TERMINATION_CAP, c_array, cfrac_termination_index, zero_indices
+from hypjacobi.cfrac import (
+    TERMINATION_CAP,
+    c_array,
+    cfrac_termination_index,
+    stabilization_index,
+    zero_indices,
+)
 
 P101 = validate_params(1, 0, 1)
 PTERM1 = validate_params(-1, -1.5, 1)   # terminates at b_0^2 = 0
@@ -202,15 +211,6 @@ class TestOffdiagRoots:
         b0 = jc.offdiag[0]
         assert abs(b0 - 1j * 0.8819171036881969) < 1e-15
 
-    def test_policy_callable_below_stabilization(self):
-        flip = lambda n, bsq, root: -root
-        jc = offdiag_roots(jacobi_coeffs(validate_params(-1.5, 0, 1), 6), policy=flip)
-        ref = offdiag_roots(jacobi_coeffs(validate_params(-1.5, 0, 1), 6))
-        assert jc.offdiag[0] == -ref.offdiag[0]       # flipped below stabilization
-        assert jc.offdiag[1:] == ref.offdiag[1:]      # untouched past it
-        assert jc.root_branches[0] == -1 and set(jc.root_branches[1:]) == {1}
-        assert set(ref.root_branches) == {1}
-
 
 class TestApproximant:
     def test_cfraction_order_zero(self):
@@ -373,6 +373,65 @@ class TestClosedFormTermination:
         p = validate_params(1e300, 0, 1)  # c - a rounds to -1e300
         assert zero_indices(p) == (2 * int(1e300),)
         assert c_array(p, 8).shape == (8,)
+
+
+def _scan_stabilization_index(p):
+    """Reference: scan b_n^2 for its last negative entry, out to an index
+    beyond which every linear factor of b_n^2 is positive."""
+    n = int(math.ceil(_scan_bound(p) + abs(p.c) / 2)) + 3
+    bsq = np.asarray(jacobi_coeffs(p, n + 1).offdiag_sq).real
+    negatives = np.flatnonzero(bsq < 0)
+    return int(negatives[-1]) + 1 if negatives.size else 0
+
+
+def _stabilization_grid():
+    rng = np.random.default_rng(7)
+    draws = {
+        "integer": lambda: (*rng.integers(-30, 31, 2), rng.integers(1, 31)),
+        "half-integer": lambda: tuple(rng.integers(-40, 41, 3) + 0.5),
+        "generic": lambda: tuple(rng.uniform(-50, 50, 3)),
+        "large |a|": lambda: (rng.choice([-1, 1]) * rng.uniform(50, 200), *rng.uniform(-20, 20, 2)),
+    }
+    grid = [draw() for draw in draws.values() for _ in range(400)]
+    for _ in range(600):  # a, b, c - a or c - b a nonpositive integer
+        c, x, k = rng.uniform(-20, 20), rng.uniform(-40, 40), -int(rng.integers(0, 60))
+        grid.append([(k, x, c), (x, k, c), (c - k, x, c), (x, c - k, c)][rng.integers(0, 4)])
+    return [tuple(float(v) for v in abc) for abc in grid]
+
+
+class TestStabilizationIndex:
+    def test_matches_scan(self):
+        seen = {"terminating": 0, "N > 0": 0, "N = 0": 0}
+        for abc in _stabilization_grid():
+            p = validate_params(*abc)
+            if p.a == 0 or p.c == p.b:
+                continue
+            n_stab = stabilization_index(p)
+            assert n_stab == _scan_stabilization_index(p), abc
+            seen["terminating"] += termination_index(p) is not None
+            seen["N > 0" if n_stab else "N = 0"] += 1
+        assert sum(seen.values()) - seen["terminating"] >= 2000
+        assert min(seen.values()) >= 200, seen
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-40, 40),
+                st.integers(-80, 80).map(lambda k: k / 2),
+                st.floats(-60, 60, allow_nan=False),
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_matches_scan_property(self, abc):
+        try:
+            p = validate_params(*abc)
+        except CNonpositiveInteger:
+            assume(False)
+        assume(p.a != 0 and p.c != p.b)
+        assert stabilization_index(p) == _scan_stabilization_index(p)
 
 
 class TestCArray:

@@ -110,6 +110,23 @@ class TestSignSignature:
         with pytest.raises(NotRealParams):
             sign_signature(validate_params(1j, 0, 1))
 
+    @pytest.mark.parametrize("a", [1e6 + 0.5, 1e8 + 0.5])
+    def test_scan_exhausted_before_building(self, a, monkeypatch):
+        # N is about a here; the signature must refuse it without asking
+        # for coefficients out to N
+        import hypjacobi.classify as classify
+
+        build = classify.jacobi_coeffs
+
+        def bounded(p, n):
+            if n > 10**4:
+                raise AssertionError(f"asked for {n} coefficients")
+            return build(p, n)
+
+        monkeypatch.setattr(classify, "jacobi_coeffs", bounded)
+        with pytest.raises(ScanExhausted):
+            sign_signature(validate_params(a, 0, 1))
+
 
 class TestNegativeSquares:
     def test_nevanlinna_function(self):

@@ -229,6 +229,35 @@ class TestExitCodes:
         assert "not finite" in r.stderr
 
 
+    @pytest.mark.parametrize("subcommand", ["eval", "spectrum", "classify", "coeffs", "check"])
+    @pytest.mark.parametrize(
+        "params", [["-a=-1.7e308", "-b", "0"], ["-a", "1", "-b=-1.7e308"]], ids=["c-a", "c-b"]
+    )
+    def test_overflowing_difference_is_validation(self, subcommand, params, tmp_path, capsys):
+        extra = ["--z", "4"] if subcommand == "eval" else []
+        code, _ = run_cli([subcommand, *params, "-c", "1.7e308", *extra], tmp_path)
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--trials", "0"], ["--trials", "-3"], ["--trials", "10001"],
+         ["--samples", "0"], ["--samples", "257"]],
+    )
+    def test_classify_trials_samples_range(self, flags, tmp_path, capsys):
+        code, _ = run_cli(["classify", "-a", "-1.5", "-b", "0", "-c", "1", *flags], tmp_path)
+        assert code == 2
+        assert "must lie in" in capsys.readouterr().err
+
+    def test_classify_range_ends_accepted(self, tmp_path):
+        code, text = run_cli(
+            ["classify", "-a", "-1.5", "-b", "0", "-c", "1", "--trials", "1", "--samples", "256"],
+            tmp_path,
+        )
+        assert code == 0
+        assert json.loads(text)["kappa"] == 1
+
+
 # ``eval -a -100000 -b 0 -c 1 --z 4`` as printed before termination was
 # decided in closed form: the fraction terminates at coefficient 200001,
 # well inside the cap, and its payload must not move

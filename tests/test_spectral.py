@@ -223,6 +223,19 @@ class TestEigensolveLayer:
         bands, _ = _tridiagonal_eigvals(jacobi_coeffs(validate_params(1 + 2j, 3, -0.5), 64), 64)
         assert bands.dtype == np.complex128
 
+    @pytest.mark.parametrize(
+        "abc", [(-1.5, 0, 1), (-3.7, 0.2, 1.1), (-6.5, -0.4, 0.7), (-12.5, -7.5, -3.5)]
+    )
+    def test_real_triple_gives_exact_conjugate_pairs(self, abc):
+        # discrete_spectrum relies on this and does no pairing of its own
+        coeffs = jacobi_coeffs(validate_params(*abc), 128)
+        for n in (64, 128):
+            _, vals = _tridiagonal_eigvals(coeffs, n)
+            nonreal = vals[vals.imag != 0]
+            assert nonreal.size
+            key = lambda z: (z.real, z.imag)
+            assert sorted(nonreal.tolist(), key=key) == sorted(nonreal.conj().tolist(), key=key)
+
     def test_residual_check_exact_block(self):
         # 1x1 terminating block: the eigenvalue is exact, the nudged shift
         # keeps the inverse iteration regular
