@@ -381,17 +381,39 @@ def _sfrac_approximant(p: HypParams, m: int, zeta: complex) -> complex:
     return 1.0 + (-cs[0]) / t
 
 
+def jfrac_backward(diag, numer, lower_abs, z: complex, tiny: float = 0.0):
+    """Backward recurrence of the J-fraction -1/(z - d_0 - n_0/(z - d_1 - ...)),
+
+        t_{m-1} = z - d_{m-1},   t_k = z - d_k - n_k / t_{k+1},
+
+    over sequences of Python numbers.  For T = diag + superdiag(upper) +
+    subdiag(lower) and n_k = upper_k lower_k, the solution of (T - z) x = e_0
+    has x_0 = -1/t_0 and x_{k+1} = (lower_k / t_{k+1}) x_k, so the same loop
+    carries M = max_k |x_k| / |x_0| from ``lower_abs`` = |lower_k|.  Returns
+    (t_0, M), or None as soon as some |t_k| <= ``tiny``.
+    """
+    t = z - diag[-1]
+    growth = 1.0
+    for k in range(len(diag) - 2, -1, -1):
+        t_abs = abs(t)
+        if t_abs <= tiny:
+            return None
+        growth = lower_abs[k] / t_abs * growth
+        if growth < 1.0:
+            growth = 1.0
+        t = z - diag[k] - numer[k] / t
+    if abs(t) <= tiny:
+        return None
+    return t, growth
+
+
 def _jfrac_approximant(p: HypParams, n: int, z: complex) -> complex:
-    coeffs = jacobi_coeffs(p, n)
-    k = len(coeffs.diag)  # may be shorter if terminated
-    t = z - coeffs.diag[k - 1]
-    for i in range(k - 2, -1, -1):
-        if abs(t) < TINY:
-            raise PoleOfApproximant(f"J-fraction approximant {n} has a pole near z = {z}")
-        t = z - coeffs.diag[i] - coeffs.offdiag_sq[i] / t
-    if abs(t) < TINY:
+    coeffs = jacobi_coeffs(p, n)  # may be shorter if terminated
+    ones = (1.0,) * len(coeffs.offdiag_sq)
+    out = jfrac_backward(coeffs.diag, coeffs.offdiag_sq, ones, z, TINY)
+    if out is None:
         raise PoleOfApproximant(f"J-fraction approximant {n} has a pole near z = {z}")
-    return -1.0 / t
+    return -1.0 / out[0]
 
 
 def approximant(p: HypParams, kind: str, n: int, z: complex) -> complex:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .cfrac import jacobi_coeffs, require_nondegenerate, stabilization_index, termination_index
 from .errors import (
@@ -296,6 +295,10 @@ def quadrature(p: HypParams, N: int) -> Quadrature:
         raise NotStieltjes(
             f"(a,b,c) = ({p.a.real}, {p.b.real}, {p.c.real}) violates the classical box"
         )
+    # the library's only SciPy call, imported here so that nothing else
+    # pays for loading SciPy
+    from scipy.linalg import eigh_tridiagonal
+
     nodes, vecs = eigh_tridiagonal(*_real_bands(p, N))
     weights = vecs[0, :] ** 2
     return Quadrature(nodes=nodes, weights=weights, order=N)

@@ -87,7 +87,9 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
     ------
     NonFiniteParameter
         If a real or imaginary part of a, b, c, c - a or c - b is NaN or
-        infinite (the differences enter every fraction coefficient).
+        infinite (the differences enter every fraction coefficient), or if
+        the fraction does not terminate and its leading entries overflow
+        (see ``_leading_entries_finite``).
     CNonpositiveInteger
         If c lies within ``eps_c`` of {0, -1, -2, ...}.  The series (and
         every continued-fraction coefficient denominator) degenerates there.
@@ -100,8 +102,31 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
         raise CNonpositiveInteger(
             f"c = {c} is within {eps_c} of a nonpositive integer"
         )
+    # the fraction terminates iff a factor a + m or c - b + m (m >= 0), or
+    # b + m or c - a + m (m >= 1), vanishes
+    terminating = any(is_nonpositive_integer(x) for x in (a, c - b, b + 1, c - a + 1))
+    if not (terminating or _leading_entries_finite(a, b, c)):
+        raise NonFiniteParameter(
+            f"the J-fraction entries of (a,b,c) = ({a}, {b}, {c}) are not finite (overflow)"
+        )
     is_real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
     return HypParams(a=a, b=b, c=c, is_real=is_real)
+
+
+def _leading_entries_finite(a: complex, b: complex, c: complex) -> bool:
+    """Whether c_1, c_2, c_3 and b_0^2 = 16 c_2 c_3 are finite, formed as
+    the coefficient kernel forms them.
+
+    Every J-fraction entry is a product of the linear factors a + m,
+    b + m, c - a + m, c - b + m over factors in c; for a huge parameter
+    (e.g. a = 1e200 + 1j, where b_n^2 ~ |a|^2) the leading entries are the
+    first to overflow.  A terminating triple is not checked, so that one
+    with a huge parameter still reaches TerminationTooDeep.
+    """
+    c1 = -a * (c - b) / (c * (c + 1))
+    c2 = -(b + 1) * (c - a + 1) / ((c + 1) * (c + 2))
+    c3 = -(a + 1) * (c - b + 1) / ((c + 2) * (c + 3))
+    return all(cmath.isfinite(x) for x in (c1, c2, c3, 16 * c2 * c3))
 
 
 def hyp2f1_series(

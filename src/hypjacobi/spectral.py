@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .cfrac import (
     JacobiCoeffs,
     c_coeff,
     cf_ratio_eval,
     jacobi_coeffs,
+    jfrac_backward,
     offdiag_roots,
     require_nondegenerate,
     termination_index,
@@ -122,24 +122,27 @@ def build_truncated(p: HypParams, N: int) -> TruncatedJacobi:
 
 
 def resolvent_first(diag, upper, lower, z: complex) -> complex:
-    """x_0 of (T - z) x = e_0, T = diag + superdiag(upper) + subdiag(lower),
-    by a pivoted banded solve; NearSingular if x is not finite or exceeds
-    GROWTH_LIMIT (z numerically indistinguishable from an eigenvalue)."""
-    n = len(diag)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = upper
-    ab[1] = diag - z
-    ab[2, :-1] = lower
-    rhs = np.zeros(n, dtype=complex)
-    rhs[0] = 1.0
-    x = solve_banded((1, 1), ab, rhs)
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > GROWTH_LIMIT:
-        raise NearSingular(f"resolvent solve blew up at z = {z} (order {n})")
-    return complex(x[0])
+    """x_0 of (T - z) x = e_0, T = diag + superdiag(upper) + subdiag(lower).
+
+    x_0 is the J-fraction of T at z, evaluated backward by
+    :func:`cfrac.jfrac_backward`: x_0 = 1/u_0, where u_0 = -t_0 is the last
+    pivot of eliminating T - z from the bottom row up.  The same loop
+    bounds max_k |x_k|.  NearSingular if a pivot vanishes or max_k |x_k| is
+    not finite or exceeds GROWTH_LIMIT (z numerically indistinguishable
+    from an eigenvalue).
+    """
+    up, lo = np.asarray(upper).tolist(), np.asarray(lower).tolist()
+    numer = [u * v for u, v in zip(up, lo)]
+    out = jfrac_backward(np.asarray(diag).tolist(), numer, np.abs(lower).tolist(), z)
+    if out is not None:
+        x0 = 1.0 / -out[0]
+        if abs(x0) * out[1] <= GROWTH_LIMIT:
+            return complex(x0)
+    raise NearSingular(f"resolvent solve blew up at z = {z} (order {len(diag)})")
 
 
 def m_function(p: HypParams, z: complex, N: int) -> complex:
-    """<(J_N - z)^{-1} e, e> via a pivoted tridiagonal solve."""
+    """<(J_N - z)^{-1} e, e> by the backward J-fraction recurrence."""
     tj = build_truncated(p, N)
     return resolvent_first(tj.diag, tj.offdiag, tj.offdiag, complex(z))
 
@@ -242,9 +245,10 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     is, which holds for every real triple.  Scaling by s_k rather than
     putting 1 on the superdiagonal keeps the off-diagonal magnitudes of J:
     with a unit superdiagonal, complex triples with large leading
-    coefficients lost a decimal digit in their eigenvalues.  Returns T in
-    ``solve_banded`` storage (rows: superdiagonal, diagonal, subdiagonal)
-    together with its eigenvalues as complex128.
+    coefficients lost a decimal digit in their eigenvalues.  Returns the
+    bands of T as a 3 x n array (rows: superdiagonal, diagonal,
+    subdiagonal, the first and last entry unused) together with its
+    eigenvalues as complex128.
     """
     diag = np.asarray(coeffs.diag[:n], dtype=complex)
     sq = np.asarray(coeffs.offdiag_sq[: n - 1], dtype=complex)
@@ -265,14 +269,54 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     return bands, vals.astype(complex)
 
 
+def _tridiagonal_solve(sub, diag, sup, rhs) -> list:
+    """Solve tridiag(sub; diag; sup) x = rhs by Gaussian elimination with
+    partial pivoting.
+
+    Follows LAPACK xGTSV operation for operation, including its pivot test
+    on |re| + |im|, so it reproduces that routine to the bit.  LinAlgError
+    on an exactly zero pivot.
+    """
+    sub, diag, sup, x = list(sub), list(diag), list(sup), list(rhs)
+    n = len(diag)
+    for k in range(n - 1):
+        if sub[k] == 0:
+            if diag[k] == 0:
+                raise np.linalg.LinAlgError("singular matrix")
+        elif abs(diag[k].real) + abs(diag[k].imag) >= abs(sub[k].real) + abs(sub[k].imag):
+            mult = sub[k] / diag[k]
+            diag[k + 1] = diag[k + 1] - mult * sup[k]
+            x[k + 1] = x[k + 1] - mult * x[k]
+            if k < n - 2:
+                sub[k] = 0j
+        else:
+            mult = diag[k] / sub[k]
+            diag[k] = sub[k]
+            temp = diag[k + 1]
+            diag[k + 1] = sup[k] - mult * temp
+            if k < n - 2:
+                sub[k] = sup[k + 1]  # fill-in: second superdiagonal of U
+                sup[k + 1] = -(mult * sub[k])
+            sup[k] = temp
+            x[k], x[k + 1] = x[k + 1], x[k] - mult * x[k + 1]
+    if diag[n - 1] == 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    x[n - 1] = x[n - 1] / diag[n - 1]
+    if n > 1:
+        x[n - 2] = (x[n - 2] - sup[n - 2] * x[n - 1]) / diag[n - 2]
+    for k in range(n - 3, -1, -1):
+        x[k] = (x[k] - sup[k] * x[k + 1] - sub[k] * x[k + 2]) / diag[k]
+    return x
+
+
 def _check_eigenvalues(bands: np.ndarray, vals) -> None:
     """Residual contract for eigenvalues of the tridiagonal T in ``bands``.
 
     Each value gets two steps of inverse iteration, O(N) apiece, from a
-    fixed start vector.  The shift is nudged by 8 eps ||T||_inf so that an
-    exact eigenvalue (a terminating 1x1 block) leaves the solve regular.
-    The resulting vector must satisfy ||(T - lam) v|| <= EIG_RESIDUAL *
-    max(||T||_inf, 1) with ||v|| = 1.
+    fixed start vector (``_tridiagonal_solve``).  The shift is nudged by
+    8 eps ||T||_inf so that an exact eigenvalue (a terminating 1x1 block)
+    leaves the solve regular.  The resulting vector must satisfy
+    ||(T - lam) v|| <= EIG_RESIDUAL * max(||T||_inf, 1) with ||v|| = 1.
     """
     if len(vals) == 0:
         return
@@ -285,13 +329,14 @@ def _check_eigenvalues(bands: np.ndarray, vals) -> None:
     # irregular entries: a constant start vector is orthogonal to the
     # antisymmetric eigenvectors of a persymmetric block
     start = np.random.default_rng(0).uniform(0.5, 1.5, n).astype(complex)
+    sub = bands[2, :-1].astype(complex).tolist()
+    sup = bands[0, 1:].astype(complex).tolist()
     for lam in vals:
-        shifted = bands.astype(complex)
-        shifted[1] -= lam + nudge
+        shifted = (bands[1] - (lam + nudge)).tolist()
         v = start
         try:
             for _ in range(2):
-                v = solve_banded((1, 1), shifted, v, check_finite=False)
+                v = np.array(_tridiagonal_solve(sub, shifted, sup, v.tolist()))
                 v = v / np.linalg.norm(v)
         except np.linalg.LinAlgError as exc:
             raise EigensolverFailure(f"inverse iteration singular at eigenvalue {lam}") from exc

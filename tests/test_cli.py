@@ -240,6 +240,25 @@ class TestExitCodes:
         assert "not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--N", "16"],
+            ["eval", "--z", "4"],
+            ["coeffs", "--N", "16"],
+        ],
+    )
+    @pytest.mark.parametrize("abc", [["-a", "1e200,1", "-b", "0", "-c", "1"],
+                                     ["-a", "1e200", "-b", "0.5", "-c", "2e200"]],
+                             ids=["complex", "real"])
+    def test_overflowing_entries_is_validation(self, args, abc, tmp_path, capsys):
+        # b_n^2 ~ |a|^2 overflows while a, b, c and their differences are finite
+        t0 = time.perf_counter()
+        code, _ = run_cli([*args, *abc], tmp_path)
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags",
         [["--trials", "0"], ["--trials", "-3"], ["--trials", "10001"],
          ["--samples", "0"], ["--samples", "257"]],
@@ -264,8 +283,8 @@ class TestExitCodes:
 DEEP_TERMINATING_EVAL = (
     '{"schema_version":1,"subcommand":"eval","params":{"a":{"re":-100000,"im":0},'
     '"b":{"re":0,"im":0},"c":{"re":1,"im":0}},"z":{"re":4,"im":0},"tol":1e-10,'
-    '"cf":{"re":-4.99999999999807e-06,"im":0},"resolvent":{"re":-4.9999999999988883e-06,'
-    '"im":-0},"abs_difference":8.1823382704765413e-19,"agree":true}\n'
+    '"cf":{"re":-4.99999999999807e-06,"im":0},"resolvent":{"re":-4.9999999999993177e-06,'
+    '"im":-0},"abs_difference":1.2476795313055844e-18,"agree":true}\n'
 )
 
 
@@ -281,6 +300,10 @@ class TestBoundedDepth:
         code, text = run_cli(["eval", "-a", "-100000", "-b", "0", "-c", "1", "--z", "4"], tmp_path)
         assert code == 0
         assert text == DEEP_TERMINATING_EVAL
+        # b = 0: F(a,1,2;w) = (1 - (1-w)^(1-a)) / ((1-a) w), so at w = -2 the
+        # ratio is below 1e-40000 and B = -1/(4 d_1) = -5e-06 to double precision
+        resolvent = json.loads(text)["resolvent"]["re"]
+        assert abs(resolvent + 5e-06) <= 2.2e-13 * 5e-06
 
 
 class TestDeterminism:
@@ -299,3 +322,40 @@ class TestDeterminism:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert len(r1.stdout) > 0
+
+
+_SCIPY_PROBE = """
+import json, sys
+from hypjacobi.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+out = sys.argv[1]
+report = {"import": scipy_loaded()}
+for argv in json.loads(sys.argv[2]):
+    code = main([*argv, "--out", out])
+    report[argv[0]] = [code, scipy_loaded()]
+print(json.dumps(report))
+"""
+
+
+class TestSciPyOffPath:
+    def test_only_measure_loads_scipy(self, cli_env, tmp_path):
+        runs = [
+            ["eval", "-a", "2,1", "-b", "0.5", "-c", "3", "--z", "5,2"],
+            ["spectrum", "-a", "-2", "-b", "0", "-c", "1"],
+            ["classify", "-a", "-1.5", "-b", "0", "-c", "1", "--trials", "5"],
+            ["coeffs", "-a", "1", "-b", "0", "-c", "1", "--N", "16"],
+            ["measure", "-a", "1", "-b", "0", "-c", "1", "--N", "16"],
+        ]
+        cmd = [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out"), json.dumps(runs)]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        assert report["import"] == []
+        for name in ("eval", "spectrum", "classify", "coeffs"):
+            assert report[name] == [0, []], name
+        # quadrature is the one lazy SciPy import site
+        code, loaded = report["measure"]
+        assert code == 0 and "scipy.linalg" in loaded

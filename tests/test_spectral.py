@@ -26,7 +26,13 @@ from hypjacobi import (
     trace_norm_bound,
     validate_params,
 )
-from hypjacobi.spectral import _check_eigenvalues, _tridiagonal_eigvals
+from hypjacobi.spectral import (
+    GROWTH_LIMIT,
+    _check_eigenvalues,
+    _tridiagonal_eigvals,
+    _tridiagonal_solve,
+    resolvent_first,
+)
 
 P101 = validate_params(1, 0, 1)
 PTERM1 = validate_params(-1, -1.5, 1)
@@ -96,6 +102,78 @@ class TestMFunction:
     def test_near_singular(self):
         with pytest.raises(NearSingular):
             m_function(PTERM1, 3.0 + 1e-13, 10)
+
+
+def _seeded_tridiagonal(rng, n, symmetric):
+    """A J-like complex tridiagonal: small diagonal, off-diagonals near 1."""
+    diag = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    upper = 1.0 + 0.3 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+    lower = upper if symmetric else 1.0 + 0.3 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+    return diag, upper, lower
+
+
+def _dense(diag, upper, lower):
+    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+
+
+class TestResolventSolvers:
+    """The J-fraction recurrence of ``resolvent_first`` and the pivoted
+    tridiagonal solve of the inverse iteration, against dense and banded
+    LAPACK solves."""
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 512])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["upper==lower", "upper!=lower"])
+    def test_recurrence_matches_dense_solve(self, n, symmetric):
+        rng = np.random.default_rng(n + 1000 * symmetric)
+        for z in (3.5 + 1j, -0.4 + 3j, 1j * 5):
+            diag, upper, lower = _seeded_tridiagonal(rng, n, symmetric)
+            rhs = np.zeros(n, dtype=complex)
+            rhs[0] = 1.0
+            ref = np.linalg.solve(_dense(diag, upper, lower) - z * np.eye(n), rhs)[0]
+            got = resolvent_first(diag, upper, lower, z)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (n, z)
+
+    def test_lu_matches_solve_banded_bitwise(self):
+        from scipy.linalg import solve_banded
+
+        rng = np.random.default_rng(300)
+        swapped = 0
+        for _ in range(100):
+            n = int(rng.integers(2, 80))
+            diag, upper, lower = _seeded_tridiagonal(rng, n, symmetric=False)
+            # a small diagonal forces row swaps; some zero subdiagonal
+            # entries take the no-elimination branch
+            diag *= rng.choice([0.05, 3.0], size=n)
+            lower[rng.random(n - 1) < 0.1] = 0.0
+            rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            ab = np.zeros((3, n), dtype=complex)
+            ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+            ref = solve_banded((1, 1), ab, rhs)
+            got = np.array(_tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()))
+            assert got.tobytes() == ref.tobytes(), n
+            cabs1 = lambda x: np.abs(x.real) + np.abs(x.imag)
+            swapped += int(np.sum(cabs1(lower) > cabs1(diag[:-1])))
+        assert swapped > 100
+
+    def test_lu_singular(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _tridiagonal_solve([0j], [0j, 1 + 0j], [1 + 0j], [1 + 0j, 1 + 0j])
+        with pytest.raises(np.linalg.LinAlgError):
+            _tridiagonal_solve([1 + 0j], [1 + 0j, 1 + 0j], [1 + 0j], [1 + 0j, 1 + 0j])
+
+    def test_growth_beyond_limit(self):
+        # diag 0, upper 0, lower 1, z = eps: x_0 = -1/eps and x_k = x_0 / eps^k,
+        # so the first entry stays small while the last one passes the limit
+        eps = 1e-3
+        assert eps ** -6 > GROWTH_LIMIT > eps ** -3
+        with pytest.raises(NearSingular):
+            resolvent_first([0.0] * 6, [0.0] * 5, [1.0] * 5, eps)
+        assert abs(resolvent_first([0.0] * 3, [0.0] * 2, [1.0] * 2, eps) + 1e3) < 1e-9
+
+    def test_nan_entry(self):
+        diag = [0.5, np.nan, 0.2]
+        with pytest.raises(NearSingular):
+            resolvent_first(diag, [1.0, 1.0], [1.0, 1.0], 3j)
 
 
 class TestBFunction:
