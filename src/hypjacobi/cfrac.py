@@ -44,6 +44,7 @@ import numpy as np
 from .errors import (
     DegenerateRatio,
     NoConvergence,
+    NonFiniteParameter,
     OnCut,
     PoleOfApproximant,
     TerminationTooDeep,
@@ -310,6 +311,15 @@ def cf_ratio_eval(
     )
 
 
+def _block_entries(p: HypParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """a_0..a_{n-1} and b_0^2..b_{n-2}^2 from one :func:`c_array` call."""
+    d = -c_array(p, 2 * n)  # d[j - 1] = d_j, j = 1..2n
+    diag = np.empty(n, dtype=d.dtype)
+    diag[0] = 2.0 - 4.0 * d[1]
+    diag[1:] = 2.0 - 4.0 * d[2::2] - 4.0 * d[3::2]
+    return diag, 16.0 * d[1 : 2 * n - 2 : 2] * d[2 : 2 * n - 1 : 2]
+
+
 def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     """Diagonal and off-diagonal-square J-fraction coefficients.
 
@@ -317,7 +327,8 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     ``n_max - 1`` squares b_0^2..b_{n_max-2}.  If some b_n^2 vanishes
     exactly (a linear factor of d_{2n+2} or d_{2n+3} hits zero) the
     fraction terminates: ``terminated_at = n`` and the sequences stop with
-    a_n as the last diagonal entry.
+    a_n as the last diagonal entry.  NonFiniteParameter if an entry of a
+    terminating triple overflows.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -325,12 +336,19 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     t = termination_index(p)
     terminated_at = t if t is not None and t < n_max - 1 else None
     n = n_max if terminated_at is None else terminated_at + 1
-    d = -c_array(p, 2 * n)  # d[j - 1] = d_j, j = 1..2n
-
-    diag = np.empty(n, dtype=d.dtype)
-    diag[0] = 2.0 - 4.0 * d[1]
-    diag[1:] = 2.0 - 4.0 * d[2::2] - 4.0 * d[3::2]
-    offdiag_sq = 16.0 * d[1 : 2 * n - 2 : 2] * d[2 : 2 * n - 1 : 2]
+    if t is None:
+        diag, offdiag_sq = _block_entries(p, n)
+    else:
+        # validate_params screens only non-terminating triples for overflow,
+        # so that a terminating one with a huge parameter still reaches
+        # TerminationTooDeep; the entries of its exact block are screened here
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, offdiag_sq = _block_entries(p, n)
+        if not (np.isfinite(diag).all() and np.isfinite(offdiag_sq).all()):
+            raise NonFiniteParameter(
+                f"the J-fraction entries of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
+                "are not finite (overflow)"
+            )
     return JacobiCoeffs(
         params=p,
         diag=tuple(diag.astype(complex).tolist()),

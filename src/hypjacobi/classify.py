@@ -27,12 +27,11 @@ from .errors import (
     NotRealParams,
     NotStieltjes,
     ScanExhausted,
-    Terminating,
 )
 from .hyp import HypParams
 from .spectral import b_function, resolvent_first
 
-#: default bound on the stabilization index accepted by the sign signature
+#: bound on the stabilization index accepted by the sign signature
 SCAN_LIMIT = 1000
 
 #: kernel eigenvalues below -KERNEL_TOL count as negative squares
@@ -90,9 +89,7 @@ def _real_bands(p: HypParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(coeffs.diag).real, np.sqrt(np.abs(np.asarray(coeffs.offdiag_sq).real))
 
 
-def sign_signature(
-    p: HypParams, scan_limit: int = SCAN_LIMIT, allow_terminating: bool = True
-) -> SignSignature:
+def sign_signature(p: HypParams) -> SignSignature:
     """Compute the eps-sequence, stabilization index N and kappa.
 
     N comes in closed form from :func:`cfrac.stabilization_index` (each
@@ -104,28 +101,21 @@ def sign_signature(
 
     is the unique choice with eps_j eps_{j+1} b_j^2 > 0 everywhere.
 
+    A terminating triple gets the signature of its leading block, flagged
+    by ``terminated_at``.
+
     Raises
     ------
-    Terminating
-        Some b_j^2 vanishes exactly and ``allow_terminating`` is false.
-        By default the signature is computed on the leading block and
-        flagged instead.
     ScanExhausted
-        A negative b_j^2 sits at or beyond ``scan_limit``; raised before
-        any coefficient is built.
+        A negative b_j^2 sits at or beyond SCAN_LIMIT; raised before any
+        coefficient is built.
     """
     _require_real(p)
     require_nondegenerate(p)
 
-    term = termination_index(p)
-    if term is not None and not allow_terminating:
-        raise Terminating(f"b_{term}^2 = 0: fraction terminates before stabilization")
-
     n_stab = stabilization_index(p)
-    if n_stab > scan_limit:
-        raise ScanExhausted(
-            f"negative b^2 at index {n_stab - 1} >= scan_limit {scan_limit}"
-        )
+    if n_stab > SCAN_LIMIT:
+        raise ScanExhausted(f"negative b^2 at index {n_stab - 1} >= scan limit {SCAN_LIMIT}")
 
     bsq = np.asarray(jacobi_coeffs(p, max(n_stab + 3, 8)).offdiag_sq).real
     prefix = len(bsq) + 1
@@ -139,7 +129,7 @@ def sign_signature(
         N=n_stab,
         kappa=kappa,
         btilde=btilde,
-        terminated_at=term,
+        terminated_at=termination_index(p),
     )
 
 

@@ -348,6 +348,9 @@ def _run_check(args):
     def record(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
+    # first, so that a triple whose entries overflow is refused before the
+    # series comparison meets them
+    coeffs = cfrac.jacobi_coeffs(p, 3)
     disk_pts = [0.3 + 0.0j, -0.5 + 0.1j, 0.2 - 0.4j, 0.55 + 0.2j]
     worst = 0.0
     for z in disk_pts:
@@ -356,7 +359,6 @@ def _run_check(args):
         worst = max(worst, abs(cf - series) / max(1.0, abs(series)))
     record("series_vs_cf", worst <= 1e-9, f"max rel diff {worst:.3e}")
 
-    coeffs = cfrac.jacobi_coeffs(p, 3)
     moments = cfrac.moment_oracle(p, 3)
     a0 = coeffs.diag[0]
     err = abs(moments[1] - a0)

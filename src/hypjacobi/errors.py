@@ -65,11 +65,6 @@ class TerminationTooDeep(ParameterError):
     ``cfrac.TERMINATION_CAP``; its exact evaluation is refused."""
 
 
-class Terminating(HypJacobiError):
-    """A continued-fraction coefficient vanishes before sign stabilization;
-    raised only when the caller asked for strict (non-terminating) input."""
-
-
 class NoConvergence(NumericsError):
     """Iteration budget exhausted before the stopping rule fired."""
 
@@ -101,5 +96,5 @@ class EigensolverFailure(NumericsError):
 
 
 class ScanExhausted(NumericsError):
-    """A negative off-diagonal square appears at the scan limit; raise the
-    limit to certify stabilization."""
+    """A negative off-diagonal square appears at or beyond the scan limit
+    ``classify.SCAN_LIMIT``; stabilization is not certified."""

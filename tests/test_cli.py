@@ -245,13 +245,17 @@ class TestExitCodes:
             ["spectrum", "--N", "16"],
             ["eval", "--z", "4"],
             ["coeffs", "--N", "16"],
+            ["check", "--N", "16"],
         ],
     )
     @pytest.mark.parametrize("abc", [["-a", "1e200,1", "-b", "0", "-c", "1"],
-                                     ["-a", "1e200", "-b", "0.5", "-c", "2e200"]],
-                             ids=["complex", "real"])
+                                     ["-a", "1e200", "-b", "0.5", "-c", "2e200"],
+                                     ["-a", "1e200,1", "-b", "-2", "-c", "1"],
+                                     ["-a", "1e200", "-b", "-2", "-c", "1"]],
+                             ids=["complex", "real", "complex-terminating", "real-terminating"])
     def test_overflowing_entries_is_validation(self, args, abc, tmp_path, capsys):
-        # b_n^2 ~ |a|^2 overflows while a, b, c and their differences are finite
+        # b_n^2 ~ |a|^2 overflows while a, b, c and their differences are
+        # finite; b = -2 terminates the fraction after its 2x2 block
         t0 = time.perf_counter()
         code, _ = run_cli([*args, *abc], tmp_path)
         assert code == 2

@@ -29,8 +29,8 @@ from hypjacobi import (
 from hypjacobi.spectral import (
     GROWTH_LIMIT,
     _check_eigenvalues,
+    _resolvent_column,
     _tridiagonal_eigvals,
-    _tridiagonal_solve,
     resolvent_first,
 )
 
@@ -117,9 +117,8 @@ def _dense(diag, upper, lower):
 
 
 class TestResolventSolvers:
-    """The J-fraction recurrence of ``resolvent_first`` and the pivoted
-    tridiagonal solve of the inverse iteration, against dense and banded
-    LAPACK solves."""
+    """The J-fraction recurrence of ``resolvent_first`` and the resolvent
+    column of the eigenpair check, against dense LAPACK solves."""
 
     @pytest.mark.parametrize("n", [1, 2, 64, 512])
     @pytest.mark.parametrize("symmetric", [True, False], ids=["upper==lower", "upper!=lower"])
@@ -129,37 +128,12 @@ class TestResolventSolvers:
             diag, upper, lower = _seeded_tridiagonal(rng, n, symmetric)
             rhs = np.zeros(n, dtype=complex)
             rhs[0] = 1.0
-            ref = np.linalg.solve(_dense(diag, upper, lower) - z * np.eye(n), rhs)[0]
+            ref = np.linalg.solve(_dense(diag, upper, lower) - z * np.eye(n), rhs)
             got = resolvent_first(diag, upper, lower, z)
-            assert abs(got - ref) <= 1e-13 * abs(ref), (n, z)
-
-    def test_lu_matches_solve_banded_bitwise(self):
-        from scipy.linalg import solve_banded
-
-        rng = np.random.default_rng(300)
-        swapped = 0
-        for _ in range(100):
-            n = int(rng.integers(2, 80))
-            diag, upper, lower = _seeded_tridiagonal(rng, n, symmetric=False)
-            # a small diagonal forces row swaps; some zero subdiagonal
-            # entries take the no-elimination branch
-            diag *= rng.choice([0.05, 3.0], size=n)
-            lower[rng.random(n - 1) < 0.1] = 0.0
-            rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-            ab = np.zeros((3, n), dtype=complex)
-            ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
-            ref = solve_banded((1, 1), ab, rhs)
-            got = np.array(_tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()))
-            assert got.tobytes() == ref.tobytes(), n
-            cabs1 = lambda x: np.abs(x.real) + np.abs(x.imag)
-            swapped += int(np.sum(cabs1(lower) > cabs1(diag[:-1])))
-        assert swapped > 100
-
-    def test_lu_singular(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            _tridiagonal_solve([0j], [0j, 1 + 0j], [1 + 0j], [1 + 0j, 1 + 0j])
-        with pytest.raises(np.linalg.LinAlgError):
-            _tridiagonal_solve([1 + 0j], [1 + 0j, 1 + 0j], [1 + 0j], [1 + 0j, 1 + 0j])
+            assert abs(got - ref[0]) <= 1e-13 * abs(ref[0]), (n, z)
+            # the eigenpair check's column, up to scale
+            col = _resolvent_column(diag.tolist(), upper.tolist(), lower.tolist(), z)
+            assert np.linalg.norm(col - ref / ref[0]) <= 1e-13 * np.linalg.norm(ref / ref[0]), (n, z)
 
     def test_growth_beyond_limit(self):
         # diag 0, upper 0, lower 1, z = eps: x_0 = -1/eps and x_k = x_0 / eps^k,
@@ -194,6 +168,14 @@ class TestBFunction:
             b_function(P101, 1.0)
         with pytest.raises(OnBand):
             b_function(P101, 2.0 + 1e-12j)
+
+    @pytest.mark.parametrize("method", ["cf", "resolvent"])
+    def test_one_guard_for_both_methods(self, method):
+        # band distance 2e-9 passes the z guard, but w = -4/(z-2) lies
+        # 5e-10 from the cut: both methods refuse the same z as OnBand
+        z = -2.0 - 2e-9
+        with pytest.raises(OnBand, match=r"z = \(-2\.000000002"):
+            b_function(P101, z, method=method)
 
     def test_near_pole_magnitude(self):
         val = b_function(PTERM1, 3.0 + 1e-8, method="cf")
@@ -321,13 +303,26 @@ class TestEigensolveLayer:
         assert bands.shape == (3, 1) and vals[0] == 3.0
         _check_eigenvalues(bands, vals)
 
-    def test_residual_check_rejects_moved_eigenvalue(self):
-        p = validate_params(-3.7, 0.2, 1.1)
+    @pytest.mark.parametrize("shift", [1e-6, 1e-6j], ids=["real", "imag"])
+    @pytest.mark.parametrize(
+        "abc", [(-3.7, 0.2, 1.1), (-2.5 + 0.7j, 0.3, 1.4), (-5.3, -2.6, 0.4)],
+        ids=["kappa", "complex", "nearband"],
+    )
+    def test_residual_check_rejects_moved_eigenvalue(self, abc, shift):
+        p = validate_params(*abc)
         lam = discrete_spectrum(p, 64).eigenvalues[0]
         bands, _ = _tridiagonal_eigvals(jacobi_coeffs(p, 128), 128)
         _check_eigenvalues(bands, [lam])
-        with pytest.raises(EigensolverFailure):
-            _check_eigenvalues(bands, [lam + 1e-6])
+        with pytest.raises(EigensolverFailure, match="residual"):
+            _check_eigenvalues(bands, [lam + shift])
+
+    def test_residual_check_zero_pivot(self):
+        # off-diagonals 0.5 keep ||T||_inf <= 1, so the nudged shift is
+        # exactly 8 eps and the last pivot mu - d_1 vanishes
+        nudge = 8.0 * np.finfo(float).eps
+        bands = np.array([[0.0, 0.5], [0.0, nudge], [0.5, 0.0]])
+        with pytest.raises(EigensolverFailure, match="singular"):
+            _check_eigenvalues(bands, [0.0])
 
 
 class TestTraceNormBound:
