@@ -51,8 +51,10 @@ from .errors import (
 )
 from .hyp import HypParams, is_nonpositive_integer
 
-#: points closer than this to [1, inf) are rejected by cf_ratio_eval
+#: a non-terminating fraction is refused at w this close to the cut
+#: [1, inf), or at z = 2 - 4/w this close to its image, the band [-2, 2]
 CUT_GUARD = 1e-9
+BAND_EVAL_GUARD = 1e-9
 
 #: replacement for an exactly vanishing backward-recurrence denominator
 TINY = 1e-280
@@ -234,10 +236,28 @@ class JacobiCoeffs:
         return len(self.diag)
 
 
-def _dist_to_cut(z: complex) -> float:
-    if z.real >= 1.0:
+def band_distance(z: complex) -> float:
+    """Exact distance from z to the segment [-2, 2]."""
+    z = complex(z)
+    if -2.0 <= z.real <= 2.0:
         return abs(z.imag)
-    return abs(z - 1.0)
+    return math.hypot(abs(z.real) - 2.0, z.imag)
+
+
+def near_band(z: complex) -> bool:
+    """Whether a non-terminating fraction is refused at z.
+
+    True if z lies within BAND_EVAL_GUARD of the band [-2, 2] or w =
+    -4/(z-2) within CUT_GUARD of the cut [1, inf).  |dw/dz| = 4/|z-2|^2 is
+    1/4 at z = -2, so neither distance bounds the other.  The one rule of
+    ``spectral.b_function`` (OnBand, both methods) and of
+    :func:`cf_ratio_eval` (OnCut, at z = 2 - 4/w).
+    """
+    z = complex(z)
+    if band_distance(z) <= BAND_EVAL_GUARD:
+        return True
+    w = -4.0 / (z - 2.0)
+    return (abs(w.imag) if w.real >= 1.0 else abs(w - 1.0)) <= CUT_GUARD
 
 
 def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> complex:
@@ -269,7 +289,8 @@ def cf_ratio_eval(
     Raises
     ------
     OnCut
-        z within guard distance of [1, inf) for a non-terminating fraction.
+        z within guard distance of [1, inf) for a non-terminating fraction,
+        measured in z or in 2 - 4/z (:func:`near_band`).
     NoConvergence
         max_depth reached without two agreeing evaluations.
     """
@@ -285,7 +306,7 @@ def cf_ratio_eval(
         val = _backward_eval(c_array(p, depth), z, depth)
         return CFValue(val, depth, 0.0, True)
 
-    if _dist_to_cut(z) <= CUT_GUARD:
+    if near_band(2.0 - 4.0 / z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
     depth = 8
     coeffs = c_array(p, 0)
@@ -311,15 +332,6 @@ def cf_ratio_eval(
     )
 
 
-def _block_entries(p: HypParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """a_0..a_{n-1} and b_0^2..b_{n-2}^2 from one :func:`c_array` call."""
-    d = -c_array(p, 2 * n)  # d[j - 1] = d_j, j = 1..2n
-    diag = np.empty(n, dtype=d.dtype)
-    diag[0] = 2.0 - 4.0 * d[1]
-    diag[1:] = 2.0 - 4.0 * d[2::2] - 4.0 * d[3::2]
-    return diag, 16.0 * d[1 : 2 * n - 2 : 2] * d[2 : 2 * n - 1 : 2]
-
-
 def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     """Diagonal and off-diagonal-square J-fraction coefficients.
 
@@ -327,8 +339,8 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     ``n_max - 1`` squares b_0^2..b_{n_max-2}.  If some b_n^2 vanishes
     exactly (a linear factor of d_{2n+2} or d_{2n+3} hits zero) the
     fraction terminates: ``terminated_at = n`` and the sequences stop with
-    a_n as the last diagonal entry.  NonFiniteParameter if an entry of a
-    terminating triple overflows.
+    a_n as the last diagonal entry.  NonFiniteParameter if an entry
+    overflows.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -336,19 +348,20 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     t = termination_index(p)
     terminated_at = t if t is not None and t < n_max - 1 else None
     n = n_max if terminated_at is None else terminated_at + 1
-    if t is None:
-        diag, offdiag_sq = _block_entries(p, n)
-    else:
-        # validate_params screens only non-terminating triples for overflow,
-        # so that a terminating one with a huge parameter still reaches
-        # TerminationTooDeep; the entries of its exact block are screened here
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag, offdiag_sq = _block_entries(p, n)
-        if not (np.isfinite(diag).all() and np.isfinite(offdiag_sq).all()):
-            raise NonFiniteParameter(
-                f"the J-fraction entries of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
-                "are not finite (overflow)"
-            )
+    # validate_params screens the leading entries of non-terminating triples
+    # only (a terminating one with a huge parameter must still reach
+    # TerminationTooDeep), so every entry is screened here
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = -c_array(p, 2 * n)  # d[j - 1] = d_j, j = 1..2n
+        diag = np.empty(n, dtype=d.dtype)
+        diag[0] = 2.0 - 4.0 * d[1]
+        diag[1:] = 2.0 - 4.0 * d[2::2] - 4.0 * d[3::2]
+        offdiag_sq = 16.0 * d[1 : 2 * n - 2 : 2] * d[2 : 2 * n - 1 : 2]
+    if not (np.isfinite(diag).all() and np.isfinite(offdiag_sq).all()):
+        raise NonFiniteParameter(
+            f"the J-fraction entries of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
+            "are not finite (overflow)"
+        )
     return JacobiCoeffs(
         params=p,
         diag=tuple(diag.astype(complex).tolist()),

@@ -119,9 +119,11 @@ def _leading_entries_finite(a: complex, b: complex, c: complex) -> bool:
 
     Every J-fraction entry is a product of the linear factors a + m,
     b + m, c - a + m, c - b + m over factors in c; for a huge parameter
-    (e.g. a = 1e200 + 1j, where b_n^2 ~ |a|^2) the leading entries are the
-    first to overflow.  A terminating triple is not checked, so that one
-    with a huge parameter still reaches TerminationTooDeep.
+    (e.g. a = 1e200 + 1j, where b_n^2 ~ |a|^2) the leading entries
+    overflow, so such a triple is refused at once.  A later entry can still
+    overflow when c + m is small; ``cfrac.jacobi_coeffs`` screens every
+    entry it forms.  A terminating triple is not checked, so that one with
+    a huge parameter still reaches TerminationTooDeep.
     """
     c1 = -a * (c - b) / (c * (c + 1))
     c2 = -(b + 1) * (c - a + 1) / ((c + 1) * (c + 2))

@@ -22,13 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .cfrac import (
-    CUT_GUARD,
+    BAND_EVAL_GUARD,
     JacobiCoeffs,
-    _dist_to_cut,
+    band_distance,
     c_coeff,
     cf_ratio_eval,
     jacobi_coeffs,
     jfrac_backward,
+    near_band,
     offdiag_roots,
     require_nondegenerate,
     termination_index,
@@ -48,9 +49,6 @@ from .hyp import HypParams, validate_params
 #: eigenvalues within this distance of [-2, 2] are never retained
 BAND_GUARD = 1e-6
 
-#: b_function refuses evaluation this close to the band
-BAND_EVAL_GUARD = 1e-9
-
 #: resolvent solves with solution norm beyond this raise NearSingular
 GROWTH_LIMIT = 1e12
 
@@ -67,14 +65,6 @@ MERGE_TOL = 1e-6
 #: the trace-norm bound sums the explicit coefficient formulas out to at
 #: least this index before switching to the dominating series
 TAIL_HORIZON = 20000
-
-
-def band_distance(z: complex) -> float:
-    """Exact distance from z to the segment [-2, 2]."""
-    z = complex(z)
-    if -2.0 <= z.real <= 2.0:
-        return abs(z.imag)
-    return math.hypot(abs(z.real) - 2.0, z.imag)
 
 
 def band_to_cut(z: complex) -> complex:
@@ -166,9 +156,9 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     NonFiniteParameter
         z has a NaN or infinite real or imaginary part.
     OnBand
-        z within guard distance of [-2, 2] for a non-terminating triple:
-        band distance at most BAND_EVAL_GUARD, or w = -4/(z-2) within
-        cfrac.CUT_GUARD of the cut.  The same rule holds for both methods.
+        z within guard distance of [-2, 2] for a non-terminating triple,
+        measured in z or in w = -4/(z-2) (``cfrac.near_band``), for both
+        methods.
     NearPole
         The continued fraction would not settle (z at or next to a pole).
     """
@@ -177,14 +167,10 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
         raise NonFiniteParameter(f"z = {z} is not finite")
     require_nondegenerate(p)
     t = termination_index(p)
-    # one admissibility rule for both methods: the band guard in z and the
-    # cut guard of cf_ratio_eval in w (|dw/dz| = 1/4 at z = -2)
-    if t is None and (
-        band_distance(z) <= BAND_EVAL_GUARD or _dist_to_cut(band_to_cut(z)) <= CUT_GUARD
-    ):
+    if t is None and near_band(z):
         raise OnBand(
             f"z = {z} is too close to [-2, 2]: within {BAND_EVAL_GUARD} of the band, "
-            f"or w = -4/(z-2) within {CUT_GUARD} of the cut"
+            "or w = -4/(z-2) as close to the cut"
         )
 
     if method == "cf":
@@ -280,35 +266,46 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     return bands, vals.astype(complex)
 
 
-def _resolvent_column(diag, upper, lower, mu: complex) -> np.ndarray:
-    """(T - mu)^{-1} e_0 up to scale, first entry 1, for T = diag +
-    superdiag(upper) + subdiag(lower) over sequences of Python numbers.
+def _twisted_column(diag, upper, lower, mu: complex) -> np.ndarray:
+    """Column k of (T - mu)^{-1} up to scale, entry k equal to 1, for T =
+    diag + superdiag(upper) + subdiag(lower) over sequences of Python numbers.
 
-    The backward pivots t_{n-1} = mu - d_{n-1}, t_k = mu - d_k -
-    upper_k lower_k / t_{k+1} are those of :func:`cfrac.jfrac_backward`,
-    and x_{k+1} = (lower_k / t_{k+1}) x_k.  ZeroDivisionError on a
-    vanishing pivot t_k, k >= 1.
+    One twisted factorization: p_i are the pivots of eliminating T - mu
+    from the top row down, q_i those from the bottom row up (the pivots of
+    :func:`cfrac.jfrac_backward`, negated), and gamma_k = p_k + q_k -
+    (d_k - mu) is 1 / ((T - mu)^{-1})_{kk}.  The twist k minimizes
+    |gamma_k|, which picks the column where the eigenvector nearest mu is
+    large; then x_i = -upper_i x_{i+1} / p_i above k and x_i = -lower_{i-1}
+    x_{i-1} / q_i below it, so (T - mu) x = gamma_k e_k.  ZeroDivisionError
+    on a vanishing pivot.
     """
-    t = mu - diag[-1]
-    ratios = []
-    for k in range(len(diag) - 2, -1, -1):
-        ratios.append(lower[k] / t)
-        t = mu - diag[k] - upper[k] * lower[k] / t
-    return np.cumprod([1.0] + ratios[::-1])
+    n = len(diag)
+    a = [d - mu for d in diag]
+    p, q = [a[0]], [a[-1]]
+    for i in range(1, n):
+        p.append(a[i] - lower[i - 1] * upper[i - 1] / p[-1])
+        j = n - 1 - i
+        q.append(a[j] - upper[j] * lower[j] / q[-1])
+    p, q = np.array(p), np.array(q[::-1])
+    k = int(np.argmin(np.abs(p + q - np.array(a))))
+    x = np.ones(n, dtype=p.dtype)
+    x[:k] = np.cumprod((-np.asarray(upper[:k]) / p[:k])[::-1])[::-1]
+    x[k + 1 :] = np.cumprod(-np.asarray(lower[k:]) / q[k + 1 :])
+    return x
 
 
 def _check_eigenvalues(bands: np.ndarray, vals) -> None:
     """Residual contract for eigenvalues of the tridiagonal T in ``bands``.
 
-    Each value gets one step of inverse iteration from e_0, which is the
-    resolvent column (T - mu)^{-1} e_0 (``_resolvent_column``, O(N)).  The
-    first entry of every eigenvector of an unreduced tridiagonal is
-    nonzero, so e_0 reaches every eigenvector, and next to a pole of
-    <(T - mu)^{-1} e_0, e_0> the column is the eigenvector to first
-    order.  The shift mu = lam + 8 eps ||T||_inf is nudged so that an exact
-    eigenvalue (a terminating 1x1 block) leaves the pivots nonzero.  The
-    normalized column v must satisfy
-    ||(T - lam) v|| <= EIG_RESIDUAL * max(||T||_inf, 1).
+    Each value gets one step of inverse iteration, one O(N) solve: the
+    column of (T - mu)^{-1} picked by a twisted factorization
+    (``_twisted_column``).  A start vector fixed in advance fails when the
+    eigenvector is small there; e_0 misses eigenvectors localized at the
+    end of a block, whose first entry is tiny though nonzero.  The twist
+    reads the diagonal of (T - mu)^{-1} to choose e_k instead.  The shift
+    mu = lam + 8 eps ||T||_inf is nudged so that an exact eigenvalue (a
+    terminating 1x1 block) leaves the pivots nonzero.  The normalized
+    column v must satisfy ||(T - lam) v|| <= EIG_RESIDUAL * max(||T||_inf, 1).
     """
     if len(vals) == 0:
         return
@@ -320,7 +317,7 @@ def _check_eigenvalues(bands: np.ndarray, vals) -> None:
     diag, upper, lower = bands[1].tolist(), bands[0, 1:].tolist(), bands[2, :-1].tolist()
     for lam in vals:
         try:
-            v = _resolvent_column(diag, upper, lower, complex(lam) + nudge)
+            v = _twisted_column(diag, upper, lower, complex(lam) + nudge)
         except ZeroDivisionError as exc:
             raise EigensolverFailure(f"inverse iteration singular at eigenvalue {lam}") from exc
         v = v / np.linalg.norm(v)
@@ -349,9 +346,10 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     Each truncation is solved for eigenvalues only (dense QR on a
     tridiagonal matrix similar to J, see ``_tridiagonal_eigvals``), in real
     arithmetic for a real triple.  Every retained eigenvalue is then
-    checked against the residual contract EIG_RESIDUAL with the resolvent
-    column (T - lam)^{-1} e_0 as its eigenvector, one O(N) backward pass
-    (``_check_eigenvalues``); a failure raises EigensolverFailure.
+    checked against the residual contract EIG_RESIDUAL with a resolvent
+    column (T - mu)^{-1} e_k, mu next to lam, as its eigenvector, one O(N)
+    twisted solve (``_check_eigenvalues``); a failure raises
+    EigensolverFailure.
 
     Near-coincident retained values (within MERGE_TOL) are averaged and
     repeated, so multiplicity is reported by repetition and the merge is

@@ -14,6 +14,7 @@ from hypjacobi import (
     CoeffStream,
     DegenerateRatio,
     NoConvergence,
+    NonFiniteParameter,
     OnCut,
     TerminationTooDeep,
     approximant,
@@ -30,6 +31,7 @@ from hypjacobi.cfrac import (
     TERMINATION_CAP,
     c_array,
     cfrac_termination_index,
+    near_band,
     stabilization_index,
     zero_indices,
 )
@@ -120,6 +122,16 @@ class TestCFRatioEval:
         with pytest.raises(OnCut):
             cf_ratio_eval(P101, 3 + 1e-10j)
 
+    def test_near_band_either_chart(self):
+        # -2 - 2e-9 is 2e-9 from the band in z but its w, 1 - 5e-10, is
+        # 5e-10 from the cut; 2 + 5e-10 is refused in z alone
+        assert near_band(-2.0 - 2e-9) and near_band(2.0 + 5e-10) and near_band(2.0)
+        assert not near_band(-2.0 - 5e-9) and not near_band(3.0)
+        with pytest.raises(OnCut):
+            cf_ratio_eval(P101, 1.0 - 5e-10)
+        with pytest.raises(OnCut):
+            cf_ratio_eval(P101, -1e10)  # 2 - 4/w = 2 + 4e-10
+
     def test_cut_ok_when_terminating(self):
         # rational ratio: the cut is not special, poles aside
         out = cf_ratio_eval(PTERM2, 4.0)
@@ -138,6 +150,16 @@ class TestJacobiCoeffs:
         assert abs(jc.diag[1] + 2.0 / 15.0) < 1e-14
         assert abs(jc.offdiag_sq[0] - 8.0 / 9.0) < 1e-14
         assert jc.terminated_at is None
+
+    def test_late_overflow_refused(self):
+        # non-terminating, leading entries finite (validate_params passes);
+        # c + 10 = 1e-8 puts about |a| / 1e-8 into d_10 and d_11, so b_4^2
+        # overflows
+        p = validate_params(1e150 + 1j, 0.5, -9.99999999)
+        assert termination_index(p) is None
+        jacobi_coeffs(p, 4)
+        with pytest.raises(NonFiniteParameter, match="not finite"):
+            jacobi_coeffs(p, 16)
 
     def test_index_correction_regression_101(self):
         # moment oracle fixes a_0 and b_0^2; the misindexed alternatives

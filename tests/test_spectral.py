@@ -29,7 +29,7 @@ from hypjacobi import (
 from hypjacobi.spectral import (
     GROWTH_LIMIT,
     _check_eigenvalues,
-    _resolvent_column,
+    _twisted_column,
     _tridiagonal_eigvals,
     resolvent_first,
 )
@@ -117,8 +117,9 @@ def _dense(diag, upper, lower):
 
 
 class TestResolventSolvers:
-    """The J-fraction recurrence of ``resolvent_first`` and the resolvent
-    column of the eigenpair check, against dense LAPACK solves."""
+    """The J-fraction recurrence of ``resolvent_first`` and the twisted
+    column of the eigenpair check, against dense LAPACK solves and
+    inverses."""
 
     @pytest.mark.parametrize("n", [1, 2, 64, 512])
     @pytest.mark.parametrize("symmetric", [True, False], ids=["upper==lower", "upper!=lower"])
@@ -131,9 +132,13 @@ class TestResolventSolvers:
             ref = np.linalg.solve(_dense(diag, upper, lower) - z * np.eye(n), rhs)
             got = resolvent_first(diag, upper, lower, z)
             assert abs(got - ref[0]) <= 1e-13 * abs(ref[0]), (n, z)
-            # the eigenpair check's column, up to scale
-            col = _resolvent_column(diag.tolist(), upper.tolist(), lower.tolist(), z)
-            assert np.linalg.norm(col - ref / ref[0]) <= 1e-13 * np.linalg.norm(ref / ref[0]), (n, z)
+            # the eigenpair check's column: column k of the resolvent, up to
+            # scale, where k maximizes |((T - z)^{-1})_kk|
+            inv = np.linalg.inv(_dense(diag, upper, lower) - z * np.eye(n))
+            k = int(np.argmax(np.abs(np.diag(inv))))
+            ref = inv[:, k] / inv[k, k]
+            col = _twisted_column(diag.tolist(), upper.tolist(), lower.tolist(), z)
+            assert np.linalg.norm(col - ref) <= 1e-13 * np.linalg.norm(ref), (n, z)
 
     def test_growth_beyond_limit(self):
         # diag 0, upper 0, lower 1, z = eps: x_0 = -1/eps and x_k = x_0 / eps^k,
@@ -315,6 +320,28 @@ class TestEigensolveLayer:
         _check_eigenvalues(bands, [lam])
         with pytest.raises(EigensolverFailure, match="residual"):
             _check_eigenvalues(bands, [lam + shift])
+
+    def test_residual_check_localized_eigenvector(self):
+        # the eigenvector of the value near 10.1 decays from the last entry
+        # to about 1e-29 at the first: a column started at e_0 misses it
+        n = 30
+        bands = np.zeros((3, n))
+        bands[0, 1:] = bands[2, :-1] = 1.0
+        bands[1, -1] = 10.0
+        vals = np.linalg.eigvals(_dense(bands[1], bands[0, 1:], bands[2, :-1]))
+        _check_eigenvalues(bands, vals)
+        top = vals[np.argmax(vals.real)]
+        with pytest.raises(EigensolverFailure, match="residual"):
+            _check_eigenvalues(bands, [top + 1e-6])
+
+    @pytest.mark.parametrize(
+        "abc", [(-184, -3.2, 3.3), (-2.1, -192, 3.6), (-183, 2.4 - 0.9j, -3.6 - 1j), (-60, -3.2, 3.3)]
+    )
+    def test_residual_check_long_terminating_block(self, abc):
+        # the couplings of a terminating block shrink toward its end, where
+        # some eigenvectors localize
+        res = discrete_spectrum(validate_params(*abc), 256)
+        assert 60 <= res.N_used <= 192 and res.eigenvalues
 
     def test_residual_check_zero_pivot(self):
         # off-diagonals 0.5 keep ||T||_inf <= 1, so the nudged shift is
