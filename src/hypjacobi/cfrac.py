@@ -27,9 +27,10 @@ expansion of B at infinity (``moment_oracle``) and against exact rational
 closed forms in the terminating polynomial cases.
 
 Every coefficient comes from one vectorized kernel, :func:`c_array`.
-Termination is decided in closed form by :func:`zero_indices`, without a
-scan; both termination indices derive from it.  So is the sign pattern of
-the b_n^2 of a real triple (:func:`stabilization_index`).
+Termination is decided once per triple, in closed form, by
+``hyp.validate_params`` (:func:`zero_indices`); both termination indices
+derive from it.  So is the sign pattern of the b_n^2 of a real triple
+(:func:`stabilization_index`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
     PoleOfApproximant,
     TerminationTooDeep,
 )
-from .hyp import HypParams, is_nonpositive_integer
+from .hyp import HypParams
 
 #: a non-terminating fraction is refused at w this close to the cut
 #: [1, inf), or at z = 2 - 4/w this close to its image, the band [-2, 2]
@@ -78,7 +79,7 @@ def c_array(p: HypParams, n: int) -> np.ndarray:
     out[0::2] = -(a + m) * (c - b + m) / ((c + 2 * m) * (c + 2 * m + 1))
     m = np.arange(1, n // 2 + 1, dtype=float)  # c_{2m}
     out[1::2] = -(b + m) * (c - a + m) / ((c + 2 * m - 1) * (c + 2 * m))
-    for k in zero_indices(p):
+    for k in p.zeros:
         if k <= n:
             out[k - 1] = 0.0
     return out
@@ -92,23 +93,13 @@ def c_coeff(p: HypParams, j: int) -> complex:
 
 
 def zero_indices(p: HypParams) -> tuple[int, ...]:
-    """Every index j >= 1 with c_j exactly zero, ascending.
-
-    c_{2m+1} carries the factors (a+m) and (c-b+m), c_{2m} (m >= 1) the
-    factors (b+m) and (c-a+m).  A factor x + m vanishes only at m = -x, and
-    only when x is a nonpositive integer, so there are at most four such
-    indices and no scan is needed.  A zero c_j truncates the fraction: it
-    becomes a rational function of z, convergent everywhere off its poles
-    (including on the cut).
-    """
-    factors = ((p.a, 1), (p.c - p.b, 1), (p.b, 0), (p.c - p.a, 0))
-    js = {parity - 2 * int(x.real) for x, parity in factors if is_nonpositive_integer(x)}
-    return tuple(sorted(js - {0}))
+    """Every index j >= 1 with c_j exactly zero, ascending (``p.zeros``)."""
+    return p.zeros
 
 
 def _first_zero(p: HypParams, start: int) -> Optional[int]:
     """First j >= start with c_j exactly zero; TerminationTooDeep above the cap."""
-    j = next((k for k in zero_indices(p) if k >= start), None)
+    j = next((k for k in p.zeros if k >= start), None)
     if j is not None and j > TERMINATION_CAP:
         raise TerminationTooDeep(
             f"the fraction for (a,b,c) = ({p.a}, {p.b}, {p.c}) terminates "
@@ -272,16 +263,38 @@ def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> complex:
     return t
 
 
+def settle(evaluate: Callable[[int], complex], n: int, n_max: int, tol: float, what: str):
+    """The one refinement loop: ``evaluate`` at n, 2n, ... up to n_max.
+
+    Returns (value, order, correction) for the first value within
+    ``tol * max(1, |value|)`` of the one before; else NoConvergence with
+    ``last_value`` and ``last_correction`` (inf below two evaluations).
+    """
+    prev, corr = None, math.inf
+    while n <= n_max:
+        val = evaluate(n)
+        if prev is not None:
+            corr = abs(val - prev)
+            if corr <= tol * max(1.0, abs(val)):
+                return val, n, corr
+        prev = val
+        n *= 2
+    raise NoConvergence(
+        f"{what} not settled by order {n_max}: last relative correction "
+        f"{corr / max(1.0, abs(prev or 0)):.3g}",
+        last_value=prev,
+        last_correction=corr,
+    )
+
+
 def cf_ratio_eval(
     p: HypParams, z: complex, tol: float = 1e-13, max_depth: int = 1 << 17
 ) -> CFValue:
     """Evaluate the C-fraction for F(a,b,c;z)/F(a,b+1,c+1;z).
 
-    Backward recurrence from depth 8, doubling the depth until two
-    successive evaluations agree to ``tol * max(1, |value|)``.  Converges
-    everywhere off the cut [1, inf) where the ratio is finite; near a pole
-    of the ratio the doubling never settles and NoConvergence is raised
-    with the last correction attached.
+    Backward recurrence from depth 8, doubling the depth (:func:`settle`)
+    until two successive evaluations agree to ``tol * max(1, |value|)``.
+    Converges everywhere off the cut [1, inf) where the ratio is finite.
 
     A terminating fraction (some c_j = 0) is rational: it is evaluated at
     its exact finite depth, anywhere in the plane, cut included.
@@ -308,28 +321,18 @@ def cf_ratio_eval(
 
     if near_band(2.0 - 4.0 / z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
-    depth = 8
-    coeffs = c_array(p, 0)
-    prev: Optional[complex] = None
-    corr = np.inf
-    while depth <= max_depth:
+    coeffs = ()
+
+    def at_depth(depth: int) -> complex:
+        nonlocal coeffs
         if depth > len(coeffs):
             # one kernel call serves three doublings: at small depths the
             # call overhead, not the entry count, is the cost
             coeffs = c_array(p, min(8 * depth, max_depth))
-        val = _backward_eval(coeffs, z, depth)
-        if prev is not None:
-            corr = abs(val - prev)
-            if corr <= tol * max(1.0, abs(val)):
-                return CFValue(val, depth, corr, True)
-        prev = val
-        depth *= 2
-    raise NoConvergence(
-        f"continued fraction not settled at depth {max_depth} for z = {z} "
-        "(expected near a pole of the ratio)",
-        last_value=prev,
-        last_correction=corr,
-    )
+        return _backward_eval(coeffs, z, depth)
+
+    val, depth, corr = settle(at_depth, 8, max_depth, tol, f"continued fraction at z = {z}")
+    return CFValue(val, depth, corr, True)
 
 
 def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:

@@ -19,11 +19,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cfrac import jacobi_coeffs, require_nondegenerate, stabilization_index, termination_index
+from .cfrac import (
+    jacobi_coeffs, require_nondegenerate, settle, stabilization_index, termination_index
+)
 from .errors import (
     DegenerateSamples,
     NearPole,
-    NoConvergence,
     NotRealParams,
     NotStieltjes,
     ScanExhausted,
@@ -228,7 +229,7 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     The tail fraction from the stabilization index on has real diagonal and
     positive squares, hence is a classical Nevanlinna function; it is
     evaluated as the m-function of the tail operator (adaptively in the
-    truncation order), then pulled down through
+    truncation order, ``cfrac.settle``), then pulled down through
 
         phi_j = -eps_j / (z - a_j + eps_j btilde_j^2 phi_{j+1}).
     """
@@ -236,26 +237,18 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     sig = sign_signature(p)
     n_stab = sig.N
 
-    def tail_at(n: int):
+    def tail_at(n: int) -> complex:
         diag, btilde = _real_bands(p, n)
-        return diag, btilde, resolvent_first(diag[n_stab:], btilde[n_stab:], btilde[n_stab:], z)
+        return resolvent_first(diag[n_stab:], btilde[n_stab:], btilde[n_stab:], z)
 
     if sig.terminated_at is not None:
-        diag, btilde, tail = tail_at(sig.terminated_at + 2)
+        phi = tail_at(sig.terminated_at + 2)
     else:
-        m = max(64, 2 * n_stab + 2)
-        tail = None
-        while m <= 8192:
-            diag, btilde, cur = tail_at(n_stab + m + 1)
-            if tail is not None and abs(cur - tail) <= tol * max(1.0, abs(cur)):
-                tail = cur
-                break
-            tail = cur
-            m *= 2
-        else:
-            raise NoConvergence(f"tail m-function not settled at z = {z}", last_value=tail)
-
-    phi = tail
+        phi = settle(
+            lambda m: tail_at(n_stab + m + 1), max(64, 2 * n_stab + 2), 8192, tol,
+            f"tail m-function at z = {z}",
+        )[0]
+    diag, btilde = _real_bands(p, n_stab + 1)
     for j in range(n_stab - 1, -1, -1):
         step = schur_step(lambda _z, v=phi: v, sig.eps(j), diag[j], btilde[j])
         phi = step(z)

@@ -6,7 +6,8 @@ serialized with 17 significant digits and complex numbers appear as
 {"re": ..., "im": ...}, so identical configurations (seed included)
 produce byte-identical output.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error (a ``ParameterError``), 3
+numerical failure or any other exception, reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -348,9 +349,9 @@ def _run_check(args):
     def record(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    # first, so that a triple whose entries overflow is refused before the
-    # series comparison meets them
-    coeffs = cfrac.jacobi_coeffs(p, 3)
+    # first, and to the order the spectrum step builds, so that a triple
+    # whose entries overflow is refused before the series comparison
+    coeffs = cfrac.jacobi_coeffs(p, 2 * args.N)
     disk_pts = [0.3 + 0.0j, -0.5 + 0.1j, 0.2 - 0.4j, 0.55 + 0.2j]
     worst = 0.0
     for z in disk_pts:
@@ -544,14 +545,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ParameterError(f"unknown subcommand {args.subcommand!r}")
         _emit(args, doc, rows)
         return status
-    except (ParameterError, ValueError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except HypJacobiError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # anything else is a fault of the program, not of the input
+        print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

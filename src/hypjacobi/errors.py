@@ -65,6 +65,11 @@ class TerminationTooDeep(ParameterError):
     ``cfrac.TERMINATION_CAP``; its exact evaluation is refused."""
 
 
+class HorizonTooDeep(ParameterError):
+    """The trace-norm bound would sum coefficients beyond index
+    ``cfrac.TERMINATION_CAP`` (or its horizon is not finite)."""
+
+
 class NoConvergence(NumericsError):
     """Iteration budget exhausted before the stopping rule fired."""
 

@@ -9,6 +9,10 @@ Terms are updated in ratio form,
 
 and summed forward until the next term falls below tolerance or the series
 terminates (a or b a nonpositive integer).
+
+:func:`validate_params` also decides, once per triple, where the continued
+fraction terminates (``HypParams.zeros``); nothing downstream decides it
+again.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ class HypParams:
     b: complex
     c: complex
     is_real: bool
+    zeros: tuple[int, ...]  # every j >= 1 with c_j = 0, see _zero_indices
 
     def shifted(self, da: int = 0, db: int = 0, dc: int = 0) -> "HypParams":
         """Validated triple with integer-shifted parameters."""
@@ -81,7 +86,7 @@ def is_nonpositive_integer(x: complex) -> bool:
 
 
 def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) -> HypParams:
-    """Validate a parameter triple.
+    """Validate a parameter triple and record its zero indices (``zeros``).
 
     Raises
     ------
@@ -102,15 +107,28 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
         raise CNonpositiveInteger(
             f"c = {c} is within {eps_c} of a nonpositive integer"
         )
-    # the fraction terminates iff a factor a + m or c - b + m (m >= 0), or
-    # b + m or c - a + m (m >= 1), vanishes
-    terminating = any(is_nonpositive_integer(x) for x in (a, c - b, b + 1, c - a + 1))
-    if not (terminating or _leading_entries_finite(a, b, c)):
+    zeros = _zero_indices(a, b, c)
+    if not (zeros or _leading_entries_finite(a, b, c)):
         raise NonFiniteParameter(
             f"the J-fraction entries of (a,b,c) = ({a}, {b}, {c}) are not finite (overflow)"
         )
     is_real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
-    return HypParams(a=a, b=b, c=c, is_real=is_real)
+    return HypParams(a=a, b=b, c=c, is_real=is_real, zeros=zeros)
+
+
+def _zero_indices(a: complex, b: complex, c: complex) -> tuple[int, ...]:
+    """Every index j >= 1 with c_j exactly zero, ascending.
+
+    c_{2m+1} carries the factors (a+m) and (c-b+m), c_{2m} (m >= 1) the
+    factors (b+m) and (c-a+m).  A factor x + m vanishes only at m = -x, and
+    only when x is a nonpositive integer, so there are at most four such
+    indices and no scan is needed.  A zero c_j truncates the fraction: it
+    becomes a rational function of z, convergent everywhere off its poles
+    (including on the cut).
+    """
+    factors = ((a, 1), (c - b, 1), (b, 0), (c - a, 0))
+    js = {parity - 2 * int(x.real) for x, parity in factors if is_nonpositive_integer(x)}
+    return tuple(sorted(js - {0}))
 
 
 def _leading_entries_finite(a: complex, b: complex, c: complex) -> bool:
@@ -158,7 +176,8 @@ def hyp2f1_series(
     OutsideDisk
         Non-terminating series requested too close to the unit circle.
     NoConvergence
-        Budget exhausted (only possible pathologically near the circle).
+        Budget exhausted (only possible pathologically near the circle),
+        or a term overflowed (a huge parameter).
     """
     z = complex(z)
     terminating = is_nonpositive_integer(p.a) or is_nonpositive_integer(p.b)
@@ -175,19 +194,23 @@ def hyp2f1_series(
     term = np.clongdouble(1.0)
     total = term
     n = 0
-    while n < max_terms:
-        term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * zz
-        n += 1
-        if term == 0:
-            return SeriesValue(complex(total), n, 0.0, True)
-        if abs(term) <= tol * max(1.0, abs(total)):
-            return SeriesValue(complex(total), n, float(abs(term)), True)
-        total += term
-    raise NoConvergence(
-        f"series did not converge in {max_terms} terms at z = {z}",
-        last_value=complex(total),
-        last_correction=float(abs(term)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < max_terms:
+            term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * zz
+            n += 1
+            if term == 0:
+                return SeriesValue(complex(total), n, 0.0, True)
+            if not np.isfinite(term):
+                break
+            if abs(term) <= tol * max(1.0, abs(total)):
+                return SeriesValue(complex(total), n, float(abs(term)), True)
+            total += term
+        last = float(abs(term))
+        raise NoConvergence(
+            f"series did not converge at z = {z}: term {n} has magnitude {last:.3g}",
+            last_value=complex(total),
+            last_correction=last,
+        )
 
 
 def ratio_series(p: HypParams, z: complex, tol: float = 1e-14) -> complex:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .cfrac import (
     BAND_EVAL_GUARD,
+    TERMINATION_CAP,
     JacobiCoeffs,
     band_distance,
     c_coeff,
@@ -32,11 +33,13 @@ from .cfrac import (
     near_band,
     offdiag_roots,
     require_nondegenerate,
+    settle,
     termination_index,
 )
 from .errors import (
     CNonpositiveInteger,
     EigensolverFailure,
+    HorizonTooDeep,
     NearPole,
     NearSingular,
     NoConvergence,
@@ -160,7 +163,10 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
         measured in z or in w = -4/(z-2) (``cfrac.near_band``), for both
         methods.
     NearPole
-        The continued fraction would not settle (z at or next to a pole).
+        The continued fraction would not settle (z at or next to a pole, or
+        a parameter so large that the fraction has not begun to converge).
+    NoConvergence
+        The resolvent would not settle by order RESOLVENT_NMAX.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -182,25 +188,17 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
         try:
             r = cf_ratio_eval(p, w, tol=tol)
         except NoConvergence as exc:
-            raise NearPole(f"continued fraction unsettled at z = {z}: {exc}") from exc
+            raise NearPole(f"B at z = {z}: {exc}") from exc
         d1 = -c_coeff(p, 1)
         return (-1.0 / (4.0 * d1)) * (r.value - 1.0)
 
     if method == "resolvent":
         if t is not None:
             return m_function(p, z, t + 1)
-        n = RESOLVENT_N0
-        prev = m_function(p, z, n)
-        while n < RESOLVENT_NMAX:
-            n *= 2
-            cur = m_function(p, z, n)
-            if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-                return cur
-            prev = cur
-        raise NoConvergence(
-            f"resolvent m-function not settled at order {RESOLVENT_NMAX} for z = {z}",
-            last_value=prev,
-        )
+        return settle(
+            lambda n: m_function(p, z, n), RESOLVENT_N0, RESOLVENT_NMAX, tol,
+            f"resolvent m-function at z = {z}",
+        )[0]
 
     raise ValueError(f"unknown method: {method!r}")
 
@@ -427,7 +425,7 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     )
 
 
-def _tail_constants(p: HypParams) -> tuple[float, float, int, float]:
+def _tail_constants(p: HypParams) -> tuple[float, float, float, float]:
     """Dominating-series data for the coefficient tails.
 
     With t = 2n + c the exact partial-fraction forms
@@ -449,15 +447,12 @@ def _tail_constants(p: HypParams) -> tuple[float, float, int, float]:
     ca = 2.0 * r + abs(g1) + abs(g2)
     cb = 4.0 * r + abs(g2) + abs(g3) + (2.0 * r + abs(g2)) * (2.0 * r + abs(g3))
     beta = abs(c) + 3.0
-    n_min = int(
-        math.ceil(
-            max(
-                (beta + 1.0) / 2.0,          # s_n >= 1
-                (3.0 * abs(c) + 6.0) / 2.0,  # |t| <= 2 s_n
-                (beta + math.sqrt(cb)) / 2.0,  # C_B / s_n^2 < 1
-            )
-        )
-    ) + 1
+    low = max(
+        (beta + 1.0) / 2.0,          # s_n >= 1
+        (3.0 * abs(c) + 6.0) / 2.0,  # |t| <= 2 s_n
+        (beta + math.sqrt(cb)) / 2.0,  # C_B / s_n^2 < 1
+    )
+    n_min = math.ceil(low) + 1 if math.isfinite(low) else math.inf
     return ca, cb, n_min, beta
 
 
@@ -473,6 +468,9 @@ def trace_norm_bound(p: HypParams, K: int) -> float:
     constant once K is moderate.  For a terminating triple the sum over
     the block is exact, and the broken bond b_t = 0 against the free
     matrix still costs 2|b_t - 1| = 2.
+
+    HorizonTooDeep, before any coefficient is built, if n would exceed
+    ``cfrac.TERMINATION_CAP`` (n_min is about 4|a| for moderate b and c).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -482,6 +480,11 @@ def trace_norm_bound(p: HypParams, K: int) -> float:
     if t is None:
         ca, cb, n_min, beta = _tail_constants(p)
         n = max(K, TAIL_HORIZON, n_min)
+        if not n <= TERMINATION_CAP:
+            raise HorizonTooDeep(
+                f"the trace-norm bound for (a,b,c) = ({p.a}, {p.b}, {p.c}) needs "
+                f"coefficients out to index {n:.3g}, beyond {TERMINATION_CAP}"
+            )
         # sum_{k >= n} 1/(2k - beta)^2 <= 1/(2 (2(n - 1) - beta))
         rest = (ca + 2.0 * cb) / (2.0 * (2.0 * (n - 1.0) - beta))
     else:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypjacobi import hyp
 from hypjacobi import (
     CNonpositiveInteger,
     CoeffStream,
@@ -18,6 +19,7 @@ from hypjacobi import (
     OnCut,
     TerminationTooDeep,
     approximant,
+    b_function,
     c_coeff,
     cf_ratio_eval,
     jacobi_coeffs,
@@ -32,9 +34,11 @@ from hypjacobi.cfrac import (
     c_array,
     cfrac_termination_index,
     near_band,
+    settle,
     stabilization_index,
     zero_indices,
 )
+from hypjacobi.hyp import is_nonpositive_integer
 
 P101 = validate_params(1, 0, 1)
 PTERM1 = validate_params(-1, -1.5, 1)   # terminates at b_0^2 = 0
@@ -141,6 +145,43 @@ class TestCFRatioEval:
         with pytest.raises(NoConvergence) as err:
             cf_ratio_eval(validate_params(1.3, -0.2, 2.2), -2 + 1j, tol=1e-15, max_depth=8)
         assert err.value.last_value is not None
+        # depth 8 is a single evaluation: no correction was ever measured
+        assert err.value.last_correction == math.inf
+
+
+class TestSettle:
+    def test_doubles_until_first_agreeing_pair(self):
+        values = {8: 1.0, 16: 0.5, 32: 0.5 + 1e-13, 64: 0.5, 128: 0.5}
+        seen = []
+
+        def evaluate(n):
+            seen.append(n)
+            return values[n]
+
+        val, order, corr = settle(evaluate, 8, 128, 1e-12, "test")
+        assert (val, order) == (0.5 + 1e-13, 32)
+        assert corr == abs(values[32] - values[16])
+        assert seen == [8, 16, 32]
+
+    def test_cap_reports_state(self):
+        seen = []
+
+        def evaluate(n):
+            seen.append(n)
+            return float(n)
+
+        with pytest.raises(NoConvergence) as err:
+            settle(evaluate, 3, 40, 1e-12, "test value")
+        assert seen == [3, 6, 12, 24]
+        assert (err.value.last_value, err.value.last_correction) == (24.0, 12.0)
+        assert "test value not settled by order 40" in str(err.value)
+        assert "last relative correction 0.5" in str(err.value)
+
+    def test_start_beyond_cap_evaluates_nothing(self):
+        with pytest.raises(NoConvergence) as err:
+            settle(lambda n: pytest.fail("evaluated"), 16, 8, 1e-12, "test")
+        assert err.value.last_value is None
+        assert err.value.last_correction == math.inf
 
 
 class TestJacobiCoeffs:
@@ -332,6 +373,14 @@ def _ref_is_zero(p, j):
     return f1 == 0 or f2 == 0
 
 
+def _terminating_by_factors(a, b, c):
+    """Reference: the fraction terminates iff a factor a + m or c - b + m
+    (m >= 0), or b + m or c - a + m (m >= 1), vanishes; the test that
+    ``validate_params`` ran on its own before it computed the zero indices."""
+    a, b, c = complex(a), complex(b), complex(c)
+    return any(is_nonpositive_integer(x) for x in (a, c - b, b + 1, c - a + 1))
+
+
 def _scan_bound(p):
     return max(abs(p.a), abs(p.b), abs(p.c - p.a), abs(p.c - p.b))
 
@@ -375,6 +424,7 @@ class TestClosedFormTermination:
             assert zero_indices(p) == scanned, abc
             assert cfrac_termination_index(p) == _scan_c_index(p), abc
             assert termination_index(p) == _scan_j_index(p), abc
+            assert bool(p.zeros) == _terminating_by_factors(*abc), abc
             terminating += termination_index(p) is not None
         # the grid exercises both outcomes
         assert 0 < terminating < len(_TERMINATION_GRID)
@@ -390,6 +440,17 @@ class TestClosedFormTermination:
                 cfrac_termination_index(p)
             with pytest.raises(TerminationTooDeep):
                 termination_index(p)
+
+    def test_rule_runs_once_per_triple(self, monkeypatch):
+        calls = []
+        rule = hyp._zero_indices
+        monkeypatch.setattr(hyp, "_zero_indices", lambda *abc: calls.append(abc) or rule(*abc))
+        triples = [validate_params(1.3, -0.2, 2.2), validate_params(-3, 0.5, 1.5)]
+        assert len(calls) == 2
+        for p in triples:
+            for method in ("cf", "resolvent"):
+                b_function(p, 4.0 + 1j, method=method)
+        assert len(calls) == 2
 
     def test_zero_indices_need_no_cap(self):
         p = validate_params(1e300, 0, 1)  # c - a rounds to -1e300

@@ -9,6 +9,7 @@ import pytest
 from hypjacobi import (
     DegenerateSamples,
     NearPole,
+    NoConvergence,
     NotRealParams,
     NotStieltjes,
     ScanExhausted,
@@ -214,6 +215,13 @@ class TestSchur:
         got = schur_reconstruct(PTERM2, z)
         ref = -b_function(PTERM2, z, method="cf")
         assert abs(got - ref) < 1e-12
+
+    def test_reconstruct_no_convergence_reports_state(self):
+        # a negative tol is never met: every tail order up to the cap runs
+        with pytest.raises(NoConvergence) as err:
+            schur_reconstruct(PKAPPA, 2.5 + 1.5j, tol=-1.0)
+        assert err.value.last_value is not None
+        assert 0.0 <= err.value.last_correction < 1e-10
 
     def test_chain_of_callables(self):
         # composing schur_step handles matches the direct reconstruction

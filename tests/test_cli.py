@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from hypjacobi import cli
 from hypjacobi.cli import main
 
 
@@ -310,6 +311,41 @@ class TestBoundedDepth:
         assert abs(resolvent + 5e-06) <= 2.2e-13 * 5e-06
 
 
+class TestPromptTypedEnd:
+    @pytest.mark.parametrize(
+        "subcommand, a, c, expected",
+        [
+            ("spectrum", "1e9,1", "1.5", 2),
+            ("spectrum", "1e15", "1.5", 2),
+            ("spectrum", "1e154,1", "1.5", 2),
+            ("spectrum", "3e153,1", "1.5", 2),
+            ("spectrum", "1e100,1", "1.5", 2),
+            ("check", "1e150,1", "-9.99999999", 2),
+            ("check", "1e9", "1.5", 3),
+        ],
+    )
+    def test_huge_parameters(self, subcommand, a, c, expected, capsys):
+        # the trace-norm horizon grows like 4|a| (exit 2 beyond the cap); the
+        # series comparison of check meets overflowing terms (exit 3), unless
+        # the screen of the J-fraction entries refuses the triple first
+        t0 = time.perf_counter()
+        code = main([subcommand, "-a", a, "-b", "0.5", "-c", c, "--N", "16"])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == expected
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [ValueError, OverflowError, MemoryError, ZeroDivisionError])
+    def test_unexpected_exception_is_failure(self, exc, monkeypatch, capsys):
+        def raise_exc(args):
+            raise exc("injected")
+
+        monkeypatch.setattr(cli, "_run_eval", raise_exc)
+        code = main(["eval", "-a", "1", "-b", "0", "-c", "1", "--z", "4"])
+        assert code == 3
+        assert capsys.readouterr().err == f"failure: {exc.__name__}: injected\n"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
@@ -330,6 +366,7 @@ class TestDeterminism:
 
 _SCIPY_PROBE = """
 import json, sys
+from hypjacobi import cli
 from hypjacobi.cli import main
 
 def scipy_loaded():

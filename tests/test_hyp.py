@@ -108,6 +108,16 @@ class TestSeries:
         with pytest.raises(NoConvergence):
             hyp2f1_series(validate_params(0.5, 0.5, 0.5), 0.99, max_terms=5)
 
+    def test_non_finite_term_stops_at_once(self):
+        # terms near |a z|^n / n! overflow extended precision long before
+        # they shrink; the first non-finite one ends the sum, with no
+        # RuntimeWarning (an error under this suite's filter)
+        with pytest.raises(NoConvergence) as err:
+            hyp2f1_series(validate_params(1e9, 0.5, 1.5), 0.3)
+        assert err.value.last_value is not None
+        assert not math.isfinite(err.value.last_correction)
+        assert "term" in str(err.value)
+
     @pytest.mark.parametrize("z", [0.3 + 0.4j, -0.6 + 0.1j, 0.7j])
     def test_conjugate_symmetry(self, z):
         p = validate_params(1.7, -0.4, 2.3)

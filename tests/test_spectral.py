@@ -8,7 +8,9 @@ import pytest
 
 from hypjacobi import (
     EigensolverFailure,
+    HorizonTooDeep,
     NearSingular,
+    NoConvergence,
     OnBand,
     ShiftInvalid,
     b_function,
@@ -214,6 +216,13 @@ class TestBFunction:
             assert abs(v1 - v2) <= 1e-9 * max(1.0, abs(v1))
             done += 1
 
+    def test_resolvent_no_convergence_reports_state(self):
+        # |a| = 1e6 needs far more than order 4096 to settle
+        with pytest.raises(NoConvergence) as err:
+            b_function(validate_params(1e6, 0.5, 1.5), 4.0, method="resolvent")
+        assert err.value.last_value is not None
+        assert err.value.last_correction is not None
+
 
 class TestDiscreteSpectrum:
     def test_simple_pole(self):
@@ -399,6 +408,18 @@ class TestTraceNormBound:
         vals = [trace_norm_bound(p, k) for k in (50, 200, 800)]
         assert all(np.isfinite(v) for v in vals)
         assert vals[0] >= vals[1] >= vals[2] - 1e-12
+
+    @pytest.mark.parametrize(
+        "abc", [(1e7, 0.5, 1.5), (1e9 + 1j, 0.5, 1.5), (1e15, 0.5, 1.5), (3e153 + 1j, 0.5, 1.5)]
+    )
+    def test_horizon_beyond_cap_refused(self, abc):
+        # the tail horizon grows like 4|a|, and is infinite once the tail
+        # constants overflow; nothing is built before the refusal
+        with pytest.raises(HorizonTooDeep):
+            trace_norm_bound(validate_params(*abc), 64)
+
+    def test_horizon_below_cap_accepted(self):
+        assert np.isfinite(trace_norm_bound(validate_params(2e5, 0.5, 1.5), 64))
 
 
 class TestLiebThirring:
