@@ -26,18 +26,19 @@ cross-checked two independent ways in the test suite: against the moment
 expansion of B at infinity (``moment_oracle``) and against exact rational
 closed forms in the terminating polynomial cases.
 
-Every coefficient comes from one vectorized kernel, :func:`c_array`.
-Termination is decided once per triple, in closed form, by
-``hyp.validate_params`` (:func:`zero_indices`); both termination indices
-derive from it.  So is the sign pattern of the b_n^2 of a real triple
-(:func:`stabilization_index`).
+Every coefficient comes from one vectorized kernel, :func:`c_array`, and
+J has one form, the complex128 arrays of :class:`JacobiCoeffs` built by
+:func:`jacobi_coeffs`.  Termination is decided once per triple, in closed
+form, by ``hyp.validate_params`` (``HypParams.zeros``); both termination
+indices derive from it.  So is the sign pattern of the b_n^2 of a real
+triple (:func:`stabilization_index`).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ def c_array(p: HypParams, n: int) -> np.ndarray:
 
     float64 for a real triple, complex128 otherwise.  An entry is exactly 0
     where a linear factor of its numerator vanishes (the indices of
-    :func:`zero_indices`).
+    ``p.zeros``).
     """
     a, b, c = (x.real if p.is_real else x for x in (p.a, p.b, p.c))
     out = np.empty(n, dtype=float if p.is_real else complex)
@@ -90,11 +91,6 @@ def c_coeff(p: HypParams, j: int) -> complex:
     if j < 1:
         raise ValueError("coefficient index starts at 1")
     return complex(c_array(p, j)[-1])
-
-
-def zero_indices(p: HypParams) -> tuple[int, ...]:
-    """Every index j >= 1 with c_j exactly zero, ascending (``p.zeros``)."""
-    return p.zeros
 
 
 def _first_zero(p: HypParams, start: int) -> Optional[int]:
@@ -206,25 +202,31 @@ class CFValue:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobiCoeffs:
-    """J-fraction data: diagonal a_n, off-diagonal squares b_n^2 and the
-    roots b_n.
+    """The leading block of J: diagonal a_n, off-diagonal squares b_n^2 and
+    their principal roots b_n, complex128 arrays.
 
-    ``terminated_at`` is the first n with b_n^2 exactly zero; the sequences
-    are truncated there (``diag`` keeps n+1 entries, ``offdiag_sq`` keeps n).
-    ``offdiag`` stays empty until :func:`offdiag_roots` fills it.
+    J is complex symmetric (equal sub- and superdiagonal b_n), not
+    Hermitian unless the triple is real with positive b_n^2.
+    ``terminated_at`` is the first n with b_n^2 exactly zero, or None; the
+    arrays are truncated there (``diag`` keeps n+1 entries, ``offdiag_sq``
+    and ``offdiag`` keep n), since the operator decouples.
     """
 
     params: HypParams
-    diag: tuple[complex, ...]
-    offdiag_sq: tuple[complex, ...]
-    offdiag: tuple[complex, ...] = field(default=())
-    terminated_at: Optional[int] = None
+    diag: np.ndarray
+    offdiag_sq: np.ndarray
+    offdiag: np.ndarray
+    terminated_at: Optional[int]
 
     @property
     def length(self) -> int:
         return len(self.diag)
+
+    def matrix(self) -> np.ndarray:
+        """The block as a dense matrix."""
+        return np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
 
 
 def band_distance(z: complex) -> float:
@@ -336,12 +338,15 @@ def cf_ratio_eval(
 
 
 def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
-    """Diagonal and off-diagonal-square J-fraction coefficients.
+    """The J-fraction coefficients, the one form of J.
 
-    Produces up to ``n_max`` diagonal entries a_0..a_{n_max-1} and
-    ``n_max - 1`` squares b_0^2..b_{n_max-2}.  If some b_n^2 vanishes
-    exactly (a linear factor of d_{2n+2} or d_{2n+3} hits zero) the
-    fraction terminates: ``terminated_at = n`` and the sequences stop with
+    Produces up to ``n_max`` diagonal entries a_0..a_{n_max-1}, and
+    ``n_max - 1`` squares b_0^2..b_{n_max-2} with their principal roots b_n
+    (a negative real square gets the positive imaginary root; the
+    m-function and the spectrum only see b_n^2, so any other branch would
+    give a diagonally similar matrix with the same results).  If some b_n^2
+    vanishes exactly (a linear factor of d_{2n+2} or d_{2n+3} hits zero)
+    the fraction terminates: ``terminated_at = n`` and the arrays stop with
     a_n as the last diagonal entry.  NonFiniteParameter if an entry
     overflows.
     """
@@ -365,26 +370,18 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
             f"the J-fraction entries of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
             "are not finite (overflow)"
         )
+    # -0.0 imaginary parts (artifacts of d_j = -c_j) would land on the
+    # wrong side of the sqrt branch cut; the fix goes on a copy, so the
+    # stored squares keep their signed zeros
+    sq = offdiag_sq.astype(complex)
+    sq.imag[sq.imag == 0.0] = 0.0
     return JacobiCoeffs(
         params=p,
-        diag=tuple(diag.astype(complex).tolist()),
-        offdiag_sq=tuple(offdiag_sq.astype(complex).tolist()),
+        diag=diag.astype(complex, copy=False),
+        offdiag_sq=offdiag_sq.astype(complex, copy=False),
+        offdiag=np.sqrt(sq),
         terminated_at=terminated_at,
     )
-
-
-def offdiag_roots(coeffs: JacobiCoeffs) -> JacobiCoeffs:
-    """Principal square roots b_n of the squares b_n^2.
-
-    A negative real square gets the positive imaginary root.  The
-    m-function and the spectrum only ever see b_n^2, so any other choice of
-    branch would give a diagonally similar matrix with the same results.
-    """
-    sq = np.asarray(coeffs.offdiag_sq, dtype=complex)
-    # -0.0 imaginary parts (artifacts of d_j = -c_j) would land on the
-    # wrong side of the sqrt branch cut
-    sq.imag[sq.imag == 0.0] = 0.0
-    return replace(coeffs, offdiag=tuple(np.sqrt(sq).tolist()))
 
 
 def _cfrac_approximant(p: HypParams, n: int, z: complex) -> complex:
@@ -444,7 +441,7 @@ def jfrac_backward(diag, numer, lower_abs, z: complex, tiny: float = 0.0):
 def _jfrac_approximant(p: HypParams, n: int, z: complex) -> complex:
     coeffs = jacobi_coeffs(p, n)  # may be shorter if terminated
     ones = (1.0,) * len(coeffs.offdiag_sq)
-    out = jfrac_backward(coeffs.diag, coeffs.offdiag_sq, ones, z, TINY)
+    out = jfrac_backward(coeffs.diag.tolist(), coeffs.offdiag_sq.tolist(), ones, z, TINY)
     if out is None:
         raise PoleOfApproximant(f"J-fraction approximant {n} has a pole near z = {z}")
     return -1.0 / out[0]

@@ -6,10 +6,12 @@ The J-fraction coefficients define a complex symmetric tridiagonal matrix
 
 with J - J_0 trace class, so the essential spectrum is the band [-2, 2] and
 B(z) = <(J - z)^{-1} e, e> is meromorphic off the band with poles exactly at
-the eigenvalues of J.  This module evaluates B by resolvent and by the
-continued fraction, filters truncation spectra for stable eigenvalues,
-bounds the trace norm of J - J_0, and maps eigenvalues back to zeros of the
-underlying hypergeometric function through w = -4/(z-2).
+the eigenvalues of J.  Every function here reads the leading block of J in
+its one form, the arrays of ``cfrac.JacobiCoeffs``.  This module evaluates
+B by resolvent and by the continued fraction, filters truncation spectra
+for stable eigenvalues, bounds the trace norm of J - J_0, and maps
+eigenvalues back to zeros of the underlying hypergeometric function
+through w = -4/(z-2).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .cfrac import (
     jacobi_coeffs,
     jfrac_backward,
     near_band,
-    offdiag_roots,
     require_nondegenerate,
     settle,
     termination_index,
@@ -40,7 +41,6 @@ from .errors import (
     CNonpositiveInteger,
     EigensolverFailure,
     HorizonTooDeep,
-    NearPole,
     NearSingular,
     NoConvergence,
     NonFiniteParameter,
@@ -80,40 +80,12 @@ def cut_to_band(w: complex) -> complex:
     return 2.0 - 4.0 / complex(w)
 
 
-@dataclass(frozen=True)
-class TruncatedJacobi:
-    """Leading principal block of the Jacobi matrix.
-
-    Complex symmetric (equal sub- and superdiagonal), not Hermitian unless
-    the parameters are real with positive b_k^2.  For a terminating triple
-    the operator decouples and only the leading block is ever built.
-    """
-
-    order: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-    source: HypParams
-    terminated: bool
-
-    def matrix(self) -> np.ndarray:
-        m = np.diag(self.diag.astype(complex))
-        if self.order > 1:
-            m += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return m
-
-
-def build_truncated(p: HypParams, N: int) -> TruncatedJacobi:
-    """Assemble the order-N truncation (or the exact decoupled block)."""
+def build_truncated(p: HypParams, N: int) -> JacobiCoeffs:
+    """The order-N truncation of J (or the shorter exact block of a
+    terminating triple): ``jacobi_coeffs(p, N)`` for N >= 1."""
     if N < 1:
         raise ValueError("truncation order must be >= 1")
-    coeffs = offdiag_roots(jacobi_coeffs(p, N))
-    return TruncatedJacobi(
-        order=len(coeffs.diag),
-        diag=np.asarray(coeffs.diag, dtype=complex),
-        offdiag=np.asarray(coeffs.offdiag, dtype=complex),
-        source=p,
-        terminated=coeffs.terminated_at is not None,
-    )
+    return jacobi_coeffs(p, N)
 
 
 def resolvent_first(diag, upper, lower, z: complex) -> complex:
@@ -138,8 +110,8 @@ def resolvent_first(diag, upper, lower, z: complex) -> complex:
 
 def m_function(p: HypParams, z: complex, N: int) -> complex:
     """<(J_N - z)^{-1} e, e> by the backward J-fraction recurrence."""
-    tj = build_truncated(p, N)
-    return resolvent_first(tj.diag, tj.offdiag, tj.offdiag, complex(z))
+    jc = build_truncated(p, N)
+    return resolvent_first(jc.diag, jc.offdiag, jc.offdiag, complex(z))
 
 
 def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12) -> complex:
@@ -162,11 +134,12 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
         z within guard distance of [-2, 2] for a non-terminating triple,
         measured in z or in w = -4/(z-2) (``cfrac.near_band``), for both
         methods.
-    NearPole
-        The continued fraction would not settle (z at or next to a pole, or
-        a parameter so large that the fraction has not begun to converge).
     NoConvergence
-        The resolvent would not settle by order RESOLVENT_NMAX.
+        The chosen route would not settle: the continued fraction by its
+        depth cap (z at or next to a pole, or a parameter so large that the
+        fraction has not begun to converge), the resolvent by order
+        RESOLVENT_NMAX.  ``last_value`` and ``last_correction`` refer to B
+        by both routes.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -185,12 +158,16 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
             # terminating (rational) triple, where the block is exact
             return m_function(p, z, t + 1)
         w = band_to_cut(z)
+        scale = -1.0 / (4.0 * -c_coeff(p, 1))  # B = scale * (ratio - 1)
         try:
             r = cf_ratio_eval(p, w, tol=tol)
         except NoConvergence as exc:
-            raise NearPole(f"B at z = {z}: {exc}") from exc
-        d1 = -c_coeff(p, 1)
-        return (-1.0 / (4.0 * d1)) * (r.value - 1.0)
+            raise NoConvergence(
+                f"B at z = {z}: {exc}",
+                last_value=scale * (exc.last_value - 1.0),
+                last_correction=abs(scale) * exc.last_correction,
+            ) from exc
+        return scale * (r.value - 1.0)
 
     if method == "resolvent":
         if t is not None:
@@ -245,8 +222,7 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     subdiagonal, the first and last entry unused) together with its
     eigenvalues as complex128.
     """
-    diag = np.asarray(coeffs.diag[:n], dtype=complex)
-    sq = np.asarray(coeffs.offdiag_sq[: n - 1], dtype=complex)
+    diag, sq = coeffs.diag[:n], coeffs.offdiag_sq[: n - 1]
     if not (diag.imag.any() or sq.imag.any()):
         diag, sq = diag.real, sq.real
     scale = np.sqrt(np.abs(sq))
@@ -489,9 +465,8 @@ def trace_norm_bound(p: HypParams, K: int) -> float:
         rest = (ca + 2.0 * cb) / (2.0 * (2.0 * (n - 1.0) - beta))
     else:
         n, rest = t + 1, 2.0
-    coeffs = offdiag_roots(jacobi_coeffs(p, n + 1))
-    diag = np.asarray(coeffs.diag[:n], dtype=complex)
-    roots = np.asarray(coeffs.offdiag[:n], dtype=complex)
+    coeffs = jacobi_coeffs(p, n + 1)
+    diag, roots = coeffs.diag[:n], coeffs.offdiag[:n]
     return float(np.sum(np.abs(diag)) + 2.0 * np.sum(np.abs(roots - 1.0)) + rest)
 
 

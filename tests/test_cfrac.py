@@ -24,7 +24,6 @@ from hypjacobi import (
     cf_ratio_eval,
     jacobi_coeffs,
     moment_oracle,
-    offdiag_roots,
     ratio_series,
     termination_index,
     validate_params,
@@ -36,7 +35,6 @@ from hypjacobi.cfrac import (
     near_band,
     settle,
     stabilization_index,
-    zero_indices,
 )
 from hypjacobi.hyp import is_nonpositive_integer
 
@@ -219,8 +217,8 @@ class TestJacobiCoeffs:
     def test_terminating_simple_pole(self):
         jc = jacobi_coeffs(PTERM1, 10)
         assert jc.terminated_at == 0
-        assert jc.diag == (3 + 0j,)
-        assert jc.offdiag_sq == ()
+        assert jc.diag.tolist() == [3 + 0j]
+        assert jc.offdiag_sq.tolist() == []
 
     def test_terminating_quadratic(self):
         # closed form B = -(z - 2/3)/(z^2 + 4/3)
@@ -256,7 +254,7 @@ class TestJacobiCoeffs:
     @pytest.mark.parametrize("abc", [(1, 0, 1), (1.2 - 0.5j, 0.7, 1.8)])
     def test_summability_cauchy(self, abc):
         # partial sums of |a_k| + |b_k - 1| are Cauchy in the length
-        jc = offdiag_roots(jacobi_coeffs(validate_params(*abc), 2001))
+        jc = jacobi_coeffs(validate_params(*abc), 2001)
         tail = sum(abs(a) for a in jc.diag[500:]) + sum(
             abs(b - 1.0) for b in jc.offdiag[500:]
         )
@@ -266,11 +264,10 @@ class TestJacobiCoeffs:
 class TestOffdiagRoots:
     def test_unit(self):
         jc = jacobi_coeffs(P101, 3)
-        jc = offdiag_roots(jc)
         assert abs(jc.offdiag[0] - math.sqrt(8.0 / 9.0)) < 1e-15
 
     def test_principal_of_negative(self):
-        jc = offdiag_roots(jacobi_coeffs(validate_params(-1.5, 0, 1), 4))
+        jc = jacobi_coeffs(validate_params(-1.5, 0, 1), 4)
         b0 = jc.offdiag[0]
         assert abs(b0 - 1j * 0.8819171036881969) < 1e-15
 
@@ -421,7 +418,7 @@ class TestClosedFormTermination:
             p = validate_params(*abc)
             bound = 2 * int(np.ceil(_scan_bound(p))) + 4
             scanned = tuple(j for j in range(1, bound + 1) if _ref_is_zero(p, j))
-            assert zero_indices(p) == scanned, abc
+            assert p.zeros == scanned, abc
             assert cfrac_termination_index(p) == _scan_c_index(p), abc
             assert termination_index(p) == _scan_j_index(p), abc
             assert bool(p.zeros) == _terminating_by_factors(*abc), abc
@@ -454,7 +451,7 @@ class TestClosedFormTermination:
 
     def test_zero_indices_need_no_cap(self):
         p = validate_params(1e300, 0, 1)  # c - a rounds to -1e300
-        assert zero_indices(p) == (2 * int(1e300),)
+        assert p.zeros == (2 * int(1e300),)
         assert c_array(p, 8).shape == (8,)
 
 

@@ -17,13 +17,13 @@ from hypjacobi import (
     band_distance,
     band_to_cut,
     build_truncated,
+    c_coeff,
     cut_to_band,
     discrete_spectrum,
     hyp_zeros,
     jacobi_coeffs,
     lieb_thirring_check,
     m_function,
-    offdiag_roots,
     termination_index,
     trace_norm_bound,
     validate_params,
@@ -73,20 +73,20 @@ class TestGeometry:
 class TestBuildTruncated:
     def test_terminating_one_by_one(self):
         tj = build_truncated(PTERM1, 10)
-        assert tj.order == 1
-        assert tj.terminated
+        assert tj.length == 1
+        assert tj.terminated_at is not None
         assert abs(tj.diag[0] - 3.0) < 1e-15
 
     def test_terminating_two_by_two(self):
         tj = build_truncated(PTERM2, 10)
-        assert tj.order == 2
+        assert tj.length == 2
         m = tj.matrix()
         assert abs(m[0, 1] - m[1, 0]) == 0.0
         assert abs(m[0, 1] ** 2 + 16.0 / 9.0) < 1e-14
 
     def test_plain_order(self):
         tj = build_truncated(P101, 3)
-        assert tj.order == 3 and not tj.terminated
+        assert tj.length == 3 and tj.terminated_at is None
         assert abs(tj.offdiag[0] - math.sqrt(8.0 / 9.0)) < 1e-15
 
 
@@ -189,14 +189,12 @@ class TestBFunction:
         assert abs(val) >= 1e7
 
     def test_near_pole_nonterminating(self):
-        from hypjacobi import NearPole
-
         # park the evaluation point on top of a genuine pole of a
         # non-terminating B: either the fraction refuses or it blows up
         pole = discrete_spectrum(PKAPPA, 128).eigenvalues[0]
         try:
             val = b_function(PKAPPA, pole, method="cf", tol=1e-13)
-        except NearPole:
+        except NoConvergence:
             return
         assert abs(val) >= 1e6
 
@@ -222,6 +220,20 @@ class TestBFunction:
             b_function(validate_params(1e6, 0.5, 1.5), 4.0, method="resolvent")
         assert err.value.last_value is not None
         assert err.value.last_correction is not None
+
+    def test_cf_no_convergence_reports_state(self):
+        # |a| = 1e150: the fraction has not begun to converge by its depth
+        # cap, though z = 4 is no pole; the state is mapped from the ratio
+        # to B = s (r - 1), s = -1/(4 d_1)
+        p = validate_params(1e150 + 1j, 0, 1)
+        with pytest.raises(NoConvergence, match=r"^B at z = \(4\+0j\): continued fraction") as err:
+            b_function(p, 4.0, method="cf")
+        ratio = err.value.__cause__
+        assert isinstance(ratio, NoConvergence)
+        s = -1.0 / (4.0 * -c_coeff(p, 1))
+        assert err.value.last_value == s * (ratio.last_value - 1.0)
+        assert err.value.last_correction == abs(s) * ratio.last_correction
+        assert 0.0 < err.value.last_correction < math.inf
 
 
 class TestDiscreteSpectrum:
@@ -370,7 +382,7 @@ class TestTraceNormBound:
     def test_dominates_actual_nuclear_norm_terminating(self):
         # decoupled completion: exact block, broken bond, then a free tail
         n = 12
-        jc = offdiag_roots(jacobi_coeffs(PTERM2, n))
+        jc = jacobi_coeffs(PTERM2, n)
         block = len(jc.diag)
         mat = np.zeros((n, n), dtype=complex)
         for i, v in enumerate(jc.diag):
@@ -389,10 +401,7 @@ class TestTraceNormBound:
     def test_dominates_actual_nuclear_norm(self, abc):
         p = validate_params(*abc)
         n = 300
-        jc = offdiag_roots(jacobi_coeffs(p, n))
-        mat = np.diag(np.asarray(jc.diag, dtype=complex))
-        mat += np.diag(np.asarray(jc.offdiag, dtype=complex), 1)
-        mat += np.diag(np.asarray(jc.offdiag, dtype=complex), -1)
+        mat = jacobi_coeffs(p, n).matrix()
         free = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
         nuclear = np.linalg.norm(mat - free, "nuc")
         assert nuclear <= trace_norm_bound(p, 64) + 1e-10
