@@ -65,6 +65,9 @@ RESOLVENT_NMAX = 4096
 #: retained eigenvalues closer than this are merged as one multiple pole
 MERGE_TOL = 1e-6
 
+#: Rayleigh-quotient steps, at most, that refine one confirmed candidate
+RAYLEIGH_STEPS = 4
+
 #: the trace-norm bound sums the explicit coefficient formulas out to at
 #: least this index before switching to the dominating series
 TAIL_HORIZON = 20000
@@ -185,9 +188,11 @@ class SpectralResult:
     """Stable point spectrum outside the band, with inequality data.
 
     ``eigenvalues`` is a multiset (algebraic multiplicity by repetition);
-    ``discarded`` holds truncation eigenvalues that failed the N vs 2N
-    stability match, ``merged`` the representatives of clusters collapsed
-    at MERGE_TOL.
+    ``discarded`` holds order-``N_used`` eigenvalues that order
+    ``N_check`` did not confirm, ``merged`` the representatives of
+    clusters collapsed at MERGE_TOL.  ``N_check`` is the order at which
+    candidates are confirmed (2N), not a second eigensolve; for a
+    terminating triple both orders are the size of its exact block.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -205,10 +210,8 @@ class SpectralResult:
         return self.distance_sum <= self.trace_bound + 1e-9
 
 
-def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the leading order-n block of J, without eigenvectors.
-
-    The block is solved in the form
+def _tridiagonal_bands(coeffs: JacobiCoeffs, n: int) -> np.ndarray:
+    """The leading order-n block of J in the form
 
         T = diag(a_k) + superdiag(s_k) + subdiag(b_k^2 / s_k),   s_k = |b_k^2|^(1/2),
 
@@ -219,8 +222,7 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     with a unit superdiagonal, complex triples with large leading
     coefficients lost a decimal digit in their eigenvalues.  Returns the
     bands of T as a 3 x n array (rows: superdiagonal, diagonal,
-    subdiagonal, the first and last entry unused) together with its
-    eigenvalues as complex128.
+    subdiagonal, the first and last entry unused).
     """
     diag, sq = coeffs.diag[:n], coeffs.offdiag_sq[: n - 1]
     if not (diag.imag.any() or sq.imag.any()):
@@ -230,8 +232,17 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     bands[0, 1:] = scale
     bands[1] = diag
     bands[2, :-1] = sq / scale
+    return bands
+
+
+def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the leading order-n block of J, without eigenvectors:
+    dense QR on the form T of ``_tridiagonal_bands``, in real arithmetic
+    for a real triple.  Returns the bands of T and its eigenvalues as
+    complex128."""
+    bands = _tridiagonal_bands(coeffs, n)
     t = np.diag(bands[1])
-    if len(diag) > 1:
+    if bands.shape[1] > 1:
         t += np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
     try:
         vals = np.linalg.eigvals(t)
@@ -240,32 +251,150 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     return bands, vals.astype(complex)
 
 
-def _twisted_column(diag, upper, lower, mu: complex) -> np.ndarray:
-    """Column k of (T - mu)^{-1} up to scale, entry k equal to 1, for T =
-    diag + superdiag(upper) + subdiag(lower) over sequences of Python numbers.
+def _twisted_pivots(diag, prod, mu):
+    """Twisted factorization of T - mu, for T with diagonal ``diag`` and
+    off-diagonal products ``prod`` (upper_i lower_i), over sequences of
+    Python numbers.
 
-    One twisted factorization: p_i are the pivots of eliminating T - mu
-    from the top row down, q_i those from the bottom row up (the pivots of
-    :func:`cfrac.jfrac_backward`, negated), and gamma_k = p_k + q_k -
-    (d_k - mu) is 1 / ((T - mu)^{-1})_{kk}.  The twist k minimizes
-    |gamma_k|, which picks the column where the eigenvector nearest mu is
-    large; then x_i = -upper_i x_{i+1} / p_i above k and x_i = -lower_{i-1}
-    x_{i-1} / q_i below it, so (T - mu) x = gamma_k e_k.  ZeroDivisionError
-    on a vanishing pivot.
+    p_i are the pivots of eliminating T - mu from the top row down, q_i
+    those from the bottom row up (the pivots of :func:`cfrac.jfrac_backward`,
+    negated), and gamma_k = p_k + q_k - (d_k - mu) is 1 / ((T - mu)^{-1})_{kk}.
+    Returns p and q as arrays, the twist k that minimizes |gamma_k| (the
+    row where the eigenvector nearest mu is large) and gamma_k.
+    ZeroDivisionError on a vanishing pivot.
     """
     n = len(diag)
     a = [d - mu for d in diag]
     p, q = [a[0]], [a[-1]]
     for i in range(1, n):
-        p.append(a[i] - lower[i - 1] * upper[i - 1] / p[-1])
+        p.append(a[i] - prod[i - 1] / p[-1])
         j = n - 1 - i
-        q.append(a[j] - upper[j] * lower[j] / q[-1])
+        q.append(a[j] - prod[j] / q[-1])
     p, q = np.array(p), np.array(q[::-1])
-    k = int(np.argmin(np.abs(p + q - np.array(a))))
-    x = np.ones(n, dtype=p.dtype)
+    gamma = p + q - np.array(a)
+    k = int(np.argmin(np.abs(gamma)))
+    return p, q, k, gamma[k]
+
+
+def _twisted_column(diag, upper, lower, mu: complex) -> np.ndarray:
+    """Column k of (T - mu)^{-1} up to scale, entry k equal to 1, for T =
+    diag + superdiag(upper) + subdiag(lower) over sequences of Python numbers.
+
+    With the pivots and twist k of ``_twisted_pivots``, x_i = -upper_i
+    x_{i+1} / p_i above k and x_i = -lower_{i-1} x_{i-1} / q_i below it, so
+    (T - mu) x = gamma_k e_k.  ZeroDivisionError on a vanishing pivot.
+    """
+    p, q, k, _ = _twisted_pivots(diag, [u * v for u, v in zip(upper, lower)], mu)
+    x = np.ones(len(diag), dtype=p.dtype)
     x[:k] = np.cumprod((-np.asarray(upper[:k]) / p[:k])[::-1])[::-1]
     x[k + 1 :] = np.cumprod(-np.asarray(lower[k:]) / q[k + 1 :])
     return x
+
+
+def _newton_steps(diag, prod, lams) -> np.ndarray:
+    """One Newton step on det(T - mu) from each mu in ``lams``, all at once.
+
+    The forward pivots p_i = (d_i - mu) - prod_{i-1} / p_{i-1} of T - mu
+    multiply to the determinant, and their derivatives are p_i' = -1 +
+    prod_{i-1} p_{i-1}' / p_{i-1}^2.  With s = sum_{i<n-1} p_i' / p_i the
+    step -det / det' is -p_{n-1} / (p_{n-1}' + p_{n-1} s): zero when mu is
+    an eigenvalue of T (a vanishing last pivot), NaN when it is one of a
+    leading block.  One pass over T with a vector of shifts, no stored
+    pivots.
+    """
+    mu = np.asarray(lams, dtype=complex)
+    with np.errstate(all="ignore"):
+        p = diag[0] - mu
+        dp = np.full_like(mu, -1.0)
+        s = np.zeros_like(mu)
+        for d, b2 in zip(diag[1:], prod):
+            s += dp / p
+            r = b2 / p
+            dp = r * dp / p - 1.0
+            p = (d - mu) - r
+        return -p / (dp + p * s)
+
+
+def _rayleigh_refine(diag, prod, lam):
+    """The eigenvalue of T that Rayleigh-quotient iteration reaches from lam.
+
+    Each step is one twisted factorization at mu (``_twisted_pivots``).
+    Its column x, x_k = 1, satisfies (T - mu) x = gamma_k e_k, so for the
+    complex symmetric J similar to T the Rayleigh quotient is mu + gamma_k
+    / sum_i x_i^2.  The squares need no root: x_i^2 = prod_i x_{i+1}^2 /
+    p_i^2 above k and prod_{i-1} x_{i-1}^2 / q_i^2 below it.  Stops after
+    RAYLEIGH_STEPS steps, at a correction below rounding, or at a
+    vanishing pivot (mu an eigenvalue of a leading or trailing block);
+    the residual check decides on the value either way.
+    """
+    mu = lam
+    prod_arr = np.asarray(prod)
+    for _ in range(RAYLEIGH_STEPS):
+        try:
+            p, q, k, gamma = _twisted_pivots(diag, prod, mu)
+        except ZeroDivisionError:
+            break
+        with np.errstate(all="ignore"):
+            above = np.cumprod((prod_arr[:k] / p[:k] ** 2)[::-1]).sum()
+            below = np.cumprod(prod_arr[k:] / q[k + 1 :] ** 2).sum()
+            step = (gamma / (1.0 + above + below)).item()
+        mu = mu + step
+        if not abs(step) > 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
+            break
+    return complex(mu)
+
+
+def _confirm(bands: np.ndarray, candidates, tol: float) -> tuple[list[complex], list[complex]]:
+    """Split order-N candidates by the order-2N block T in ``bands``.
+
+    A candidate lam is screened by one Newton step on det(T - mu) from lam
+    (``_newton_steps``); one that moves at most 2 tol max(1, |lam|) is
+    refined by Rayleigh-quotient steps (``_rayleigh_refine``) to an
+    eigenvalue mu of T.  lam is retained, reported as mu, when mu lies
+    within r = tol max(1, |lam|) of lam, outside BAND_GUARD of the band,
+    and farther than r from every value retained for an earlier candidate
+    (a candidate that converges onto a retained value is discarded);
+    otherwise lam is discarded.  A real T has its eigenvalues in exact
+    conjugate pairs, so only the member of each pair in the upper half
+    plane is refined and the other mirrors its outcome.  Returns (retained
+    values, discarded candidates), both in candidate order.
+    """
+    diag = bands[1].tolist()
+    prod = (bands[0, 1:] * bands[2, :-1]).tolist()
+    real = not np.iscomplexobj(bands)
+    upper = [lam for lam in candidates if not (real and lam.imag < 0)]
+    taken: list[complex] = []
+    outcomes: list[complex | None] = []
+    for lam, step in zip(upper, _newton_steps(diag, prod, upper)):
+        r = tol * max(1.0, abs(lam))
+        mu = None
+        if abs(step) <= 2.0 * r:
+            mu = _rayleigh_refine(diag, prod, lam.real if real and lam.imag == 0 else lam)
+            if (
+                abs(mu - lam) <= r
+                and band_distance(mu) > BAND_GUARD
+                and all(abs(mu - v) > r for v in taken)
+            ):
+                taken += [mu, mu.conjugate()] if real and mu.imag else [mu]
+            else:
+                mu = None
+        outcomes.append(mu)
+
+    partner = dict(zip(upper, outcomes))
+    decided = iter(outcomes)
+    retained: list[complex] = []
+    discarded: list[complex] = []
+    for lam in candidates:
+        if real and lam.imag < 0:
+            mu = partner.get(lam.conjugate())
+            mu = None if mu is None else mu.conjugate()
+        else:
+            mu = next(decided)
+        if mu is None:
+            discarded.append(lam)
+        else:
+            retained.append(mu)
+    return retained, discarded
 
 
 def _check_eigenvalues(bands: np.ndarray, vals) -> None:
@@ -308,22 +437,25 @@ def _check_eigenvalues(bands: np.ndarray, vals) -> None:
 def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> SpectralResult:
     """Stable eigenvalues of J outside the band.
 
-    Non-terminating triples are solved at truncation orders N and 2N, both
-    taken from one order-2N coefficient build; an order-N eigenvalue with
-    band distance above BAND_GUARD is retained only if an order-2N
-    eigenvalue sits within ``tol * max(1, |.|)`` of it, in which case the
-    finer value is reported.  Everything else lands in ``discarded``:
-    truncations pollute the band vicinity and only double-truncation
-    agreement separates genuine poles of B from that debris.  Terminating
-    triples are exact and skip the filter.
+    Non-terminating triples are truncated at orders N and 2N, both taken
+    from one order-2N coefficient build.  The order-N block is solved for
+    eigenvalues only (dense QR on a tridiagonal matrix T similar to J, see
+    ``_tridiagonal_eigvals``), in real arithmetic for a real triple; its
+    eigenvalues with band distance above BAND_GUARD are the candidates.
+    The order-2N block T_2N confirms them without a second eigensolve
+    (``_confirm``): one Newton step on det(T_2N - mu) screens each
+    candidate lam, Rayleigh-quotient steps refine the survivors to
+    eigenvalues mu of T_2N, and lam is retained, reported as mu, when mu
+    lies within ``tol * max(1, |lam|)`` of it, outside BAND_GUARD and
+    apart from the values already retained.  Everything else lands in
+    ``discarded``: truncations pollute the band vicinity and only
+    double-truncation agreement separates genuine poles of B from that
+    debris.  Terminating triples are exact and skip the filter.
 
-    Each truncation is solved for eigenvalues only (dense QR on a
-    tridiagonal matrix similar to J, see ``_tridiagonal_eigvals``), in real
-    arithmetic for a real triple.  Every retained eigenvalue is then
-    checked against the residual contract EIG_RESIDUAL with a resolvent
-    column (T - mu)^{-1} e_k, mu next to lam, as its eigenvector, one O(N)
-    twisted solve (``_check_eigenvalues``); a failure raises
-    EigensolverFailure.
+    Every retained eigenvalue is then checked against the residual
+    contract EIG_RESIDUAL with a resolvent column (T - mu)^{-1} e_k, mu
+    next to lam, as its eigenvector, one O(N) twisted solve
+    (``_check_eigenvalues``); a failure raises EigensolverFailure.
 
     Near-coincident retained values (within MERGE_TOL) are averaged and
     repeated, so multiplicity is reported by repetition and the merge is
@@ -341,22 +473,10 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         discarded: list[complex] = []
         n_used = n_check = bands.shape[1]
     else:
-        _, vals1 = _tridiagonal_eigvals(coeffs, N)
-        bands2, vals2 = _tridiagonal_eigvals(coeffs, 2 * N)
-
-        candidates = [complex(v) for v in vals1 if band_distance(v) > BAND_GUARD]
-        claimed = [False] * len(vals2)
-        retained = []
-        discarded = []
-        for lam in candidates:
-            dists = np.abs(vals2 - lam)
-            dists[claimed] = np.inf
-            j = int(np.argmin(dists))
-            if dists[j] <= tol * max(1.0, abs(lam)) and band_distance(vals2[j]) > BAND_GUARD:
-                claimed[j] = True
-                retained.append(complex(vals2[j]))
-            else:
-                discarded.append(lam)
+        _, vals = _tridiagonal_eigvals(coeffs, N)
+        bands2 = _tridiagonal_bands(coeffs, 2 * N)
+        candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
+        retained, discarded = _confirm(bands2, candidates, tol)
         _check_eigenvalues(bands2, retained)
         n_used, n_check = N, 2 * N
 
