@@ -183,6 +183,8 @@ def kappa_certificate(
     samples but no finite search can certify it, so the maximum seen is
     reported alongside the bound verdict.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     sig = sign_signature(p)
     eps0 = sig.eps(0)
     counts = []

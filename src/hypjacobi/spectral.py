@@ -65,8 +65,8 @@ RESOLVENT_NMAX = 4096
 #: retained eigenvalues closer than this are merged as one multiple pole
 MERGE_TOL = 1e-6
 
-#: Rayleigh-quotient steps, at most, that refine one confirmed candidate
-RAYLEIGH_STEPS = 4
+#: Newton steps, at most, that refine one confirmed candidate
+NEWTON_STEPS = 4
 
 #: the trace-norm bound sums the explicit coefficient formulas out to at
 #: least this index before switching to the dominating series
@@ -251,19 +251,21 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     return bands, vals.astype(complex)
 
 
-def _twisted_pivots(diag, prod, mu):
-    """Twisted factorization of T - mu, for T with diagonal ``diag`` and
-    off-diagonal products ``prod`` (upper_i lower_i), over sequences of
-    Python numbers.
+def _twisted_column(diag, upper, lower, mu: complex) -> np.ndarray:
+    """Column k of (T - mu)^{-1} up to scale, entry k equal to 1, for T =
+    diag + superdiag(upper) + subdiag(lower) over sequences of Python numbers.
 
-    p_i are the pivots of eliminating T - mu from the top row down, q_i
+    Only the residual check uses it, so the check shares no code with the
+    Newton refinement whose values it checks.  p_i are the pivots of eliminating T - mu from the top row down, q_i
     those from the bottom row up (the pivots of :func:`cfrac.jfrac_backward`,
-    negated), and gamma_k = p_k + q_k - (d_k - mu) is 1 / ((T - mu)^{-1})_{kk}.
-    Returns p and q as arrays, the twist k that minimizes |gamma_k| (the
-    row where the eigenvector nearest mu is large) and gamma_k.
+    negated), and gamma_i = p_i + q_i - (d_i - mu) is 1 / ((T - mu)^{-1})_{ii}.
+    The twist k minimizes |gamma_k|, the row where the eigenvector nearest
+    mu is large.  Then x_i = -upper_i x_{i+1} / p_i above k and x_i =
+    -lower_{i-1} x_{i-1} / q_i below it, so (T - mu) x = gamma_k e_k.
     ZeroDivisionError on a vanishing pivot.
     """
     n = len(diag)
+    prod = [u * v for u, v in zip(upper, lower)]
     a = [d - mu for d in diag]
     p, q = [a[0]], [a[-1]]
     for i in range(1, n):
@@ -271,42 +273,32 @@ def _twisted_pivots(diag, prod, mu):
         j = n - 1 - i
         q.append(a[j] - prod[j] / q[-1])
     p, q = np.array(p), np.array(q[::-1])
-    gamma = p + q - np.array(a)
-    k = int(np.argmin(np.abs(gamma)))
-    return p, q, k, gamma[k]
-
-
-def _twisted_column(diag, upper, lower, mu: complex) -> np.ndarray:
-    """Column k of (T - mu)^{-1} up to scale, entry k equal to 1, for T =
-    diag + superdiag(upper) + subdiag(lower) over sequences of Python numbers.
-
-    With the pivots and twist k of ``_twisted_pivots``, x_i = -upper_i
-    x_{i+1} / p_i above k and x_i = -lower_{i-1} x_{i-1} / q_i below it, so
-    (T - mu) x = gamma_k e_k.  ZeroDivisionError on a vanishing pivot.
-    """
-    p, q, k, _ = _twisted_pivots(diag, [u * v for u, v in zip(upper, lower)], mu)
-    x = np.ones(len(diag), dtype=p.dtype)
+    k = int(np.argmin(np.abs(p + q - np.array(a))))
+    x = np.ones(n, dtype=p.dtype)
     x[:k] = np.cumprod((-np.asarray(upper[:k]) / p[:k])[::-1])[::-1]
     x[k + 1 :] = np.cumprod(-np.asarray(lower[k:]) / q[k + 1 :])
     return x
 
 
-def _newton_steps(diag, prod, lams) -> np.ndarray:
-    """One Newton step on det(T - mu) from each mu in ``lams``, all at once.
+def _newton_steps(diag, prod, mu):
+    """One Newton step on det(T - mu), for T with diagonal ``diag`` and
+    off-diagonal products ``prod`` (upper_i lower_i).
 
     The forward pivots p_i = (d_i - mu) - prod_{i-1} / p_{i-1} of T - mu
     multiply to the determinant, and their derivatives are p_i' = -1 +
     prod_{i-1} p_{i-1}' / p_{i-1}^2.  With s = sum_{i<n-1} p_i' / p_i the
     step -det / det' is -p_{n-1} / (p_{n-1}' + p_{n-1} s): zero when mu is
     an eigenvalue of T (a vanishing last pivot), NaN when it is one of a
-    leading block.  One pass over T with a vector of shifts, no stored
-    pivots.
+    leading block.  No pivot is stored.  ``mu`` is either an array of
+    shifts, stepped all at once in numpy (a vanishing pivot gives inf or
+    NaN), or one shift as a Python number, stepped in Python arithmetic
+    (real for a real T and a real mu; ZeroDivisionError on a vanishing
+    pivot).
     """
-    mu = np.asarray(lams, dtype=complex)
     with np.errstate(all="ignore"):
         p = diag[0] - mu
-        dp = np.full_like(mu, -1.0)
-        s = np.zeros_like(mu)
+        dp = -1.0
+        s = 0.0
         for d, b2 in zip(diag[1:], prod):
             s += dp / p
             r = b2 / p
@@ -315,49 +307,24 @@ def _newton_steps(diag, prod, lams) -> np.ndarray:
         return -p / (dp + p * s)
 
 
-def _rayleigh_refine(diag, prod, lam):
-    """The eigenvalue of T that Rayleigh-quotient iteration reaches from lam.
-
-    Each step is one twisted factorization at mu (``_twisted_pivots``).
-    Its column x, x_k = 1, satisfies (T - mu) x = gamma_k e_k, so for the
-    complex symmetric J similar to T the Rayleigh quotient is mu + gamma_k
-    / sum_i x_i^2.  The squares need no root: x_i^2 = prod_i x_{i+1}^2 /
-    p_i^2 above k and prod_{i-1} x_{i-1}^2 / q_i^2 below it.  Stops after
-    RAYLEIGH_STEPS steps, at a correction below rounding, or at a
-    vanishing pivot (mu an eigenvalue of a leading or trailing block);
-    the residual check decides on the value either way.
-    """
-    mu = lam
-    prod_arr = np.asarray(prod)
-    for _ in range(RAYLEIGH_STEPS):
-        try:
-            p, q, k, gamma = _twisted_pivots(diag, prod, mu)
-        except ZeroDivisionError:
-            break
-        with np.errstate(all="ignore"):
-            above = np.cumprod((prod_arr[:k] / p[:k] ** 2)[::-1]).sum()
-            below = np.cumprod(prod_arr[k:] / q[k + 1 :] ** 2).sum()
-            step = (gamma / (1.0 + above + below)).item()
-        mu = mu + step
-        if not abs(step) > 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
-            break
-    return complex(mu)
-
-
 def _confirm(bands: np.ndarray, candidates, tol: float) -> tuple[list[complex], list[complex]]:
     """Split order-N candidates by the order-2N block T in ``bands``.
 
     A candidate lam is screened by one Newton step on det(T - mu) from lam
-    (``_newton_steps``); one that moves at most 2 tol max(1, |lam|) is
-    refined by Rayleigh-quotient steps (``_rayleigh_refine``) to an
-    eigenvalue mu of T.  lam is retained, reported as mu, when mu lies
-    within r = tol max(1, |lam|) of lam, outside BAND_GUARD of the band,
-    and farther than r from every value retained for an earlier candidate
-    (a candidate that converges onto a retained value is discarded);
-    otherwise lam is discarded.  A real T has its eigenvalues in exact
-    conjugate pairs, so only the member of each pair in the upper half
-    plane is refined and the other mirrors its outcome.  Returns (retained
-    values, discarded candidates), both in candidate order.
+    (``_newton_steps`` on all candidates at once).  One that moves at most
+    2 tol max(1, |lam|) is refined by the same step on lam alone, in
+    Python arithmetic (real for a real candidate of a real T), repeated up
+    to NEWTON_STEPS times.  The refinement stops early at a vanishing pivot
+    (mu an eigenvalue of a leading block), a NaN step or a step below
+    rounding; the residual check decides on the value either way.  lam is
+    retained, reported as the refined value mu, when mu lies within r = tol
+    max(1, |lam|) of lam, outside BAND_GUARD of the band, and farther than
+    r from every value retained for an earlier candidate (a candidate that
+    converges onto a retained value is discarded); otherwise lam is
+    discarded.  A real T has its eigenvalues in exact conjugate pairs, so
+    only the member of each pair in the upper half plane is refined and
+    the other mirrors its outcome.  Returns (retained values, discarded
+    candidates), both in candidate order.
     """
     diag = bands[1].tolist()
     prod = (bands[0, 1:] * bands[2, :-1]).tolist()
@@ -365,11 +332,22 @@ def _confirm(bands: np.ndarray, candidates, tol: float) -> tuple[list[complex], 
     upper = [lam for lam in candidates if not (real and lam.imag < 0)]
     taken: list[complex] = []
     outcomes: list[complex | None] = []
-    for lam, step in zip(upper, _newton_steps(diag, prod, upper)):
+    for lam, step in zip(upper, _newton_steps(diag, prod, np.array(upper, dtype=complex))):
         r = tol * max(1.0, abs(lam))
         mu = None
         if abs(step) <= 2.0 * r:
-            mu = _rayleigh_refine(diag, prod, lam.real if real and lam.imag == 0 else lam)
+            mu = lam.real if real and lam.imag == 0 else lam
+            for _ in range(NEWTON_STEPS):
+                try:
+                    step = _newton_steps(diag, prod, mu)
+                except ZeroDivisionError:
+                    break
+                if cmath.isnan(step):
+                    break
+                mu += step
+                if abs(step) <= 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
+                    break
+            mu = complex(mu)
             if (
                 abs(mu - lam) <= r
                 and band_distance(mu) > BAND_GUARD
@@ -444,8 +422,8 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     eigenvalues with band distance above BAND_GUARD are the candidates.
     The order-2N block T_2N confirms them without a second eigensolve
     (``_confirm``): one Newton step on det(T_2N - mu) screens each
-    candidate lam, Rayleigh-quotient steps refine the survivors to
-    eigenvalues mu of T_2N, and lam is retained, reported as mu, when mu
+    candidate lam, more steps of the same recurrence refine the survivors
+    to eigenvalues mu of T_2N, and lam is retained, reported as mu, when mu
     lies within ``tol * max(1, |lam|)`` of it, outside BAND_GUARD and
     apart from the values already retained.  Everything else lands in
     ``discarded``: truncations pollute the band vicinity and only
@@ -455,7 +433,9 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     Every retained eigenvalue is then checked against the residual
     contract EIG_RESIDUAL with a resolvent column (T - mu)^{-1} e_k, mu
     next to lam, as its eigenvector, one O(N) twisted solve
-    (``_check_eigenvalues``); a failure raises EigensolverFailure.
+    (``_check_eigenvalues``), which shares no code with the Newton
+    recurrence that produced the value; a failure raises
+    EigensolverFailure.
 
     Near-coincident retained values (within MERGE_TOL) are averaged and
     repeated, so multiplicity is reported by repetition and the merge is

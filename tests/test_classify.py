@@ -170,6 +170,11 @@ class TestKappaCertificate:
         c2 = kappa_certificate(PKAPPA, trials=10, sample_size=5, seed=9)
         assert c1.counts == c2.counts
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_refused(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            kappa_certificate(PKAPPA, trials=trials)
+
 
 class TestSchur:
     def test_step_algebra(self):
