@@ -9,7 +9,8 @@ B(z) = <(J - z)^{-1} e, e> is meromorphic off the band with poles exactly at
 the eigenvalues of J.  Every function here reads the leading block of J in
 its one form, the arrays of ``cfrac.JacobiCoeffs``.  This module evaluates
 B by resolvent and by the continued fraction, filters truncation spectra
-for stable eigenvalues, bounds the trace norm of J - J_0, and maps
+for stable eigenvalues (stopping at the classical zero count where it is
+known), bounds the trace norm of J - J_0, and maps
 eigenvalues back to zeros of the underlying hypergeometric function
 through w = -4/(z-2).
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +66,7 @@ RESOLVENT_NMAX = 4096
 #: retained eigenvalues closer than this are merged as one multiple pole
 MERGE_TOL = 1e-6
 
-#: Newton steps, at most, that refine one confirmed candidate
+#: Newton steps, at most, that refine one candidate at one truncation order
 NEWTON_STEPS = 4
 
 #: the trace-norm bound sums the explicit coefficient formulas out to at
@@ -188,11 +189,15 @@ class SpectralResult:
     """Stable point spectrum outside the band, with inequality data.
 
     ``eigenvalues`` is a multiset (algebraic multiplicity by repetition);
-    ``discarded`` holds order-``N_used`` eigenvalues that order
-    ``N_check`` did not confirm, ``merged`` the representatives of
-    clusters collapsed at MERGE_TOL.  ``N_check`` is the order at which
-    candidates are confirmed (2N), not a second eigensolve; for a
-    terminating triple both orders are the size of its exact block.
+    ``discarded`` holds the eigenvalues of the order-``N_used`` seed
+    truncation that were not retained, ``merged`` the representatives of
+    clusters collapsed at MERGE_TOL.  ``N_check`` is the highest order at
+    which candidates were confirmed, not a second eigensolve.  Without a
+    Klein count the orders are N and 2N.  With one (``klein_count``; a real
+    triple with c+1 > 0) ``N_used`` is the seed order whose candidates met
+    the count, min(64, N) or else N, and ``N_check`` is at most 64N; a count
+    of 0 solves nothing and reports 0 for both.  For a terminating triple
+    with a block shorter than N both orders are the size of that block.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -243,7 +248,10 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.n
     bands = _tridiagonal_bands(coeffs, n)
     t = np.diag(bands[1])
     if bands.shape[1] > 1:
-        t += np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+        # one dense temporary at a time, since the coefficient build of
+        # discrete_spectrum is alive beside t; the same sums entry by entry
+        t += np.diag(bands[0, 1:], 1)
+        t += np.diag(bands[2, :-1], -1)
     try:
         vals = np.linalg.eigvals(t)
     except np.linalg.LinAlgError as exc:
@@ -307,72 +315,96 @@ def _newton_steps(diag, prod, mu):
         return -p / (dp + p * s)
 
 
-def _confirm(bands: np.ndarray, candidates, tol: float) -> tuple[list[complex], list[complex]]:
-    """Split order-N candidates by the order-2N block T in ``bands``.
+def _refine(diag, prod, mu):
+    """Up to NEWTON_STEPS Newton steps on det(T - mu) from ``mu`` alone, in
+    Python arithmetic (real for a real ``mu`` of a real T).  Stops early at
+    a vanishing pivot (mu an eigenvalue of a leading block), a NaN step or
+    a step below rounding; returns the last value as complex."""
+    for _ in range(NEWTON_STEPS):
+        try:
+            step = _newton_steps(diag, prod, mu)
+        except ZeroDivisionError:
+            break
+        if cmath.isnan(step):
+            break
+        mu += step
+        if abs(step) <= 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
+            break
+    return complex(mu)
 
-    A candidate lam is screened by one Newton step on det(T - mu) from lam
-    (``_newton_steps`` on all candidates at once).  One that moves at most
-    2 tol max(1, |lam|) is refined by the same step on lam alone, in
-    Python arithmetic (real for a real candidate of a real T), repeated up
-    to NEWTON_STEPS times.  The refinement stops early at a vanishing pivot
-    (mu an eigenvalue of a leading block), a NaN step or a step below
-    rounding; the residual check decides on the value either way.  lam is
-    retained, reported as the refined value mu, when mu lies within r = tol
-    max(1, |lam|) of lam, outside BAND_GUARD of the band, and farther than
-    r from every value retained for an earlier candidate (a candidate that
-    converges onto a retained value is discarded); otherwise lam is
-    discarded.  A real T has its eigenvalues in exact conjugate pairs, so
-    only the member of each pair in the upper half plane is refined and
-    the other mirrors its outcome.  Returns (retained values, discarded
-    candidates), both in candidate order.
+
+def _ladder(bands_at, orders, candidates, tol: float, count: int | None = None):
+    """Refine candidates at the truncation ``orders`` in turn (``bands_at(n)``
+    gives the bands of T_n) and split them into retained and discarded.
+
+    At each order every climbing candidate is refined from its value v to
+    mu (``_refine``).  v is retained, reported as mu, when mu lies within
+    r = tol max(1, |v|) of v, outside BAND_GUARD, and farther than r from
+    every value retained before; otherwise mu climbs to the next order
+    unless it has sunk into BAND_GUARD.  A one-order ladder, where most
+    candidates are debris, first screens them all by one vectorized Newton
+    step and refines only those whose step is at most 2r; longer ladders
+    are stopped by ``count`` instead (a vectorized step costs about as much
+    for one shift as for many).  With a ``count`` candidates climb farthest
+    from the band first and the ladder stops once ``count`` values are
+    retained.  For a real T only the member of each conjugate pair in the
+    upper half plane climbs and the other mirrors it.  Values are checked
+    (``_check_eigenvalues``) on the block of the order that retained them.
+    Returns (retained, discarded), both in candidate order, and the
+    highest order reached.
     """
-    diag = bands[1].tolist()
-    prod = (bands[0, 1:] * bands[2, :-1]).tolist()
-    real = not np.iscomplexobj(bands)
-    upper = [lam for lam in candidates if not (real and lam.imag < 0)]
+    real = not np.iscomplexobj(bands_at(orders[0]))
+    climbing = {i: lam for i, lam in enumerate(candidates) if not (real and lam.imag < 0)}
+    if count is not None:
+        climbing = dict(sorted(climbing.items(), key=lambda item: -band_distance(item[1])))
+    found: dict[int, complex] = {}
     taken: list[complex] = []
-    outcomes: list[complex | None] = []
-    for lam, step in zip(upper, _newton_steps(diag, prod, np.array(upper, dtype=complex))):
-        r = tol * max(1.0, abs(lam))
-        mu = None
-        if abs(step) <= 2.0 * r:
-            mu = lam.real if real and lam.imag == 0 else lam
-            for _ in range(NEWTON_STEPS):
-                try:
-                    step = _newton_steps(diag, prod, mu)
-                except ZeroDivisionError:
-                    break
-                if cmath.isnan(step):
-                    break
-                mu += step
-                if abs(step) <= 4.0 * np.finfo(float).eps * max(1.0, abs(mu)):
-                    break
-            mu = complex(mu)
-            if (
-                abs(mu - lam) <= r
-                and band_distance(mu) > BAND_GUARD
-                and all(abs(mu - v) > r for v in taken)
-            ):
-                taken += [mu, mu.conjugate()] if real and mu.imag else [mu]
-            else:
-                mu = None
-        outcomes.append(mu)
+    reached = orders[0]
+    for n in orders:
+        if not climbing or (count is not None and len(taken) >= count):
+            break
+        bands = bands_at(n)
+        diag = bands[1].tolist()
+        prod = (bands[0, 1:] * bands[2, :-1]).tolist()
+        screen = {}
+        if len(orders) == 1:
+            steps = _newton_steps(diag, prod, np.array(list(climbing.values()), dtype=complex))
+            screen = dict(zip(climbing, steps))
+        accepted: list[complex] = []
+        carried: dict[int, complex] = {}
+        for i, v in climbing.items():
+            if count is not None and len(taken) >= count:
+                break
+            r = tol * max(1.0, abs(v))
+            if not abs(screen.get(i, 0.0)) <= 2.0 * r:
+                continue
+            mu = _refine(diag, prod, v.real if real and v.imag == 0 else v)
+            outside = band_distance(mu) > BAND_GUARD
+            if abs(mu - v) <= r and outside and all(abs(mu - w) > r for w in taken):
+                pair = [mu, mu.conjugate()] if real and mu.imag else [mu]
+                taken += pair
+                accepted += pair
+                found[i] = mu
+            elif outside and cmath.isfinite(mu):
+                carried[i] = mu
+        _check_eigenvalues(bands, accepted)
+        climbing = carried
+        reached = n
 
-    partner = dict(zip(upper, outcomes))
-    decided = iter(outcomes)
     retained: list[complex] = []
     discarded: list[complex] = []
-    for lam in candidates:
+    index = {lam: i for i, lam in enumerate(candidates) if not (real and lam.imag < 0)}
+    for i, lam in enumerate(candidates):
         if real and lam.imag < 0:
-            mu = partner.get(lam.conjugate())
-            mu = None if mu is None else mu.conjugate()
+            j = index.get(lam.conjugate())
+            mu = None if j not in found else found[j].conjugate()
         else:
-            mu = next(decided)
+            mu = found.get(i)
         if mu is None:
             discarded.append(lam)
         else:
             retained.append(mu)
-    return retained, discarded
+    return retained, discarded, reached
 
 
 def _check_eigenvalues(bands: np.ndarray, vals) -> None:
@@ -412,29 +444,72 @@ def _check_eigenvalues(bands: np.ndarray, vals) -> None:
             )
 
 
+def _gamma_sign(x: float) -> int:
+    """Sign of Gamma(x) for real x off its poles: + for x > 0, and
+    (-1)^ceil(-x) for x < 0, read from the parity alone, so that it holds
+    where ``math.gamma`` overflows or underflows (|x| beyond about 171)."""
+    return -1 if x < 0 and math.ceil(-x) % 2 else 1
+
+
+def klein_count(p: HypParams) -> int | None:
+    """Number of zeros of F(a, b+1, c+1; .) in the cut plane C minus [1, inf),
+    that is of eigenvalues of J off the band, or None where it is not known.
+
+    With (a', b', c') = (a, b+1, c+1), S = min(a', b', c'-a', c'-b') and
+    sigma the sign of Gamma(a') Gamma(b') Gamma(c'-a') Gamma(c'-b'), the
+    count is 0 for S > 0 and floor(-S) + (1 + sigma)/2 otherwise (Klein
+    1890, Van Vleck 1902; DLMF 15.13).  It is used for real non-terminating
+    triples with c+1 > 0; for every other triple (complex, c+1 <= 0, or
+    terminating) it returns None.  The four are exactly the factors of the
+    termination test in ``validate_params``, so none of them is a
+    nonpositive integer here.  O(1); no coefficient is built.
+    """
+    if not p.is_real or p.zeros or p.c.real + 1.0 <= 0.0:
+        return None
+    a, b, c = p.a.real, p.b.real, p.c.real
+    four = (a, b + 1.0, c - a + 1.0, c - b)
+    s = min(four)
+    if s > 0:
+        return 0
+    sigma = math.prod(_gamma_sign(x) for x in four)
+    return math.floor(-s) + (1 + sigma) // 2
+
+
 def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> SpectralResult:
     """Stable eigenvalues of J outside the band.
 
-    Non-terminating triples are truncated at orders N and 2N, both taken
-    from one order-2N coefficient build.  The order-N block is solved for
-    eigenvalues only (dense QR on a tridiagonal matrix T similar to J, see
-    ``_tridiagonal_eigvals``), in real arithmetic for a real triple; its
-    eigenvalues with band distance above BAND_GUARD are the candidates.
-    The order-2N block T_2N confirms them without a second eigensolve
-    (``_confirm``): one Newton step on det(T_2N - mu) screens each
-    candidate lam, more steps of the same recurrence refine the survivors
-    to eigenvalues mu of T_2N, and lam is retained, reported as mu, when mu
-    lies within ``tol * max(1, |lam|)`` of it, outside BAND_GUARD and
-    apart from the values already retained.  Everything else lands in
-    ``discarded``: truncations pollute the band vicinity and only
-    double-truncation agreement separates genuine poles of B from that
-    debris.  Terminating triples are exact and skip the filter.
+    A truncation of J is solved for eigenvalues only (dense QR on a
+    tridiagonal matrix T similar to J, see ``_tridiagonal_eigvals``), in
+    real arithmetic for a real triple; its eigenvalues with band distance
+    above BAND_GUARD are the candidates.  Larger truncations then confirm
+    them without another eigensolve (``_ladder``): Newton steps on
+    det(T_n - mu) refine each candidate at orders n = 2s, 4s, ... of the
+    seed order s, and a candidate is retained, reported as its refined
+    value, once two successive values agree within ``tol * max(1, |v|)``
+    outside BAND_GUARD and apart from the values already retained.
+    Everything else lands in ``discarded``: truncations pollute the band
+    vicinity and only agreement across orders separates genuine poles of B
+    from that debris.  All orders are read from one coefficient build,
+    which also feeds the trace-norm bound.
 
-    Every retained eigenvalue is then checked against the residual
-    contract EIG_RESIDUAL with a resolvent column (T - mu)^{-1} e_k, mu
-    next to lam, as its eigenvector, one O(N) twisted solve
-    (``_check_eigenvalues``), which shares no code with the Newton
-    recurrence that produced the value; a failure raises
+    When ``klein_count`` knows how many zeros F(a, b+1, c+1; .) has (a real
+    triple with c+1 > 0), that count decides when the spectrum is complete.
+    A count of 0 needs no eigensolve (N_used = N_check = 0).  Otherwise the
+    seed is the order-min(64, N) truncation, its candidates climb farthest
+    from the band first up to order 64N, and the ladder stops at the count.
+    If the count is not met, the order-N truncation seeds a second ladder
+    to 64N, whose result is returned even when it still falls short.
+    ``N_used`` is the seed order of the returned result and ``N_check`` the
+    highest order reached.  Without a count (complex triples, c+1 <= 0,
+    terminating triples whose block is longer than N - 1) the seed is the
+    order-N truncation and the ladder has one rung, 2N.  Terminating
+    triples with a shorter block are exact and skip the filter.
+
+    Every retained eigenvalue is checked against the residual contract
+    EIG_RESIDUAL with a resolvent column (T - mu)^{-1} e_k, mu next to
+    lam, as its eigenvector, one O(n) twisted solve on the block of the
+    order that retained it (``_check_eigenvalues``), which shares no code
+    with the Newton recurrence that produced the value; a failure raises
     EigensolverFailure.
 
     Near-coincident retained values (within MERGE_TOL) are averaged and
@@ -444,7 +519,15 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     if N < 8 and termination_index(p) is None:
         raise ValueError("truncation order must be >= 8 for non-terminating triples")
 
-    coeffs = jacobi_coeffs(p, 2 * N)
+    count = klein_count(p)
+    top = 2 * N if count is None else 64 * N
+    n_sum, rest = _trace_horizon(p, max(2 * N, 64))
+    coeffs = jacobi_coeffs(p, max(top, n_sum) + 1)
+    bound = _trace_sum(coeffs, n_sum, rest)
+    # only the block up to the top order stays alive beside the eigensolve
+    coeffs = replace(
+        coeffs, **{k: getattr(coeffs, k)[:top].copy() for k in ("diag", "offdiag_sq", "offdiag")}
+    )
     if coeffs.terminated_at is not None and coeffs.terminated_at < N - 1:
         # the order-N build would already have stopped at the exact block
         bands, vals = _tridiagonal_eigvals(coeffs, N)
@@ -452,13 +535,19 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         _check_eigenvalues(bands, retained)
         discarded: list[complex] = []
         n_used = n_check = bands.shape[1]
+    elif count == 0:
+        retained, discarded, n_used, n_check = [], [], 0, 0
     else:
-        _, vals = _tridiagonal_eigvals(coeffs, N)
-        bands2 = _tridiagonal_bands(coeffs, 2 * N)
-        candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
-        retained, discarded = _confirm(bands2, candidates, tol)
-        _check_eigenvalues(bands2, retained)
-        n_used, n_check = N, 2 * N
+        for n_used in dict.fromkeys((N,) if count is None else (min(64, N), N)):
+            _, vals = _tridiagonal_eigvals(coeffs, n_used)
+            candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
+            # 2s, 4s, ... up to top
+            orders = [n_used << k for k in range(1, (top // n_used).bit_length())]
+            retained, discarded, n_check = _ladder(
+                lambda n: _tridiagonal_bands(coeffs, n), orders, candidates, tol, count
+            )
+            if count is None or len(retained) >= count:
+                break
 
     if p.is_real:
         # a real triple is solved in real arithmetic, so non-real values
@@ -489,7 +578,6 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         i = j
 
     dist_sum = float(sum(band_distance(v) for v in final))
-    bound = trace_norm_bound(p, max(n_check, 64))
     return SpectralResult(
         eigenvalues=tuple(final),
         distance_sum=dist_sum,
@@ -532,6 +620,35 @@ def _tail_constants(p: HypParams) -> tuple[float, float, float, float]:
     return ca, cb, n_min, beta
 
 
+def _trace_horizon(p: HypParams, K: int) -> tuple[int, float]:
+    """The index n below which :func:`trace_norm_bound` sums the
+    coefficients, and its bound on the rest.  HorizonTooDeep, before any
+    coefficient is built, if n would exceed ``cfrac.TERMINATION_CAP``."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    require_nondegenerate(p)
+
+    t = termination_index(p)
+    if t is not None:
+        return t + 1, 2.0
+    ca, cb, n_min, beta = _tail_constants(p)
+    n = max(K, TAIL_HORIZON, n_min)
+    if not n <= TERMINATION_CAP:
+        raise HorizonTooDeep(
+            f"the trace-norm bound for (a,b,c) = ({p.a}, {p.b}, {p.c}) needs "
+            f"coefficients out to index {n:.3g}, beyond {TERMINATION_CAP}"
+        )
+    # sum_{k >= n} 1/(2k - beta)^2 <= 1/(2 (2(n - 1) - beta))
+    return n, (ca + 2.0 * cb) / (2.0 * (2.0 * (n - 1.0) - beta))
+
+
+def _trace_sum(coeffs: JacobiCoeffs, n: int, rest: float) -> float:
+    """|a_k| summed over k < n, plus 2|b_k - 1| over the bonds k < n,
+    plus ``rest``, from a build of at least n + 1 entries."""
+    diag, roots = coeffs.diag[:n], coeffs.offdiag[:n]
+    return float(np.sum(np.abs(diag)) + 2.0 * np.sum(np.abs(roots - 1.0)) + rest)
+
+
 def trace_norm_bound(p: HypParams, K: int) -> float:
     """Computable upper bound for ||J - J_0||_1.
 
@@ -548,26 +665,8 @@ def trace_norm_bound(p: HypParams, K: int) -> float:
     HorizonTooDeep, before any coefficient is built, if n would exceed
     ``cfrac.TERMINATION_CAP`` (n_min is about 4|a| for moderate b and c).
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    require_nondegenerate(p)
-
-    t = termination_index(p)
-    if t is None:
-        ca, cb, n_min, beta = _tail_constants(p)
-        n = max(K, TAIL_HORIZON, n_min)
-        if not n <= TERMINATION_CAP:
-            raise HorizonTooDeep(
-                f"the trace-norm bound for (a,b,c) = ({p.a}, {p.b}, {p.c}) needs "
-                f"coefficients out to index {n:.3g}, beyond {TERMINATION_CAP}"
-            )
-        # sum_{k >= n} 1/(2k - beta)^2 <= 1/(2 (2(n - 1) - beta))
-        rest = (ca + 2.0 * cb) / (2.0 * (2.0 * (n - 1.0) - beta))
-    else:
-        n, rest = t + 1, 2.0
-    coeffs = jacobi_coeffs(p, n + 1)
-    diag, roots = coeffs.diag[:n], coeffs.offdiag[:n]
-    return float(np.sum(np.abs(diag)) + 2.0 * np.sum(np.abs(roots - 1.0)) + rest)
+    n, rest = _trace_horizon(p, K)
+    return _trace_sum(jacobi_coeffs(p, n + 1), n, rest)
 
 
 class LiebThirring(NamedTuple):

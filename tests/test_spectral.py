@@ -24,6 +24,7 @@ from hypjacobi import (
     discrete_spectrum,
     hyp_zeros,
     jacobi_coeffs,
+    klein_count,
     lieb_thirring_check,
     m_function,
     termination_index,
@@ -35,7 +36,7 @@ from hypjacobi.spectral import (
     BAND_GUARD,
     GROWTH_LIMIT,
     _check_eigenvalues,
-    _confirm,
+    _ladder,
     _newton_steps,
     _twisted_column,
     _tridiagonal_eigvals,
@@ -411,25 +412,54 @@ def _polished_eigenvalue(p, lam):
     return cut_to_band(complex(w))
 
 
+def _one_rung(bands, candidates, tol):
+    """The ladder with one rung, on the given bands: the order-2N
+    confirmation.  Returns (retained, discarded)."""
+    return _ladder(lambda n: bands, [bands.shape[1]], candidates, tol)[:2]
+
+
+def _reference_spectrum(monkeypatch, p, N, tol, vals2=None):
+    """discrete_spectrum as it was before the ladder: the order-N
+    candidates confirmed at order 2N by ``_dense_confirm`` (against
+    ``vals2``, the eigenvalues of the order-2N block), with no count."""
+    if vals2 is None:
+        _, vals2 = _tridiagonal_eigvals(jacobi_coeffs(p, 2 * N), 2 * N)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "klein_count", lambda p: None)
+        m.setattr(
+            spectral, "_ladder",
+            lambda bands_at, orders, cands, t, count=None: (
+                *_dense_confirm(vals2, cands, t), orders[-1]
+            ),
+        )
+        return discrete_spectrum(p, N, tol)
+
+
 def _compare_with_dense(monkeypatch, p, N, tols):
-    """discrete_spectrum against itself with ``_dense_confirm`` in place of
-    the Newton screen and refinement, at each tol.  Counts, discarded
-    candidates and merges must be identical; values agree to 1e-12
-    relative, or else the polished eigenvalue decides: the new value is
-    within 1e-12 of it, or the dense one is not and the new one is at most
-    twice as far.  Returns the number of values compared and of those that
-    took the exception."""
+    """discrete_spectrum against the dense reference (``_reference_spectrum``)
+    at each tol.  Without a Klein count, counts, discarded candidates and
+    merges must be identical.  With one, the count is never below the
+    reference's nor above ``klein_count``, and discarded candidates are not
+    compared (they come from a different seed order).  Where the counts
+    agree, values agree to 1e-12 relative, or else the polished eigenvalue
+    decides: the new value is within 1e-12 of it, or the dense one is not
+    and the new one is at most twice as far.  Returns the number of values
+    compared and of those that took the exception."""
+    count = klein_count(p)
     _, vals2 = _tridiagonal_eigvals(jacobi_coeffs(p, 2 * N), 2 * N)
     compared = excused = 0
     for tol in tols:
         new = discrete_spectrum(p, N, tol)
-        with monkeypatch.context() as m:
-            m.setattr(spectral, "_confirm", lambda bands, cands, t: _dense_confirm(vals2, cands, t))
-            ref = discrete_spectrum(p, N, tol)
+        ref = _reference_spectrum(monkeypatch, p, N, tol, vals2)
         case = ((p.a, p.b, p.c), N, tol)
-        assert len(new.eigenvalues) == len(ref.eigenvalues), case
-        assert new.discarded == ref.discarded, case
-        assert len(new.merged) == len(ref.merged), case
+        if count is None:
+            assert len(new.eigenvalues) == len(ref.eigenvalues), case
+            assert new.discarded == ref.discarded, case
+            assert len(new.merged) == len(ref.merged), case
+        else:
+            assert len(ref.eigenvalues) <= len(new.eigenvalues) <= count, case
+            if len(new.eigenvalues) != len(ref.eigenvalues):
+                continue
         rest = list(ref.eigenvalues)
         for u in new.eigenvalues:
             v = rest.pop(int(np.argmin(np.abs(np.array(rest) - u))))
@@ -552,9 +582,9 @@ class TestOrder2NConfirmation:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_tol_decides_on_refined_value(self, dtype):
         bands = self._path_bands(dtype)
-        retained, discarded = _confirm(bands, [3.0 + 1e-12], 1e-10)
+        retained, discarded = _one_rung(bands, [3.0 + 1e-12], 1e-10)
         assert discarded == [] and abs(retained[0] - 3.0) <= 1e-15
-        retained, discarded = _confirm(bands, [3.0 + 1e-8], 1e-10)
+        retained, discarded = _one_rung(bands, [3.0 + 1e-8], 1e-10)
         assert retained == [] and discarded == [3.0 + 1e-8]
 
     def test_band_guard_on_refined_value(self):
@@ -565,35 +595,165 @@ class TestOrder2NConfirmation:
         mu = 2.0 + BAND_GUARD - 1e-9
         lam = complex(mu + 2e-9)
         assert band_distance(lam) > BAND_GUARD
-        assert _confirm(bands, [lam], 1e-8) == ([], [lam])
+        assert _one_rung(bands, [lam], 1e-8) == ([], [lam])
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_exact_eigenvalue_zero_pivot(self, dtype):
         # the screen's last pivot vanishes: a zero step, not a warning (the
         # suite turns RuntimeWarning into an error)
         bands = self._path_bands(dtype)
-        retained, discarded = _confirm(bands, [3.0 + 0j], 1e-10)
+        retained, discarded = _one_rung(bands, [3.0 + 0j], 1e-10)
         assert retained == [3.0] and discarded == []
         _check_eigenvalues(bands, retained)
         # 4 is an eigenvalue of the leading 1 x 1 block: the screen yields
         # NaN and the candidate is discarded, again without a warning
-        assert _confirm(bands, [4.0 + 0j], 1e-10) == ([], [4.0])
+        assert _one_rung(bands, [4.0 + 0j], 1e-10) == ([], [4.0])
 
     def test_claimed_value_is_not_retained_twice(self):
         # three candidates, two of them equal, all converge onto 3
         bands = self._path_bands(float)
         cands = [3.0 + 1e-12, 3.0 + 1e-12, 3.0 - 1e-12]
-        retained, discarded = _confirm(bands, cands, 1e-10)
+        retained, discarded = _one_rung(bands, cands, 1e-10)
         assert retained == [3.0] and discarded == cands[1:]
 
+    def test_near_band_real_eigenvalues_counted(self):
+        # six zeros of F(a, b+1, c+1; .) by the argument principle; the
+        # pair next to the band moves by 1.9e-6 relative between orders 256
+        # and 512, and the ladder follows it until two orders agree.  The
+        # zero w of the pair in the upper half plane, polished by
+        # mpmath.findroot at 40 digits
+        w = 10.71979297179533221402315018624206251045 + 0.7302996056119669702123241612743381827794j
+        res = discrete_spectrum(validate_params(-5.1, -2.6, 0.5))
+        assert len(res.eigenvalues) == 6
+        for zero in (w, w.conjugate()):
+            got = min(res.eigenvalues, key=lambda lam: abs(band_to_cut(lam) - zero))
+            assert abs(band_to_cut(got) - zero) <= 1e-9 * abs(zero)
+            assert abs(got - cut_to_band(zero)) <= 1e-9
+
     @pytest.mark.xfail(strict=True, reason="near-band eigenvalues move by more than tol between orders N and 2N")
-    @pytest.mark.parametrize(
-        "abc, zeros", [((-5.1, -2.6, 0.5), 6), ((2 + 1j, 0.5, 3), 2)], ids=["real", "complex"]
-    )
+    @pytest.mark.parametrize("abc, zeros", [((2 + 1j, 0.5, 3), 2)], ids=["complex"])
     def test_near_band_eigenvalues_counted(self, abc, zeros):
-        # zero counts of F(a, b+1, c+1; .) by the argument principle; today
-        # discrete_spectrum reports 4 and 0
+        # zero count of F(a, b+1, c+1; .) by the argument principle; without
+        # a count for complex triples discrete_spectrum reports none
         assert len(discrete_spectrum(validate_params(*abc)).eigenvalues) == zeros
+
+
+def _counted_grid():
+    """60 seeded real non-terminating triples with c + 1 > 0, where
+    ``klein_count`` is known, each with N = 64 or 128 and a tol."""
+    rng = np.random.default_rng(20261019)
+    grid = []
+    while len(grid) < 60:
+        i = len(grid)
+        p = validate_params(rng.uniform(-7, 4), rng.uniform(-4, 4), rng.uniform(-0.9, 5))
+        if termination_index(p) is not None:
+            continue
+        grid.append((p, 128 if i % 4 == 0 else 64, (1e-8, 1e-10, 1e-12)[i % 3]))
+    return grid
+
+
+class TestKleinCount:
+    """The classical zero count of F(a, b+1, c+1; .) in the cut plane."""
+
+    def test_matches_pool_zero_counts(self):
+        pool = json.loads(POOL.read_text(encoding="utf-8"))
+        real = [e for e in pool if all(e[k][1] == 0.0 for k in "abc")]
+        assert len(real) == 21
+        for entry in real:
+            p = validate_params(*(complex(*entry[k]) for k in "abc"))
+            assert klein_count(p) == entry["zeros"], (entry["a"], entry["b"], entry["c"])
+
+    @pytest.mark.parametrize(
+        "abc",
+        [(-2.5 + 0.7j, 0.3, 1.4), (1.5, 0.2 + 0.5j, 2.5), (-1.2, 0.6, 1.1 + 0.3j),
+         (-3.7, 0.2, -1.1), (2.3, 1.3, -1.8), (-12.5, -7.5, -3.5)],
+    )
+    def test_unknown_elsewhere(self, abc):
+        # complex triples and c + 1 <= 0
+        assert klein_count(validate_params(*abc)) is None
+
+    def test_none_for_terminating(self):
+        assert klein_count(PTERM1) is None and klein_count(PTERM2) is None
+
+    @pytest.mark.parametrize("x", [-300.5, 400.25, -0.5, -1.5, -2.25, 0.5, 1.5, 171.5, -171.5])
+    def test_gamma_sign_by_parity(self, x):
+        # math.gamma overflows or underflows at |x| beyond about 171
+        mp = pytest.importorskip("mpmath")
+        assert spectral._gamma_sign(x) == (1 if mp.gamma(x) > 0 else -1)
+
+    def test_large_parameters(self):
+        # a' = -300.5: the sign of Gamma(a') from parity; c' - a' = 400.25
+        # has Gamma far beyond float range
+        mp = pytest.importorskip("mpmath")
+        p = validate_params(-300.5, 0.2, 98.75)
+        four = (-300.5, 1.2, 400.25, 98.55)
+        sigma = 1 if mp.fprod(mp.gamma(mp.mpf(x)) for x in four) > 0 else -1
+        assert klein_count(p) == 300 + (1 + sigma) // 2
+
+
+class TestCountedLadder:
+    """Real triples with c + 1 > 0: the Klein count stops the ladder, and
+    the dense order-2N confirmation it replaced is the reference."""
+
+    def test_matches_dense_on_seeded_grid(self, monkeypatch):
+        compared = 0
+        for p, N, tol in _counted_grid():
+            assert klein_count(p) is not None
+            compared += _compare_with_dense(monkeypatch, p, N, (tol,))[0]
+        assert compared >= 60
+
+    def test_count_zero_needs_no_eigensolve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eigensolve")
+
+        monkeypatch.setattr(spectral, "_tridiagonal_eigvals", refuse)
+        res = discrete_spectrum(validate_params(1.0, 0.2, 2.5))
+        assert res.eigenvalues == res.discarded == () and res.N_used == res.N_check == 0
+        assert res.trace_bound == trace_norm_bound(validate_params(1.0, 0.2, 2.5), 512)
+
+    def test_seed_and_orders_reported(self):
+        # the far eigenvalues agree at order 128; the near-band pair climbs
+        res = discrete_spectrum(validate_params(-3.7, 0.2, 1.1))
+        assert (res.N_used, res.N_check) == (64, 128) and res.discarded == ()
+        res = discrete_spectrum(validate_params(-5.1, -2.6, 0.5))
+        assert res.N_used == 64 and res.N_check > 512
+
+    def test_fallback_seed_reaches_missing_value(self):
+        # the order-64 seed has no candidate for the pair near the band, so
+        # the order-N seed is laddered; the dense confirmation keeps 4 of 6
+        p = validate_params(-5.01, -2.64, 1.09)
+        res = discrete_spectrum(p)
+        assert klein_count(p) == len(res.eigenvalues) == 6
+        assert res.N_used == 256
+
+    def test_shortfall_returns_what_is_retained(self, monkeypatch):
+        # count 1, but the candidate sinks into the band guard: no error,
+        # and the same result as the dense confirmation
+        p = validate_params(-0.01, -1.07, 1.08)
+        assert klein_count(p) == 1
+        res = discrete_spectrum(p)
+        assert res.eigenvalues == _reference_spectrum(monkeypatch, p, 256, 1e-10).eigenvalues == ()
+        # the candidate stops climbing once it is inside the guard, 3.2e-7
+        # from the band at order 1024
+        assert res.N_used == 256 and res.N_check == 1024
+
+    def test_count_stops_the_ladder(self):
+        # candidates for the eigenvalues 3 and 5 + 2 cos(pi/16) of the path
+        # matrix: with count 1 only the one farther from the band climbs
+        bands = TestOrder2NConfirmation._path_bands(float)
+        top = 5.0 + 2.0 * math.cos(math.pi / 16)
+        cands = [3.0 + 1e-12, top + 1e-12]
+        retained, discarded, reached = _ladder(lambda n: bands, [8, 16], cands, 1e-10, count=1)
+        assert discarded == cands[:1] and abs(retained[0] - top) <= 1e-14 and reached == 8
+        retained, discarded, _ = _ladder(lambda n: bands, [8, 16], cands, 1e-10, count=2)
+        assert discarded == [] and len(retained) == 2
+
+    def test_value_that_moves_is_followed(self):
+        # the candidate is 1e-8 from the eigenvalue 3 of every rung: the
+        # first refinement moves it by more than tol, the second agrees
+        bands = TestOrder2NConfirmation._path_bands(float)
+        retained, discarded, reached = _ladder(lambda n: bands, [8, 16], [3.0 + 1e-8], 1e-10, count=1)
+        assert retained == [3.0] and discarded == [] and reached == 16
 
 
 class TestTraceNormBound:
