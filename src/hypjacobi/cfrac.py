@@ -199,7 +199,6 @@ class CFValue:
     value: complex
     depth_used: int
     last_correction: float
-    converged: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +218,6 @@ class JacobiCoeffs:
     offdiag_sq: np.ndarray
     offdiag: np.ndarray
     terminated_at: Optional[int]
-
-    @property
-    def length(self) -> int:
-        return len(self.diag)
 
     def matrix(self) -> np.ndarray:
         """The block as a dense matrix."""
@@ -311,15 +306,15 @@ def cf_ratio_eval(
     """
     z = complex(z)
     if z == 0:
-        return CFValue(1.0 + 0.0j, 1, 0.0, True)
+        return CFValue(1.0 + 0.0j, 1, 0.0)
 
     j_zero = cfrac_termination_index(p)
     if j_zero is not None:
         depth = j_zero - 1
         if depth == 0:
-            return CFValue(1.0 + 0.0j, 1, 0.0, True)
+            return CFValue(1.0 + 0.0j, 1, 0.0)
         val = _backward_eval(c_array(p, depth), z, depth)
-        return CFValue(val, depth, 0.0, True)
+        return CFValue(val, depth, 0.0)
 
     if near_band(2.0 - 4.0 / z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
@@ -334,7 +329,7 @@ def cf_ratio_eval(
         return _backward_eval(coeffs, z, depth)
 
     val, depth, corr = settle(at_depth, 8, max_depth, tol, f"continued fraction at z = {z}")
-    return CFValue(val, depth, corr, True)
+    return CFValue(val, depth, corr)
 
 
 def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:

@@ -70,7 +70,6 @@ class SeriesValue:
     value: complex
     terms_used: int
     truncation_estimate: float
-    converged: bool
 
 
 def _dist_to_nonpositive_integers(c: complex) -> float:
@@ -199,11 +198,11 @@ def hyp2f1_series(
             term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * zz
             n += 1
             if term == 0:
-                return SeriesValue(complex(total), n, 0.0, True)
+                return SeriesValue(complex(total), n, 0.0)
             if not np.isfinite(term):
                 break
             if abs(term) <= tol * max(1.0, abs(total)):
-                return SeriesValue(complex(total), n, float(abs(term)), True)
+                return SeriesValue(complex(total), n, float(abs(term)))
             total += term
         last = float(abs(term))
         raise NoConvergence(

@@ -20,8 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
-
 import numpy as np
 
 from .cfrac import (
@@ -667,18 +665,6 @@ def trace_norm_bound(p: HypParams, K: int) -> float:
     """
     n, rest = _trace_horizon(p, K)
     return _trace_sum(jacobi_coeffs(p, n + 1), n, rest)
-
-
-class LiebThirring(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def lieb_thirring_check(p: HypParams, N: int = 256, tol: float = 1e-10) -> LiebThirring:
-    """Distance sum of the stable spectrum against the trace-norm bound."""
-    res = discrete_spectrum(p, N=N, tol=tol)
-    return LiebThirring(res.distance_sum, res.trace_bound, res.holds)
 
 
 def hyp_zeros(

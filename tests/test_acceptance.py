@@ -29,7 +29,6 @@ from hypjacobi import (
     hyp_zeros,
     jacobi_coeffs,
     kappa_certificate,
-    lieb_thirring_check,
     moment_oracle,
     quadrature,
     ratio_series,
@@ -171,10 +170,10 @@ def test_criterion_6_lieb_thirring_inequality():
     worst_margin = np.inf
     for i in range(100):
         p = _draw_triple(rng, want_complex=(i % 2 == 1))
-        lt = lieb_thirring_check(p, N=96, tol=1e-8)
-        margin = lt.rhs - lt.lhs
+        res = discrete_spectrum(p, N=96, tol=1e-8)
+        margin = res.trace_bound - res.distance_sum
         worst_margin = min(worst_margin, margin)
-        if lt.lhs > lt.rhs + 1e-9:
+        if res.distance_sum > res.trace_bound + 1e-9:
             violations += 1
     report(
         6,

@@ -25,7 +25,6 @@ from hypjacobi import (
     hyp_zeros,
     jacobi_coeffs,
     klein_count,
-    lieb_thirring_check,
     m_function,
     termination_index,
     trace_norm_bound,
@@ -80,20 +79,20 @@ class TestGeometry:
 class TestBuildTruncated:
     def test_terminating_one_by_one(self):
         tj = build_truncated(PTERM1, 10)
-        assert tj.length == 1
+        assert len(tj.diag) == 1
         assert tj.terminated_at is not None
         assert abs(tj.diag[0] - 3.0) < 1e-15
 
     def test_terminating_two_by_two(self):
         tj = build_truncated(PTERM2, 10)
-        assert tj.length == 2
+        assert len(tj.diag) == 2
         m = tj.matrix()
         assert abs(m[0, 1] - m[1, 0]) == 0.0
         assert abs(m[0, 1] ** 2 + 16.0 / 9.0) < 1e-14
 
     def test_plain_order(self):
         tj = build_truncated(P101, 3)
-        assert tj.length == 3 and tj.terminated_at is None
+        assert len(tj.diag) == 3 and tj.terminated_at is None
         assert abs(tj.offdiag[0] - math.sqrt(8.0 / 9.0)) < 1e-15
 
 
@@ -816,12 +815,12 @@ class TestTraceNormBound:
 
 class TestLiebThirring:
     def test_examples(self):
-        lt = lieb_thirring_check(PTERM1, 16)
-        assert abs(lt.lhs - 1.0) < 1e-12 and lt.holds
-        lt = lieb_thirring_check(P101, 64)
-        assert lt.lhs == 0.0 and lt.holds
-        lt = lieb_thirring_check(PTERM2, 16)
-        assert abs(lt.lhs - 4.0 / math.sqrt(3.0)) < 1e-10 and lt.holds
+        res = discrete_spectrum(PTERM1, 16)
+        assert abs(res.distance_sum - 1.0) < 1e-12 and res.holds
+        res = discrete_spectrum(P101, 64)
+        assert res.distance_sum == 0.0 and res.holds
+        res = discrete_spectrum(PTERM2, 16)
+        assert abs(res.distance_sum - 4.0 / math.sqrt(3.0)) < 1e-10 and res.holds
 
     def test_randomized_suite(self):
         rng = np.random.default_rng(20260808)
@@ -835,8 +834,8 @@ class TestLiebThirring:
                 continue
             if abs(a) < 0.05 or abs(c - b) < 0.05:
                 continue
-            lt = lieb_thirring_check(validate_params(a, b, c), N=64, tol=1e-8)
-            assert lt.lhs <= lt.rhs + 1e-9
+            res = discrete_spectrum(validate_params(a, b, c), N=64, tol=1e-8)
+            assert res.distance_sum <= res.trace_bound + 1e-9
             done += 1
 
 
