@@ -9,8 +9,9 @@ B(z) = <(J - z)^{-1} e, e> is meromorphic off the band with poles exactly at
 the eigenvalues of J.  Every function here reads the leading block of J in
 its one form, the arrays of ``cfrac.JacobiCoeffs``.  This module evaluates
 B by resolvent and by the continued fraction, filters truncation spectra
-for stable eigenvalues (stopping at the classical zero count where it is
-known), bounds the trace norm of J - J_0, and maps
+for stable eigenvalues (stopping at a zero count where one is known: the
+classical count of Klein for real triples, the winding of the Jost
+function for complex ones), bounds the trace norm of J - J_0, and maps
 eigenvalues back to zeros of the underlying hypergeometric function
 through w = -4/(z-2).
 """
@@ -66,6 +67,9 @@ MERGE_TOL = 1e-6
 
 #: Newton steps, at most, that refine one candidate at one truncation order
 NEWTON_STEPS = 4
+
+#: times, at most, that the Jost count doubles its contour samples
+JOST_DOUBLINGS = 2
 
 #: the trace-norm bound sums the explicit coefficient formulas out to at
 #: least this index before switching to the dominating series
@@ -191,11 +195,16 @@ class SpectralResult:
     truncation that were not retained, ``merged`` the representatives of
     clusters collapsed at MERGE_TOL.  ``N_check`` is the highest order at
     which candidates were confirmed, not a second eigensolve.  Without a
-    Klein count the orders are N and 2N.  With one (``klein_count``; a real
-    triple with c+1 > 0) ``N_used`` is the seed order whose candidates met
-    the count, min(64, N) or else N, and ``N_check`` is at most 64N; a count
-    of 0 solves nothing and reports 0 for both.  For a terminating triple
-    with a block shorter than N both orders are the size of that block.
+    count the orders are N and 2N.  With a Klein count (``klein_count``; a
+    real triple with c+1 > 0) ``N_used`` is the seed order whose candidates
+    met the count, min(64, N) or else N, and ``N_check`` is at most 64N.
+    With a Jost count (``_jost_count``; a complex non-terminating triple
+    with N > 64) ``N_used`` is 64 and ``N_check`` at most 2N when the
+    order-64 candidates met the count, and ``discarded`` then holds the
+    order-64 candidates not retained; otherwise the orders are N and 2N and
+    the result is the one without a count.  A count of 0 solves nothing
+    and reports 0 for both orders.  For a terminating triple with a block
+    shorter than N both orders are the size of that block.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -473,6 +482,75 @@ def klein_count(p: HypParams) -> int | None:
     return math.floor(-s) + (1 + sigma) // 2
 
 
+def _jost_values(diag: np.ndarray, sq: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """psi_{-1}(lam), up to a positive factor per point, for J_M glued to
+    the free tail: a_n = ``diag[n]`` for n <= M, b_n^2 = ``sq[n]`` for
+    n < M, a_n = 0 and b_n^2 = 1 beyond.
+
+    With z = lam + 1/lam, x_n = lam^(n-M) solves (J - z) x = 0 on the tail,
+    and psi_n = lam^(M-n) x_n follows it down to the row above the first,
+
+        psi_{n-1} = ((1 + lam^2 - lam a_n) psi_n - lam^2 psi_{n+1}) / b_{n-1}^2,
+
+    from psi_M = psi_{M+1} = 1 with b_{-1}^2 = 1.  psi_{-1} is a polynomial
+    in lam whose zeros in the unit disk are the eigenvalues of the glued
+    operator off the band (it is 1 for the free matrix).  Every few steps
+    each point is divided by its own |psi_n|, which keeps psi O(1) and does
+    not change its argument.
+    """
+    lam2 = lam * lam
+    one = 1.0 + lam2
+    psi, nxt = np.ones_like(lam), np.ones_like(lam)
+    inv = 1.0 / np.concatenate(([1.0 + 0j], sq))
+    for n in range(len(diag) - 1, -1, -1):
+        psi, nxt = ((one - diag[n] * lam) * psi - lam2 * nxt) * inv[n], psi
+        if n % 8 == 0:
+            s = np.abs(psi)
+            psi /= s
+            nxt /= s
+    return psi
+
+
+def _jost_count(coeffs: JacobiCoeffs, M: int, rho: float) -> int | None:
+    """Number of eigenvalues z = lam + 1/lam of J_M glued to the free tail
+    with |lam| < rho: the winding number of its Jost function psi_{-1}
+    (``_jost_values``; Killip and Simon, Ann. of Math. 158, 2003) around
+    |lam| = rho, from the first M + 1 entries of ``coeffs``.
+
+    The winding is summed from the arguments of psi_{-1} at 2K points
+    rho e^(2 pi i j / 2K) and at every other one of them, starting from the
+    power of two K >= 16 / (1 - rho): a curve sampled too sparsely can
+    wind the wrong number of times with every step small.  The count is
+    accepted when both samplings round to the same integer, the summed
+    winding is within 1e-3 of it and every step of the finer one is below
+    pi/4; otherwise K doubles, up to JOST_DOUBLINGS times.  None when no
+    sampling is accepted, psi_{-1} is not finite and nonzero at every
+    point, or rho is not in (0, 1).
+    """
+    if not 0.0 < rho < 1.0:
+        return None
+    diag, sq = coeffs.diag[: M + 1], coeffs.offdiag_sq[:M]
+    k = 1 << math.ceil(math.log2(16.0 / (1.0 - rho)))
+    for _ in range(JOST_DOUBLINGS + 1):
+        lam = rho * np.exp(np.arange(2 * k) * (1j * math.pi / k))
+        with np.errstate(all="ignore"):
+            psi = _jost_values(diag, sq, lam)
+            if not (np.isfinite(psi).all() and psi.all()):
+                return None
+            fine = np.angle(np.roll(psi, -1) / psi)
+            coarse = np.angle(np.roll(psi[::2], -1) / psi[::2])
+        wind = fine.sum() / (2.0 * math.pi)
+        count = round(wind)
+        if (
+            count == round(coarse.sum() / (2.0 * math.pi))
+            and abs(wind - count) <= 1e-3
+            and np.abs(fine).max() < math.pi / 4
+        ):
+            return count
+        k *= 2
+    return None
+
+
 def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> SpectralResult:
     """Stable eigenvalues of J outside the band.
 
@@ -498,10 +576,21 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     If the count is not met, the order-N truncation seeds a second ladder
     to 64N, whose result is returned even when it still falls short.
     ``N_used`` is the seed order of the returned result and ``N_check`` the
-    highest order reached.  Without a count (complex triples, c+1 <= 0,
-    terminating triples whose block is longer than N - 1) the seed is the
-    order-N truncation and the ladder has one rung, 2N.  Terminating
-    triples with a shorter block are exact and skip the filter.
+    highest order reached.  Without a count (real triples with c+1 <= 0,
+    terminating triples whose block is longer than N - 1, and complex
+    triples without a Jost count) the seed is the order-N truncation and
+    the ladder has one rung, 2N.  Terminating triples with a shorter block
+    are exact and skip the filter.
+
+    A complex non-terminating triple with N > 64 is counted by
+    ``_jost_count``: the eigenvalues z = lam + 1/lam of J_N glued to the
+    free tail with |lam| < rho = tol^(1/(4N)), read from the first N + 1
+    entries of the coefficient build.  A value confirmed by order 2N has a
+    truncation error of about |lam|^(2N), so one outside rho is not
+    retained unless its prefactor is above 1/tol.  A count of 0 solves
+    nothing.  A count k > 0 seeds at order 64 and ladders to 2N, stopping
+    at k; if k is not met, or there is no count, the order-N seed with one
+    rung at 2N and no count decides, as for the triples without a count.
 
     Every retained eigenvalue is checked against the residual contract
     EIG_RESIDUAL with a resolvent column (T - mu)^{-1} e_k, mu next to
@@ -533,19 +622,28 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         _check_eigenvalues(bands, retained)
         discarded: list[complex] = []
         n_used = n_check = bands.shape[1]
-    elif count == 0:
-        retained, discarded, n_used, n_check = [], [], 0, 0
     else:
-        for n_used in dict.fromkeys((N,) if count is None else (min(64, N), N)):
-            _, vals = _tridiagonal_eigvals(coeffs, n_used)
-            candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
-            # 2s, 4s, ... up to top
-            orders = [n_used << k for k in range(1, (top // n_used).bit_length())]
-            retained, discarded, n_check = _ladder(
-                lambda n: _tridiagonal_bands(coeffs, n), orders, candidates, tol, count
-            )
-            if count is None or len(retained) >= count:
-                break
+        # (seed order, count that stops its ladder), tried in turn until
+        # one meets its count
+        seeds = [(N, None)] if count is None else [(min(64, N), count), (N, count)]
+        if count is None and N > 64 and not (p.is_real or p.zeros):
+            # a tol <= 0 gives rho = 0 and no count
+            count = _jost_count(coeffs, N, max(tol, 0.0) ** (1.0 / (4 * N)))
+            if count is not None:
+                seeds.insert(0, (64, count))
+        if count == 0:
+            retained, discarded, n_used, n_check = [], [], 0, 0
+        else:
+            for n_used, stop in dict.fromkeys(seeds):
+                _, vals = _tridiagonal_eigvals(coeffs, n_used)
+                candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
+                # 2s, 4s, ... up to top
+                orders = [n_used << k for k in range(1, (top // n_used).bit_length())]
+                retained, discarded, n_check = _ladder(
+                    lambda n: _tridiagonal_bands(coeffs, n), orders, candidates, tol, stop
+                )
+                if stop is None or len(retained) >= stop:
+                    break
 
     if p.is_real:
         # a real triple is solved in real arithmetic, so non-real values

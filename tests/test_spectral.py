@@ -3,10 +3,12 @@ trace-norm bound, the distance-sum inequality and the zero map."""
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_invariants import seeded_grid
 
 from hypjacobi import (
     EigensolverFailure,
@@ -34,6 +36,7 @@ from hypjacobi import spectral
 from hypjacobi.spectral import (
     BAND_GUARD,
     GROWTH_LIMIT,
+    SpectralResult,
     _check_eigenvalues,
     _ladder,
     _newton_steps,
@@ -420,11 +423,13 @@ def _one_rung(bands, candidates, tol):
 def _reference_spectrum(monkeypatch, p, N, tol, vals2=None):
     """discrete_spectrum as it was before the ladder: the order-N
     candidates confirmed at order 2N by ``_dense_confirm`` (against
-    ``vals2``, the eigenvalues of the order-2N block), with no count."""
+    ``vals2``, the eigenvalues of the order-2N block), with no count,
+    neither Klein's nor the Jost function's."""
     if vals2 is None:
         _, vals2 = _tridiagonal_eigvals(jacobi_coeffs(p, 2 * N), 2 * N)
     with monkeypatch.context() as m:
         m.setattr(spectral, "klein_count", lambda p: None)
+        m.setattr(spectral, "_jost_count", lambda coeffs, M, rho: None)
         m.setattr(
             spectral, "_ladder",
             lambda bands_at, orders, cands, t, count=None: (
@@ -436,19 +441,29 @@ def _reference_spectrum(monkeypatch, p, N, tol, vals2=None):
 
 def _compare_with_dense(monkeypatch, p, N, tols):
     """discrete_spectrum against the dense reference (``_reference_spectrum``)
-    at each tol.  Without a Klein count, counts, discarded candidates and
-    merges must be identical.  With one, the count is never below the
-    reference's nor above ``klein_count``, and discarded candidates are not
-    compared (they come from a different seed order).  Where the counts
-    agree, values agree to 1e-12 relative, or else the polished eigenvalue
-    decides: the new value is within 1e-12 of it, or the dense one is not
-    and the new one is at most twice as far.  Returns the number of values
-    compared and of those that took the exception."""
-    count = klein_count(p)
+    at each tol.  Without a count, counts, discarded candidates and merges
+    must be identical.  With one (``klein_count``, or the Jost count that
+    ``discrete_spectrum`` computed for a complex triple) the count is never
+    below the reference's nor above that count, and discarded candidates
+    are not compared (they come from a different seed order).  Where the
+    counts agree, values agree to 1e-12 relative, or else the polished
+    eigenvalue decides: the new value is within 1e-12 of it, or the dense
+    one is not and the new one is at most twice as far.  Returns the number
+    of values compared and of those that took the exception."""
     _, vals2 = _tridiagonal_eigvals(jacobi_coeffs(p, 2 * N), 2 * N)
+    jost = spectral._jost_count
     compared = excused = 0
     for tol in tols:
-        new = discrete_spectrum(p, N, tol)
+        counts = [klein_count(p)]
+
+        def spy(coeffs, M, rho):
+            counts.append(jost(coeffs, M, rho))
+            return counts[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_jost_count", spy)
+            new = discrete_spectrum(p, N, tol)
+        count = counts[-1]
         ref = _reference_spectrum(monkeypatch, p, N, tol, vals2)
         case = ((p.a, p.b, p.c), N, tol)
         if count is None:
@@ -753,6 +768,89 @@ class TestCountedLadder:
         bands = TestOrder2NConfirmation._path_bands(float)
         retained, discarded, reached = _ladder(lambda n: bands, [8, 16], [3.0 + 1e-8], 1e-10, count=1)
         assert retained == [3.0] and discarded == [] and reached == 16
+
+
+class TestJostCount:
+    """Complex triples: the winding of the Jost function of J_N glued to
+    the free tail counts the eigenvalues with |lam| < rho, z = lam + 1/lam,
+    rho = tol^(1/4N), and certifies an order-64 seed laddered to 2N."""
+
+    @staticmethod
+    def _count(p, N=256, tol=1e-10):
+        return spectral._jost_count(jacobi_coeffs(p, N + 1), N, tol ** (1.0 / (4 * N)))
+
+    def test_matches_pool_zero_counts(self):
+        # all 27 triples, the 21 real ones included, where klein_count
+        # gives the same numbers
+        pool = json.loads(POOL.read_text(encoding="utf-8"))
+        assert len(pool) == 27
+        for entry in pool:
+            p = validate_params(*(complex(*entry[k]) for k in "abc"))
+            assert self._count(p) == entry["zeros"], (entry["a"], entry["b"], entry["c"])
+
+    def test_sparse_contour_does_not_alias(self):
+        # at rho = 0.995, 128 points gave 0 with every argument step below
+        # pi/4; the sampling starts at K >= 16 / (1 - rho) instead
+        coeffs = jacobi_coeffs(validate_params(-3.7, 0.2, 1.1), 257)
+        assert spectral._jost_count(coeffs, 256, 0.995) in (4, None)
+
+    def test_free_matrix_counts_nothing(self):
+        # psi_{-1} is 1 for the free matrix; rho outside (0, 1) gives None
+        p = validate_params(-2.5 + 0.7j, 0.3, 1.4)
+        coeffs = jacobi_coeffs(p, 257)
+        free = replace(coeffs, diag=np.zeros(257, complex), offdiag_sq=np.ones(256, complex))
+        assert spectral._jost_count(free, 256, 0.98) == 0
+        assert spectral._jost_count(coeffs, 256, 1.0) is None
+
+    def test_seed_and_orders_reported(self):
+        # the count certifies the order-64 seed, laddered no higher than 2N
+        res = discrete_spectrum(validate_params(-2.5 + 0.7j, 0.3, 1.4))
+        assert len(res.eigenvalues) == 2 and res.N_used == 64 and res.N_check <= 512
+
+    def test_overcount_falls_back_to_order_n(self, monkeypatch):
+        # a count the order-64 ladder cannot meet: the order-N seed with
+        # one rung at 2N and no count, byte for byte
+        p = validate_params(-2.5 + 0.7j, 0.3, 1.4)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_jost_count", lambda coeffs, M, rho: None)
+            ref = discrete_spectrum(p)
+        monkeypatch.setattr(spectral, "_jost_count", lambda coeffs, M, rho: 3)
+        res = discrete_spectrum(p)
+        assert (res.N_used, res.N_check) == (256, 512)
+        for name in SpectralResult.__dataclass_fields__:
+            assert repr(getattr(res, name)) == repr(getattr(ref, name)), name
+
+    @pytest.mark.parametrize("N", [8, 32, 64])
+    def test_not_counted_at_seed_order(self, monkeypatch, N):
+        def refuse(*args):
+            raise AssertionError("Jost count")
+
+        monkeypatch.setattr(spectral, "_jost_count", refuse)
+        res = discrete_spectrum(validate_params(-2.5 + 0.7j, 0.3, 1.4), N)
+        assert (res.N_used, res.N_check) == (N, 2 * N)
+
+    def test_count_zero_needs_no_eigensolve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eigensolve")
+
+        p = validate_params(2.27 + 1.53j, 0.18, 4.67)
+        assert self._count(p) == 0
+        monkeypatch.setattr(spectral, "_tridiagonal_eigvals", refuse)
+        res = discrete_spectrum(p)
+        assert res.eigenvalues == res.discarded == () and res.N_used == res.N_check == 0
+        assert res.trace_bound == trace_norm_bound(p, 512)
+
+    @pytest.mark.parametrize("abc", seeded_grid(41, 30, True), ids=str)
+    def test_conjugate_triple_has_conjugate_spectrum(self, abc):
+        # J(conj a, conj b, conj c) is the conjugate of J(a, b, c)
+        res = discrete_spectrum(validate_params(*abc), 128)
+        con = discrete_spectrum(validate_params(*(complex(x).conjugate() for x in abc)), 128)
+        assert (res.N_used, res.N_check) == (con.N_used, con.N_check)
+        assert len(res.eigenvalues) == len(con.eigenvalues)
+        rest = [v.conjugate() for v in con.eigenvalues]
+        for u in res.eigenvalues:
+            v = rest.pop(int(np.argmin(np.abs(np.array(rest) - u))))
+            assert abs(u - v) <= 1e-12 * max(1.0, abs(u)), (abc, u, v)
 
 
 class TestTraceNormBound:
