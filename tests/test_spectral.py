@@ -647,8 +647,9 @@ class TestOrder2NConfirmation:
     @pytest.mark.xfail(strict=True, reason="near-band eigenvalues move by more than tol between orders N and 2N")
     @pytest.mark.parametrize("abc, zeros", [((2 + 1j, 0.5, 3), 2)], ids=["complex"])
     def test_near_band_eigenvalues_counted(self, abc, zeros):
-        # zero count of F(a, b+1, c+1; .) by the argument principle; without
-        # a count for complex triples discrete_spectrum reports none
+        # zero count of F(a, b+1, c+1; .) by the argument principle; both
+        # eigenvalues have |lam| = 0.994, outside rho = 0.978, so the Jost
+        # count is 0 and discrete_spectrum reports none
         assert len(discrete_spectrum(validate_params(*abc)).eigenvalues) == zeros
 
 
