@@ -644,7 +644,7 @@ class TestOrder2NConfirmation:
             assert abs(band_to_cut(got) - zero) <= 1e-9 * abs(zero)
             assert abs(got - cut_to_band(zero)) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="near-band eigenvalues move by more than tol between orders N and 2N")
+    @pytest.mark.xfail(strict=True, reason="near-band eigenvalues lie outside the Jost count's radius and move by more than tol between orders N and 2N")
     @pytest.mark.parametrize("abc, zeros", [((2 + 1j, 0.5, 3), 2)], ids=["complex"])
     def test_near_band_eigenvalues_counted(self, abc, zeros):
         # zero count of F(a, b+1, c+1; .) by the argument principle; both
