@@ -10,8 +10,9 @@ the eigenvalues of J.  Every function here reads the leading block of J in
 its one form, the arrays of ``cfrac.JacobiCoeffs``.  This module evaluates
 B by resolvent and by the continued fraction, filters truncation spectra
 for stable eigenvalues (stopping at a zero count where one is known: the
-classical count of Klein for real triples, the winding of the Jost
-function for complex ones), bounds the trace norm of J - J_0, and maps
+classical count of Klein for real triples; for complex ones the winding of
+the Jost function, whose zeros on the same contour also seed the
+eigenvalues without an eigensolve), bounds the trace norm of J - J_0, and maps
 eigenvalues back to zeros of the underlying hypergeometric function
 through w = -4/(z-2).
 """
@@ -191,20 +192,21 @@ class SpectralResult:
     """Stable point spectrum outside the band, with inequality data.
 
     ``eigenvalues`` is a multiset (algebraic multiplicity by repetition);
-    ``discarded`` holds the eigenvalues of the order-``N_used`` seed
-    truncation that were not retained, ``merged`` the representatives of
-    clusters collapsed at MERGE_TOL.  ``N_check`` is the highest order at
-    which candidates were confirmed, not a second eigensolve.  Without a
-    count the orders are N and 2N.  With a Klein count (``klein_count``; a
-    real triple with c+1 > 0) ``N_used`` is the seed order whose candidates
-    met the count, min(64, N) or else N, and ``N_check`` is at most 64N.
-    With a Jost count (``_jost_count``; a complex non-terminating triple
-    with N > 64) ``N_used`` is 64 and ``N_check`` at most 2N when the
-    order-64 candidates met the count, and ``discarded`` then holds the
-    order-64 candidates not retained; otherwise the orders are N and 2N and
-    the result is the one without a count.  A count of 0 solves nothing
-    and reports 0 for both orders.  For a terminating triple with a block
-    shorter than N both orders are the size of that block.
+    ``discarded`` holds the seed candidates that were not retained (the
+    eigenvalues of the order-``N_used`` truncation, or the Jost seeds),
+    ``merged`` the representatives of clusters collapsed at MERGE_TOL.
+    ``N_check`` is the highest order at which candidates were confirmed,
+    not a second eigensolve.  Without a count the orders are N and 2N.
+    With a Klein count (``klein_count``; a real triple with c+1 > 0)
+    ``N_used`` is the seed order whose candidates met the count, min(64, N)
+    or else N, and ``N_check`` is at most 64N.  With a Jost count
+    (``_jost_zeros``; a complex non-terminating triple with N > 64) whose
+    seeds met it, ``N_used`` is N, the order the Jost function reads,
+    ``N_check`` is at most 64N and ``discarded`` holds the seeds not
+    retained; otherwise the orders are N and 2N and the result is the one
+    without a count.  A count of 0 solves nothing and reports 0 for both
+    orders.  For a terminating triple with a block shorter than N both
+    orders are the size of that block.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -482,61 +484,78 @@ def klein_count(p: HypParams) -> int | None:
     return math.floor(-s) + (1 + sigma) // 2
 
 
-def _jost_values(diag: np.ndarray, sq: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """psi_{-1}(lam), up to a positive factor per point, for J_M glued to
-    the free tail: a_n = ``diag[n]`` for n <= M, b_n^2 = ``sq[n]`` for
-    n < M, a_n = 0 and b_n^2 = 1 beyond.
+def _jost_values(diag: np.ndarray, sq: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi_{-1}(lam) for J_M glued to the free tail, as its phase and the
+    log of its modulus: a_n = ``diag[n]`` for n <= M, b_n^2 = ``sq[n]``
+    for n < M, a_n = 0 and b_n^2 = 1 beyond.
 
     With z = lam + 1/lam, x_n = lam^(n-M) solves (J - z) x = 0 on the tail,
-    and psi_n = lam^(M-n) x_n follows it down to the row above the first,
-
-        psi_{n-1} = ((1 + lam^2 - lam a_n) psi_n - lam^2 psi_{n+1}) / b_{n-1}^2,
-
-    from psi_M = psi_{M+1} = 1 with b_{-1}^2 = 1.  psi_{-1} is a polynomial
-    in lam whose zeros in the unit disk are the eigenvalues of the glued
-    operator off the band (it is 1 for the free matrix).  Every few steps
-    each point is divided by its own |psi_n|, which keeps psi O(1) and does
-    not change its argument.
+    and the recurrence of the rows, x_{n-1} = ((z - a_n) x_n - x_{n+1}) /
+    b_{n-1}^2 with b_{-1}^2 = 1, follows it down to the row above the first.
+    psi_{-1} = lam^(M+1) x_{-1} is a polynomial in lam whose zeros in the
+    unit disk are the eigenvalues of the glued operator off the band (it is
+    1 for the free matrix).  Every few steps, the last of them at n = 0,
+    each point is divided by its own |x_n|, which keeps x O(1) and does not
+    change its argument; the logs of those divisors are summed per point.
     """
-    lam2 = lam * lam
-    one = 1.0 + lam2
-    psi, nxt = np.ones_like(lam), np.ones_like(lam)
+    z = lam + 1.0 / lam
+    x, nxt = np.ones_like(lam), lam.copy()
+    log = len(diag) * np.log(np.abs(lam))
     inv = 1.0 / np.concatenate(([1.0 + 0j], sq))
+    new = np.empty_like(lam)
     for n in range(len(diag) - 1, -1, -1):
-        psi, nxt = ((one - diag[n] * lam) * psi - lam2 * nxt) * inv[n], psi
+        np.subtract(z, diag[n], out=new)
+        new *= x
+        new -= nxt
+        new *= inv[n]
+        x, nxt, new = new, x, nxt
         if n % 8 == 0:
-            s = np.abs(psi)
-            psi /= s
+            s = np.abs(x)
+            x /= s
             nxt /= s
-    return psi
+            log += np.log(s)
+    return x * np.exp(1j * len(diag) * np.angle(lam)), log
 
 
-def _jost_count(coeffs: JacobiCoeffs, M: int, rho: float) -> int | None:
-    """Number of eigenvalues z = lam + 1/lam of J_M glued to the free tail
-    with |lam| < rho: the winding number of its Jost function psi_{-1}
-    (``_jost_values``; Killip and Simon, Ann. of Math. 158, 2003) around
-    |lam| = rho, from the first M + 1 entries of ``coeffs``.
+def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, tuple[complex, ...]]:
+    """Count and locate the eigenvalues z = lam + 1/lam of J_M glued to the
+    free tail with |lam| < rho, from the first M + 1 entries of ``coeffs``:
+    the zeros of its Jost function psi_{-1} (``_jost_values``; Killip and
+    Simon, Ann. of Math. 158, 2003) inside |lam| = rho.
 
-    The winding is summed from the arguments of psi_{-1} at 2K points
-    rho e^(2 pi i j / 2K) and at every other one of them, starting from the
-    power of two K >= 16 / (1 - rho): a curve sampled too sparsely can
-    wind the wrong number of times with every step small.  The count is
-    accepted when both samplings round to the same integer, the summed
-    winding is within 1e-3 of it and every step of the finer one is below
-    pi/4; otherwise K doubles, up to JOST_DOUBLINGS times.  None when no
-    sampling is accepted, psi_{-1} is not finite and nonzero at every
-    point, or rho is not in (0, 1).
+    The count is the winding of psi_{-1} around that circle, summed from
+    its arguments at 2K points rho e^(i theta_l), theta_l = pi l / K, and
+    at every other one of them, starting from the power of two
+    K >= 16 / (1 - rho): a curve sampled too sparsely can wind the wrong
+    number of times with every step small.  The count is accepted when both
+    samplings round to the same integer, the summed winding is within 1e-3
+    of it and every step of the finer one is below pi/4; otherwise K
+    doubles, up to JOST_DOUBLINGS times.
+
+    The same 2K samples locate the k counted zeros lam_i (Delves and
+    Lyness, Math. Comp. 21, 1967).  L(theta) = log psi_{-1}(rho e^(i theta))
+    - i k theta, with the argument unwrapped along the accepted steps, is
+    periodic, and integration by parts turns the power sums
+    s_j = sum_i lam_i^j = (1 / 2 pi i) oint lam^j psi'/psi dlam into
+    s_j = -j rho^j mean_l(L(theta_l) e^(i j theta_l)), j = 1..k, one
+    discrete Fourier transform.  Newton's identities give the polynomial
+    with roots lam_i, and the seeds are z_i = lam_i + 1/lam_i; seeds that
+    are not finite are dropped.
+
+    Returns (count, seeds): (None, ()) when no sampling is accepted, the
+    accepted winding is negative, psi_{-1} is not finite and nonzero at
+    every point, or rho is not in (0, 1); (0, ()) for no zero.
     """
     if not 0.0 < rho < 1.0:
-        return None
+        return None, ()
     diag, sq = coeffs.diag[: M + 1], coeffs.offdiag_sq[:M]
     k = 1 << math.ceil(math.log2(16.0 / (1.0 - rho)))
     for _ in range(JOST_DOUBLINGS + 1):
-        lam = rho * np.exp(np.arange(2 * k) * (1j * math.pi / k))
+        theta = np.arange(2 * k) * (math.pi / k)
         with np.errstate(all="ignore"):
-            psi = _jost_values(diag, sq, lam)
-            if not (np.isfinite(psi).all() and psi.all()):
-                return None
+            psi, log = _jost_values(diag, sq, rho * np.exp(1j * theta))
+            if not (np.isfinite(psi).all() and np.isfinite(log).all()):
+                return None, ()
             fine = np.angle(np.roll(psi, -1) / psi)
             coarse = np.angle(np.roll(psi[::2], -1) / psi[::2])
         wind = fine.sum() / (2.0 * math.pi)
@@ -546,9 +565,30 @@ def _jost_count(coeffs: JacobiCoeffs, M: int, rho: float) -> int | None:
             and abs(wind - count) <= 1e-3
             and np.abs(fine).max() < math.pi / 4
         ):
-            return count
+            break
         k *= 2
-    return None
+    else:
+        return None, ()
+    if count < 0:
+        # psi_{-1} is a polynomial, with no pole inside the circle
+        return None, ()
+    if count == 0:
+        return 0, ()
+    arg = np.angle(psi[0]) + np.concatenate(([0.0], np.cumsum(fine[:-1])))
+    big_l = log + 1j * (arg - count * theta)
+    j = np.arange(1, count + 1)
+    power = -j * rho**j * np.fft.ifft(big_l)[1 : count + 1]
+    # Newton's identities: m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} s_i
+    e = [1.0 + 0j]
+    for m in range(1, count + 1):
+        e.append(sum((-1) ** (i - 1) * e[m - i] * power[i - 1] for i in range(1, m + 1)) / m)
+    poly = [(-1) ** i * e[i] for i in range(count + 1)]
+    if not np.isfinite(poly).all():
+        return count, ()
+    with np.errstate(all="ignore"):
+        lam = np.roots(poly)
+        z = lam + 1.0 / lam
+    return count, tuple(complex(v) for v in z if cmath.isfinite(v))
 
 
 def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> SpectralResult:
@@ -582,15 +622,20 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     the ladder has one rung, 2N.  Terminating triples with a shorter block
     are exact and skip the filter.
 
-    A complex non-terminating triple with N > 64 is counted by
-    ``_jost_count``: the eigenvalues z = lam + 1/lam of J_N glued to the
+    A complex non-terminating triple with N > 64 is counted and located by
+    ``_jost_zeros``: the eigenvalues z = lam + 1/lam of J_N glued to the
     free tail with |lam| < rho = tol^(1/(4N)), read from the first N + 1
     entries of the coefficient build.  A value confirmed by order 2N has a
     truncation error of about |lam|^(2N), so one outside rho is not
     retained unless its prefactor is above 1/tol.  A count of 0 solves
-    nothing.  A count k > 0 seeds at order 64 and ladders to 2N, stopping
-    at k; if k is not met, or there is no count, the order-N seed with one
-    rung at 2N and no count decides, as for the triples without a count.
+    nothing.  A count k > 0 takes the k zeros of the Jost function as the
+    candidates, with no eigensolve, and ladders them at orders 2N, 4N, ...
+    up to 64N, stopping at k (N_used = N, N_check at most 64N).  The first
+    rung is 2N, not N: a seed is about as accurate as the glued operator,
+    so it agrees with an order-N value whose truncation error is just
+    below tol, and that value would be reported.  If k is not met, or
+    there is no count, the order-N seed with one rung at 2N and no count
+    decides, as for the triples without a count.
 
     Every retained eigenvalue is checked against the residual contract
     EIG_RESIDUAL with a resolvent column (T - mu)^{-1} e_k, mu next to
@@ -607,7 +652,10 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         raise ValueError("truncation order must be >= 8 for non-terminating triples")
 
     count = klein_count(p)
-    top = 2 * N if count is None else 64 * N
+    # a complex non-terminating triple with N > 64 is counted, and located,
+    # by the Jost function of J_N
+    jost = count is None and N > 64 and not (p.is_real or p.zeros)
+    top = 2 * N if count is None and not jost else 64 * N
     n_sum, rest = _trace_horizon(p, max(2 * N, 64))
     coeffs = jacobi_coeffs(p, max(top, n_sum) + 1)
     bound = _trace_sum(coeffs, n_sum, rest)
@@ -623,22 +671,28 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         discarded: list[complex] = []
         n_used = n_check = bands.shape[1]
     else:
-        # (seed order, count that stops its ladder), tried in turn until
-        # one meets its count
-        seeds = [(N, None)] if count is None else [(min(64, N), count), (N, count)]
-        if count is None and N > 64 and not (p.is_real or p.zeros):
+        # (seed order s, its candidates or None for the eigenvalues of the
+        # order-s truncation, count that stops the ladder), tried in turn
+        # until one meets its count
+        if jost:
             # a tol <= 0 gives rho = 0 and no count
-            count = _jost_count(coeffs, N, max(tol, 0.0) ** (1.0 / (4 * N)))
-            if count is not None:
-                seeds.insert(0, (64, count))
+            count, seeds = _jost_zeros(coeffs, N, max(tol, 0.0) ** (1.0 / (4 * N)))
+            tries = [(N, list(seeds), count)] if count else []
+            tries.append((N, None, None))
+        elif count is None:
+            tries = [(N, None, None)]
+        else:
+            tries = [(s, None, count) for s in dict.fromkeys((min(64, N), N))]
         if count == 0:
             retained, discarded, n_used, n_check = [], [], 0, 0
         else:
-            for n_used, stop in dict.fromkeys(seeds):
-                _, vals = _tridiagonal_eigvals(coeffs, n_used)
-                candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
-                # 2s, 4s, ... up to top
-                orders = [n_used << k for k in range(1, (top // n_used).bit_length())]
+            for n_used, candidates, stop in tries:
+                if candidates is None:
+                    _, vals = _tridiagonal_eigvals(coeffs, n_used)
+                    candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
+                # 2s, 4s, ... up to top, or the one rung 2s without a count
+                last = top if stop is not None else 2 * n_used
+                orders = [n_used << k for k in range(1, (last // n_used).bit_length())]
                 retained, discarded, n_check = _ladder(
                     lambda n: _tridiagonal_bands(coeffs, n), orders, candidates, tol, stop
                 )

@@ -429,7 +429,7 @@ def _reference_spectrum(monkeypatch, p, N, tol, vals2=None):
         _, vals2 = _tridiagonal_eigvals(jacobi_coeffs(p, 2 * N), 2 * N)
     with monkeypatch.context() as m:
         m.setattr(spectral, "klein_count", lambda p: None)
-        m.setattr(spectral, "_jost_count", lambda coeffs, M, rho: None)
+        m.setattr(spectral, "_jost_zeros", lambda coeffs, M, rho: (None, ()))
         m.setattr(
             spectral, "_ladder",
             lambda bands_at, orders, cands, t, count=None: (
@@ -451,17 +451,18 @@ def _compare_with_dense(monkeypatch, p, N, tols):
     one is not and the new one is at most twice as far.  Returns the number
     of values compared and of those that took the exception."""
     _, vals2 = _tridiagonal_eigvals(jacobi_coeffs(p, 2 * N), 2 * N)
-    jost = spectral._jost_count
+    jost = spectral._jost_zeros
     compared = excused = 0
     for tol in tols:
         counts = [klein_count(p)]
 
         def spy(coeffs, M, rho):
-            counts.append(jost(coeffs, M, rho))
-            return counts[-1]
+            found = jost(coeffs, M, rho)
+            counts.append(found[0])
+            return found
 
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_jost_count", spy)
+            m.setattr(spectral, "_jost_zeros", spy)
             new = discrete_spectrum(p, N, tol)
         count = counts[-1]
         ref = _reference_spectrum(monkeypatch, p, N, tol, vals2)
@@ -644,12 +645,12 @@ class TestOrder2NConfirmation:
             assert abs(band_to_cut(got) - zero) <= 1e-9 * abs(zero)
             assert abs(got - cut_to_band(zero)) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="near-band eigenvalues lie outside the Jost count's radius and move by more than tol between orders N and 2N")
+    @pytest.mark.xfail(strict=True, reason="both eigenvalues have |lam| = 0.994, outside the Jost radius rho = 0.978, so the count is 0 and nothing is solved")
     @pytest.mark.parametrize("abc, zeros", [((2 + 1j, 0.5, 3), 2)], ids=["complex"])
     def test_near_band_eigenvalues_counted(self, abc, zeros):
-        # zero count of F(a, b+1, c+1; .) by the argument principle; both
-        # eigenvalues have |lam| = 0.994, outside rho = 0.978, so the Jost
-        # count is 0 and discrete_spectrum reports none
+        # zero count of F(a, b+1, c+1; .) by the argument principle; the
+        # Jost function sees only |lam| < rho = tol^(1/4N), z = lam + 1/lam,
+        # and a count of 0 reports no eigenvalue
         assert len(discrete_spectrum(validate_params(*abc)).eigenvalues) == zeros
 
 
@@ -771,14 +772,23 @@ class TestCountedLadder:
         assert retained == [3.0] and discarded == [] and reached == 16
 
 
+#: the seed-32 complex grid and the complex triples of the pool
+JOST_GATE = seeded_grid(32, 60, True) + [
+    tuple(complex(*e[k]) for k in "abc")
+    for e in json.loads(POOL.read_text(encoding="utf-8"))
+    if any(e[k][1] for k in "abc")
+]
+
+
 class TestJostCount:
     """Complex triples: the winding of the Jost function of J_N glued to
     the free tail counts the eigenvalues with |lam| < rho, z = lam + 1/lam,
-    rho = tol^(1/4N), and certifies an order-64 seed laddered to 2N."""
+    rho = tol^(1/4N), and the same samples locate them: the seeds of a
+    ladder from 2N to 64N."""
 
     @staticmethod
-    def _count(p, N=256, tol=1e-10):
-        return spectral._jost_count(jacobi_coeffs(p, N + 1), N, tol ** (1.0 / (4 * N)))
+    def _zeros(p, N=256, tol=1e-10):
+        return spectral._jost_zeros(jacobi_coeffs(p, N + 1), N, tol ** (1.0 / (4 * N)))
 
     def test_matches_pool_zero_counts(self):
         # all 27 triples, the 21 real ones included, where klein_count
@@ -787,35 +797,62 @@ class TestJostCount:
         assert len(pool) == 27
         for entry in pool:
             p = validate_params(*(complex(*entry[k]) for k in "abc"))
-            assert self._count(p) == entry["zeros"], (entry["a"], entry["b"], entry["c"])
+            count, seeds = self._zeros(p)
+            assert count == len(seeds) == entry["zeros"], (entry["a"], entry["b"], entry["c"])
+
+    def test_seeds_locate_pool_eigenvalues(self):
+        # the seeds alone, with no eigensolve, are within 1e-9 relative of
+        # the eigenvalues that discrete_spectrum reports
+        pool = json.loads(POOL.read_text(encoding="utf-8"))
+        for entry in pool:
+            p = validate_params(*(complex(*entry[k]) for k in "abc"))
+            rest = list(self._zeros(p)[1])
+            for lam in discrete_spectrum(p).eigenvalues:
+                seed = rest.pop(int(np.argmin(np.abs(np.array(rest) - lam))))
+                assert abs(seed - lam) <= 1e-9 * max(1.0, abs(lam)), (entry["kind"], lam, seed)
 
     def test_sparse_contour_does_not_alias(self):
         # at rho = 0.995, 128 points gave 0 with every argument step below
         # pi/4; the sampling starts at K >= 16 / (1 - rho) instead
         coeffs = jacobi_coeffs(validate_params(-3.7, 0.2, 1.1), 257)
-        assert spectral._jost_count(coeffs, 256, 0.995) in (4, None)
+        assert spectral._jost_zeros(coeffs, 256, 0.995)[0] in (4, None)
 
     def test_free_matrix_counts_nothing(self):
         # psi_{-1} is 1 for the free matrix; rho outside (0, 1) gives None
         p = validate_params(-2.5 + 0.7j, 0.3, 1.4)
         coeffs = jacobi_coeffs(p, 257)
         free = replace(coeffs, diag=np.zeros(257, complex), offdiag_sq=np.ones(256, complex))
-        assert spectral._jost_count(free, 256, 0.98) == 0
-        assert spectral._jost_count(coeffs, 256, 1.0) is None
+        assert spectral._jost_zeros(free, 256, 0.98) == (0, ())
+        assert spectral._jost_zeros(coeffs, 256, 1.0) == (None, ())
 
     def test_seed_and_orders_reported(self):
-        # the count certifies the order-64 seed, laddered no higher than 2N
+        # the Jost function reads order N; its seeds are all retained, no
+        # higher than 64N
         res = discrete_spectrum(validate_params(-2.5 + 0.7j, 0.3, 1.4))
-        assert len(res.eigenvalues) == 2 and res.N_used == 64 and res.N_check <= 512
+        assert len(res.eigenvalues) == 2 and res.N_used == 256 and res.N_check <= 64 * 256
+        assert res.discarded == ()
+
+    def test_met_count_needs_no_eigensolve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eigensolve")
+
+        monkeypatch.setattr(spectral, "_tridiagonal_eigvals", refuse)
+        pool = json.loads(POOL.read_text(encoding="utf-8"))
+        cplx = [e for e in pool if any(e[k][1] for k in "abc")]
+        assert len(cplx) == 6
+        for entry in cplx:
+            res = discrete_spectrum(validate_params(*(complex(*entry[k]) for k in "abc")))
+            assert len(res.eigenvalues) == entry["zeros"] > 0
 
     def test_overcount_falls_back_to_order_n(self, monkeypatch):
-        # a count the order-64 ladder cannot meet: the order-N seed with
-        # one rung at 2N and no count, byte for byte
+        # a count the seeds cannot meet: the order-N seed with one rung at
+        # 2N and no count, byte for byte
         p = validate_params(-2.5 + 0.7j, 0.3, 1.4)
+        jost = spectral._jost_zeros
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_jost_count", lambda coeffs, M, rho: None)
+            m.setattr(spectral, "_jost_zeros", lambda coeffs, M, rho: (None, ()))
             ref = discrete_spectrum(p)
-        monkeypatch.setattr(spectral, "_jost_count", lambda coeffs, M, rho: 3)
+        monkeypatch.setattr(spectral, "_jost_zeros", lambda coeffs, M, rho: (3, jost(coeffs, M, rho)[1]))
         res = discrete_spectrum(p)
         assert (res.N_used, res.N_check) == (256, 512)
         for name in SpectralResult.__dataclass_fields__:
@@ -826,7 +863,7 @@ class TestJostCount:
         def refuse(*args):
             raise AssertionError("Jost count")
 
-        monkeypatch.setattr(spectral, "_jost_count", refuse)
+        monkeypatch.setattr(spectral, "_jost_zeros", refuse)
         res = discrete_spectrum(validate_params(-2.5 + 0.7j, 0.3, 1.4), N)
         assert (res.N_used, res.N_check) == (N, 2 * N)
 
@@ -835,11 +872,60 @@ class TestJostCount:
             raise AssertionError("eigensolve")
 
         p = validate_params(2.27 + 1.53j, 0.18, 4.67)
-        assert self._count(p) == 0
+        assert self._zeros(p) == (0, ())
         monkeypatch.setattr(spectral, "_tridiagonal_eigvals", refuse)
         res = discrete_spectrum(p)
         assert res.eigenvalues == res.discarded == () and res.N_used == res.N_check == 0
         assert res.trace_bound == trace_norm_bound(p, 512)
+
+    @pytest.mark.parametrize("abc", JOST_GATE, ids=str)
+    def test_counts_met_and_no_value_lost(self, monkeypatch, abc):
+        # the seed-32 complex grid and the complex pool triples at N = 256:
+        # every Jost count is met, and no triple keeps fewer values than
+        # the order-N candidates confirmed by the dense order-2N eigensolve
+        p = validate_params(*abc)
+        count = self._zeros(p)[0]
+        res = discrete_spectrum(p)
+        if count is not None:
+            assert len(res.eigenvalues) == count
+        ref = _reference_spectrum(monkeypatch, p, 256, 1e-10)
+        assert len(res.eigenvalues) >= len(ref.eigenvalues)
+
+    @pytest.mark.parametrize(
+        "abc, N, zeros",
+        [
+            # the one eigenvalue lies 0.09 from the band; its order-256
+            # value is 5.1e-10 from the order-512 one, more than tol, so
+            # the order-N/2N confirmation drops it
+            (
+                (3.15 + 0.75j, -1.63, 4.97), 256,
+                [1.890596209512175178482049437589815 - 0.08060312662516796648353115552677824j],
+            ),
+            # five zeros; the order-N/2N confirmation keeps four, and
+            # misses the one next to w = 1.2148
+            (
+                (-4.97 - 1.01j, 3.9, 4.86), 128,
+                [
+                    0.8554654102240987627929504292429981 + 0.3241400062002437653026223408515708j,
+                    0.8976275041697918399607550067237306 - 0.4968466312906976263991366810978035j,
+                    1.126952606285145612115318535089966 + 0.2307143916356217619904227209298892j,
+                    1.214793876842528359510065041383404 + 0.03142933508290962722612907136552509j,
+                    1.329188812769756030355227664371436 - 0.3702217782267229465899082886279748j,
+                ],
+            ),
+        ],
+        ids=["one-near-band", "five"],
+    )
+    def test_recovered_spectra(self, abc, N, zeros):
+        # zeros w of F(a, b+1, c+1; .) polished by mpmath.findroot at 40
+        # digits; every one is reported, as z = 2 - 4/w, within 1e-12
+        p = validate_params(*abc)
+        res = discrete_spectrum(p, N)
+        assert len(res.eigenvalues) == len(zeros) == self._zeros(p, N)[0]
+        rest = list(res.eigenvalues)
+        for w in zeros:
+            got = rest.pop(int(np.argmin(np.abs(np.array(rest) - cut_to_band(w)))))
+            assert abs(got - cut_to_band(w)) <= 1e-12 * max(1.0, abs(got)), (w, got)
 
     @pytest.mark.parametrize("abc", seeded_grid(41, 30, True), ids=str)
     def test_conjugate_triple_has_conjugate_spectrum(self, abc):
