@@ -537,8 +537,8 @@ def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, t
     - i k theta, with the argument unwrapped along the accepted steps, is
     periodic, and integration by parts turns the power sums
     s_j = sum_i lam_i^j = (1 / 2 pi i) oint lam^j psi'/psi dlam into
-    s_j = -j rho^j mean_l(L(theta_l) e^(i j theta_l)), j = 1..k, one
-    discrete Fourier transform.  Newton's identities give the polynomial
+    s_j = -j rho^j mean_l(L(theta_l) e^(i j theta_l)), j = 1..k, k sums
+    over the samples.  Newton's identities give the polynomial
     with roots lam_i, and the seeds are z_i = lam_i + 1/lam_i; seeds that
     are not finite are dropped.
 
@@ -577,7 +577,7 @@ def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, t
     arg = np.angle(psi[0]) + np.concatenate(([0.0], np.cumsum(fine[:-1])))
     big_l = log + 1j * (arg - count * theta)
     j = np.arange(1, count + 1)
-    power = -j * rho**j * np.fft.ifft(big_l)[1 : count + 1]
+    power = -j * rho**j * (np.exp(1j * np.outer(j, theta)) @ big_l) / theta.size
     # Newton's identities: m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} s_i
     e = [1.0 + 0j]
     for m in range(1, count + 1):
