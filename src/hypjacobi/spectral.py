@@ -72,6 +72,11 @@ NEWTON_STEPS = 4
 #: times, at most, that the Jost count doubles its contour samples
 JOST_DOUBLINGS = 2
 
+#: the zeros of the Jost function seed the ladder for counts up to this;
+#: Newton's identities lose the zeros far from the band beyond it (at
+#: N = 256 every count up to 14 was met, and from 16 on most were not)
+JOST_SEEDS_MAX = 12
+
 #: the trace-norm bound sums the explicit coefficient formulas out to at
 #: least this index before switching to the dominating series
 TAIL_HORIZON = 20000
@@ -203,8 +208,10 @@ class SpectralResult:
     (``_jost_zeros``; a complex non-terminating triple with N > 64) whose
     seeds met it, ``N_used`` is N, the order the Jost function reads,
     ``N_check`` is at most 64N and ``discarded`` holds the seeds not
-    retained; otherwise the orders are N and 2N and the result is the one
-    without a count.  A count of 0 solves nothing and reports 0 for both
+    retained; otherwise ``N_used`` is 64 and ``N_check`` at most 2N when
+    the order-64 candidates met the count, and ``discarded`` then holds
+    those not retained, or else the orders are N and 2N and the result is
+    the one without a count.  A count of 0 solves nothing and reports 0 for both
     orders.  For a terminating triple with a block shorter than N both
     orders are the size of that block.
     """
@@ -628,13 +635,15 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     entries of the coefficient build.  A value confirmed by order 2N has a
     truncation error of about |lam|^(2N), so one outside rho is not
     retained unless its prefactor is above 1/tol.  A count of 0 solves
-    nothing.  A count k > 0 takes the k zeros of the Jost function as the
-    candidates, with no eigensolve, and ladders them at orders 2N, 4N, ...
-    up to 64N, stopping at k (N_used = N, N_check at most 64N).  The first
-    rung is 2N, not N: a seed is about as accurate as the glued operator,
-    so it agrees with an order-N value whose truncation error is just
-    below tol, and that value would be reported.  If k is not met, or
-    there is no count, the order-N seed with one rung at 2N and no count
+    nothing.  A count 0 < k <= JOST_SEEDS_MAX takes the k zeros of the
+    Jost function as the candidates, with no eigensolve, and ladders them
+    at orders 2N, 4N, ... up to 64N, stopping at k (N_used = N, N_check at
+    most 64N).  The first rung is 2N, not N: a seed is about as accurate
+    as the glued operator, so it agrees with an order-N value whose
+    truncation error is just below tol, and that value would be reported.
+    If a larger k or the seeds' k is not met, the order-64 truncation
+    seeds a ladder to 2N stopped at k; if that falls short too, or there
+    is no count, the order-N seed with one rung at 2N and no count
     decides, as for the triples without a count.
 
     Every retained eigenvalue is checked against the residual contract
@@ -672,26 +681,27 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         n_used = n_check = bands.shape[1]
     else:
         # (seed order s, its candidates or None for the eigenvalues of the
-        # order-s truncation, count that stops the ladder), tried in turn
-        # until one meets its count
+        # order-s truncation, count that stops the ladder, top rung), tried
+        # in turn until one meets its count
         if jost:
             # a tol <= 0 gives rho = 0 and no count
             count, seeds = _jost_zeros(coeffs, N, max(tol, 0.0) ** (1.0 / (4 * N)))
-            tries = [(N, list(seeds), count)] if count else []
-            tries.append((N, None, None))
+            tries = [(64, None, count, 2 * N)] if count else []
+            if count and count <= JOST_SEEDS_MAX:
+                tries.insert(0, (N, list(seeds), count, top))
+            tries.append((N, None, None, 2 * N))
         elif count is None:
-            tries = [(N, None, None)]
+            tries = [(N, None, None, 2 * N)]
         else:
-            tries = [(s, None, count) for s in dict.fromkeys((min(64, N), N))]
+            tries = [(s, None, count, top) for s in dict.fromkeys((min(64, N), N))]
         if count == 0:
             retained, discarded, n_used, n_check = [], [], 0, 0
         else:
-            for n_used, candidates, stop in tries:
+            for n_used, candidates, stop, last in tries:
                 if candidates is None:
                     _, vals = _tridiagonal_eigvals(coeffs, n_used)
                     candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
-                # 2s, 4s, ... up to top, or the one rung 2s without a count
-                last = top if stop is not None else 2 * n_used
+                # 2s, 4s, ... up to the top rung
                 orders = [n_used << k for k in range(1, (last // n_used).bit_length())]
                 retained, discarded, n_check = _ladder(
                     lambda n: _tridiagonal_bands(coeffs, n), orders, candidates, tol, stop

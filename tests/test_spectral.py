@@ -844,9 +844,18 @@ class TestJostCount:
             res = discrete_spectrum(validate_params(*(complex(*entry[k]) for k in "abc")))
             assert len(res.eigenvalues) == entry["zeros"] > 0
 
+    def test_large_count_seeds_at_order_64(self):
+        # 30 zeros: beyond JOST_SEEDS_MAX the Jost seeds are not laddered,
+        # and the order-64 candidates meet the count by order 2N
+        p = validate_params(-30.5 + 1j, 0.3, 1.4)
+        count, seeds = self._zeros(p)
+        assert count == len(seeds) == 30 > spectral.JOST_SEEDS_MAX
+        res = discrete_spectrum(p)
+        assert len(res.eigenvalues) == 30 and res.N_used == 64 and res.N_check <= 512
+
     def test_overcount_falls_back_to_order_n(self, monkeypatch):
-        # a count the seeds cannot meet: the order-N seed with one rung at
-        # 2N and no count, byte for byte
+        # a count neither the seeds nor the order-64 candidates can meet:
+        # the order-N seed with one rung at 2N and no count, byte for byte
         p = validate_params(-2.5 + 0.7j, 0.3, 1.4)
         jost = spectral._jost_zeros
         with monkeypatch.context() as m:
