@@ -208,10 +208,8 @@ class SpectralResult:
     (``_jost_zeros``; a complex non-terminating triple with N > 64) whose
     seeds met it, ``N_used`` is N, the order the Jost function reads,
     ``N_check`` is at most 64N and ``discarded`` holds the seeds not
-    retained; otherwise ``N_used`` is 64 and ``N_check`` at most 2N when
-    the order-64 candidates met the count, and ``discarded`` then holds
-    those not retained, or else the orders are N and 2N and the result is
-    the one without a count.  A count of 0 solves nothing and reports 0 for both
+    retained; otherwise the orders are N and 2N and the result is the one
+    without a count.  A count of 0 solves nothing and reports 0 for both
     orders.  For a terminating triple with a block shorter than N both
     orders are the size of that block.
     """
@@ -551,7 +549,8 @@ def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, t
 
     Returns (count, seeds): (None, ()) when no sampling is accepted, the
     accepted winding is negative, psi_{-1} is not finite and nonzero at
-    every point, or rho is not in (0, 1); (0, ()) for no zero.
+    every point, or rho is not in (0, 1); (count, ()) for no zero or for
+    a count above JOST_SEEDS_MAX, whose zeros are not located.
     """
     if not 0.0 < rho < 1.0:
         return None, ()
@@ -579,8 +578,8 @@ def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, t
     if count < 0:
         # psi_{-1} is a polynomial, with no pole inside the circle
         return None, ()
-    if count == 0:
-        return 0, ()
+    if not 0 < count <= JOST_SEEDS_MAX:
+        return count, ()
     arg = np.angle(psi[0]) + np.concatenate(([0.0], np.cumsum(fine[:-1])))
     big_l = log + 1j * (arg - count * theta)
     j = np.arange(1, count + 1)
@@ -638,13 +637,12 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     nothing.  A count 0 < k <= JOST_SEEDS_MAX takes the k zeros of the
     Jost function as the candidates, with no eigensolve, and ladders them
     at orders 2N, 4N, ... up to 64N, stopping at k (N_used = N, N_check at
-    most 64N).  The first rung is 2N, not N: a seed is about as accurate
-    as the glued operator, so it agrees with an order-N value whose
-    truncation error is just below tol, and that value would be reported.
-    If a larger k or the seeds' k is not met, the order-64 truncation
-    seeds a ladder to 2N stopped at k; if that falls short too, or there
-    is no count, the order-N seed with one rung at 2N and no count
-    decides, as for the triples without a count.
+    most 64N, ``discarded`` the seeds not retained).  The first rung is 2N,
+    not N: a seed is about as accurate as the glued operator, so it agrees
+    with an order-N value whose truncation error is just below tol, and
+    that value would be reported.  If the seeds do not meet k, k is larger
+    than JOST_SEEDS_MAX, or there is no count, the order-N seed with one
+    rung at 2N and no count decides, as for the triples without a count.
 
     Every retained eigenvalue is checked against the residual contract
     EIG_RESIDUAL with a resolvent column (T - mu)^{-1} e_k, mu next to
@@ -664,15 +662,21 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     # a complex non-terminating triple with N > 64 is counted, and located,
     # by the Jost function of J_N
     jost = count is None and N > 64 and not (p.is_real or p.zeros)
-    top = 2 * N if count is None and not jost else 64 * N
     n_sum, rest = _trace_horizon(p, max(2 * N, 64))
-    coeffs = jacobi_coeffs(p, max(top, n_sum) + 1)
+    coeffs = jacobi_coeffs(p, max(2 * N if count is None and not jost else 64 * N, n_sum) + 1)
     bound = _trace_sum(coeffs, n_sum, rest)
-    # only the block up to the top order stays alive beside the eigensolve
+    exact = coeffs.terminated_at is not None and coeffs.terminated_at < N - 1
+    seeds: tuple[complex, ...] = ()
+    if jost and not exact:
+        # a tol <= 0 gives rho = 0 and no count
+        count, seeds = _jost_zeros(coeffs, N, max(tol, 0.0) ** (1.0 / (4 * N)))
+    # only the block up to the top order stays alive beside the eigensolve:
+    # 64N for a ladder that a count stops, 2N for the one rung without
+    top = 64 * N if count and (seeds or not jost) else 2 * N
     coeffs = replace(
         coeffs, **{k: getattr(coeffs, k)[:top].copy() for k in ("diag", "offdiag_sq", "offdiag")}
     )
-    if coeffs.terminated_at is not None and coeffs.terminated_at < N - 1:
+    if exact:
         # the order-N build would already have stopped at the exact block
         bands, vals = _tridiagonal_eigvals(coeffs, N)
         retained = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
@@ -683,15 +687,9 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         # (seed order s, its candidates or None for the eigenvalues of the
         # order-s truncation, count that stops the ladder, top rung), tried
         # in turn until one meets its count
-        if jost:
-            # a tol <= 0 gives rho = 0 and no count
-            count, seeds = _jost_zeros(coeffs, N, max(tol, 0.0) ** (1.0 / (4 * N)))
-            tries = [(64, None, count, 2 * N)] if count else []
-            if count and count <= JOST_SEEDS_MAX:
-                tries.insert(0, (N, list(seeds), count, top))
+        if jost or count is None:
+            tries = [(N, list(seeds), count, top)] if seeds else []
             tries.append((N, None, None, 2 * N))
-        elif count is None:
-            tries = [(N, None, None, 2 * N)]
         else:
             tries = [(s, None, count, top) for s in dict.fromkeys((min(64, N), N))]
         if count == 0:

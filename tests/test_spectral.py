@@ -844,18 +844,21 @@ class TestJostCount:
             res = discrete_spectrum(validate_params(*(complex(*entry[k]) for k in "abc")))
             assert len(res.eigenvalues) == entry["zeros"] > 0
 
-    def test_large_count_seeds_at_order_64(self):
-        # 30 zeros: beyond JOST_SEEDS_MAX the Jost seeds are not laddered,
-        # and the order-64 candidates meet the count by order 2N
+    def test_large_count_not_located(self, monkeypatch):
+        # 30 zeros: beyond JOST_SEEDS_MAX they are counted, not located,
+        # and the order-N seed with one rung at 2N and no count decides
         p = validate_params(-30.5 + 1j, 0.3, 1.4)
-        count, seeds = self._zeros(p)
-        assert count == len(seeds) == 30 > spectral.JOST_SEEDS_MAX
+        assert self._zeros(p) == (30, ()) and 30 > spectral.JOST_SEEDS_MAX
         res = discrete_spectrum(p)
-        assert len(res.eigenvalues) == 30 and res.N_used == 64 and res.N_check <= 512
+        monkeypatch.setattr(spectral, "_jost_zeros", lambda coeffs, M, rho: (None, ()))
+        ref = discrete_spectrum(p)
+        assert (res.N_used, res.N_check) == (256, 512)
+        for name in SpectralResult.__dataclass_fields__:
+            assert repr(getattr(res, name)) == repr(getattr(ref, name)), name
 
     def test_overcount_falls_back_to_order_n(self, monkeypatch):
-        # a count neither the seeds nor the order-64 candidates can meet:
-        # the order-N seed with one rung at 2N and no count, byte for byte
+        # a count the seeds cannot meet: the order-N seed with one rung at
+        # 2N and no count, byte for byte
         p = validate_params(-2.5 + 0.7j, 0.3, 1.4)
         jost = spectral._jost_zeros
         with monkeypatch.context() as m:
