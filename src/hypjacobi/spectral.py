@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import numpy as np
 
 from .cfrac import (
@@ -205,13 +205,12 @@ class SpectralResult:
     With a Klein count (``klein_count``; a real triple with c+1 > 0)
     ``N_used`` is the seed order whose candidates met the count, min(64, N)
     or else N, and ``N_check`` is at most 64N.  With a Jost count
-    (``_jost_zeros``; a complex non-terminating triple with N > 64) whose
-    seeds met it, ``N_used`` is N, the order the Jost function reads,
-    ``N_check`` is at most 64N and ``discarded`` holds the seeds not
-    retained; otherwise the orders are N and 2N and the result is the one
-    without a count.  A count of 0 solves nothing and reports 0 for both
-    orders.  For a terminating triple with a block shorter than N both
-    orders are the size of that block.
+    (``_jost_zeros``; a complex non-terminating triple) whose seeds met it,
+    ``N_used`` is N, the order the Jost function reads, ``N_check`` at most
+    64N and ``discarded`` the seeds not retained; otherwise the result is
+    the one without a count.  A count of 0 solves nothing and reports 0
+    for both orders.  For a terminating triple with a block shorter than N
+    both orders are the size of that block.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -367,7 +366,8 @@ def _ladder(bands_at, orders, candidates, tol: float, count: int | None = None):
     Returns (retained, discarded), both in candidate order, and the
     highest order reached.
     """
-    real = not np.iscomplexobj(bands_at(orders[0]))
+    bands = bands_at(orders[0])
+    real = not np.iscomplexobj(bands)
     climbing = {i: lam for i, lam in enumerate(candidates) if not (real and lam.imag < 0)}
     if count is not None:
         climbing = dict(sorted(climbing.items(), key=lambda item: -band_distance(item[1])))
@@ -377,7 +377,7 @@ def _ladder(bands_at, orders, candidates, tol: float, count: int | None = None):
     for n in orders:
         if not climbing or (count is not None and len(taken) >= count):
             break
-        bands = bands_at(n)
+        bands = bands if n == reached else bands_at(n)
         diag = bands[1].tolist()
         prod = (bands[0, 1:] * bands[2, :-1]).tolist()
         screen = {}
@@ -611,8 +611,9 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     outside BAND_GUARD and apart from the values already retained.
     Everything else lands in ``discarded``: truncations pollute the band
     vicinity and only agreement across orders separates genuine poles of B
-    from that debris.  All orders are read from one coefficient build,
-    which also feeds the trace-norm bound.
+    from that debris.  The coefficients are built once, to the horizon of
+    the trace-norm bound (at least 2N + 1 entries), and that build serves
+    every rung that it covers; a rung beyond it builds its own order.
 
     When ``klein_count`` knows how many zeros F(a, b+1, c+1; .) has (a real
     triple with c+1 > 0), that count decides when the spectrum is complete.
@@ -628,7 +629,7 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     the ladder has one rung, 2N.  Terminating triples with a shorter block
     are exact and skip the filter.
 
-    A complex non-terminating triple with N > 64 is counted and located by
+    A complex non-terminating triple is counted and located by
     ``_jost_zeros``: the eigenvalues z = lam + 1/lam of J_N glued to the
     free tail with |lam| < rho = tol^(1/(4N)), read from the first N + 1
     entries of the coefficient build.  A value confirmed by order 2N has a
@@ -659,23 +660,23 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         raise ValueError("truncation order must be >= 8 for non-terminating triples")
 
     count = klein_count(p)
-    # a complex non-terminating triple with N > 64 is counted, and located,
-    # by the Jost function of J_N
-    jost = count is None and N > 64 and not (p.is_real or p.zeros)
+    # a complex non-terminating triple is counted and located by the Jost function
+    jost = count is None and not (p.is_real or p.zeros)
     n_sum, rest = _trace_horizon(p, max(2 * N, 64))
-    coeffs = jacobi_coeffs(p, max(2 * N if count is None and not jost else 64 * N, n_sum) + 1)
+    coeffs = jacobi_coeffs(p, n_sum + 1)
     bound = _trace_sum(coeffs, n_sum, rest)
     exact = coeffs.terminated_at is not None and coeffs.terminated_at < N - 1
     seeds: tuple[complex, ...] = ()
     if jost and not exact:
         # a tol <= 0 gives rho = 0 and no count
         count, seeds = _jost_zeros(coeffs, N, max(tol, 0.0) ** (1.0 / (4 * N)))
-    # only the block up to the top order stays alive beside the eigensolve:
-    # 64N for a ladder that a count stops, 2N for the one rung without
-    top = 64 * N if count and (seeds or not jost) else 2 * N
-    coeffs = replace(
-        coeffs, **{k: getattr(coeffs, k)[:top].copy() for k in ("diag", "offdiag_sq", "offdiag")}
-    )
+
+    def bands_at(n):
+        # a rung beyond the build builds its own order (a terminated build
+        # already holds its whole block)
+        beyond = n > len(coeffs.diag) and coeffs.terminated_at is None
+        return _tridiagonal_bands(jacobi_coeffs(p, n) if beyond else coeffs, n)
+
     if exact:
         # the order-N build would already have stopped at the exact block
         bands, vals = _tridiagonal_eigvals(coeffs, N)
@@ -684,26 +685,24 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         discarded: list[complex] = []
         n_used = n_check = bands.shape[1]
     else:
-        # (seed order s, its candidates or None for the eigenvalues of the
-        # order-s truncation, count that stops the ladder, top rung), tried
-        # in turn until one meets its count
+        # (seed order s, candidates or None for the order-s eigenvalues, count
+        # that stops the ladder), tried in turn until one meets its count
         if jost or count is None:
-            tries = [(N, list(seeds), count, top)] if seeds else []
-            tries.append((N, None, None, 2 * N))
+            tries = [(N, list(seeds), count)] if seeds else []
+            tries.append((N, None, None))
         else:
-            tries = [(s, None, count, top) for s in dict.fromkeys((min(64, N), N))]
+            tries = [(s, None, count) for s in dict.fromkeys((min(64, N), N))]
         if count == 0:
             retained, discarded, n_used, n_check = [], [], 0, 0
         else:
-            for n_used, candidates, stop, last in tries:
+            for n_used, candidates, stop in tries:
                 if candidates is None:
                     _, vals = _tridiagonal_eigvals(coeffs, n_used)
                     candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
-                # 2s, 4s, ... up to the top rung
+                # 2s, 4s, ... up to 64N with a count, the one rung 2N without
+                last = (64 if stop else 2) * N
                 orders = [n_used << k for k in range(1, (last // n_used).bit_length())]
-                retained, discarded, n_check = _ladder(
-                    lambda n: _tridiagonal_bands(coeffs, n), orders, candidates, tol, stop
-                )
+                retained, discarded, n_check = _ladder(bands_at, orders, candidates, tol, stop)
                 if stop is None or len(retained) >= stop:
                     break
 

@@ -870,14 +870,48 @@ class TestJostCount:
         for name in SpectralResult.__dataclass_fields__:
             assert repr(getattr(res, name)) == repr(getattr(ref, name)), name
 
-    @pytest.mark.parametrize("N", [8, 32, 64])
-    def test_not_counted_at_seed_order(self, monkeypatch, N):
+    @pytest.mark.parametrize(
+        "N",
+        [
+            pytest.param(8, marks=pytest.mark.xfail(
+                strict=True,
+                reason="rho = 0.4870 passes 0.12% outside the zero |lam| = 0.4864: the largest "
+                "argument step is 3.0 rad, so the count is refused and the order-N/2N path "
+                "keeps no value",
+            )),
+            32,
+            64,
+        ],
+    )
+    def test_counted_at_small_order(self, monkeypatch, N):
+        # below order 64 the Jost function counts and seeds as it does at
+        # 256, and the values are those of order 256
         def refuse(*args):
-            raise AssertionError("Jost count")
+            raise AssertionError("eigensolve")
 
-        monkeypatch.setattr(spectral, "_jost_zeros", refuse)
-        res = discrete_spectrum(validate_params(-2.5 + 0.7j, 0.3, 1.4), N)
-        assert (res.N_used, res.N_check) == (N, 2 * N)
+        p = validate_params(-2.5 + 0.7j, 0.3, 1.4)
+        ref = discrete_spectrum(p)
+        count = self._zeros(p, N)[0]
+        monkeypatch.setattr(spectral, "_tridiagonal_eigvals", refuse)
+        res = discrete_spectrum(p, N)
+        assert count == len(res.eigenvalues) == 2 and res.N_used == N
+        for u, v in zip(res.eigenvalues, ref.eigenvalues):
+            assert abs(u - v) <= 1e-12 * abs(v), (N, u, v)
+
+    @pytest.mark.parametrize("abc", JOST_GATE, ids=str)
+    def test_small_orders_lose_no_value(self, monkeypatch, abc):
+        # at N = 16 and 64 no triple keeps fewer values than without the
+        # Jost function, and every value is one of the order-256 spectrum
+        p = validate_params(*abc)
+        ref = np.array(discrete_spectrum(p).eigenvalues)
+        for N in (16, 64):
+            res = discrete_spectrum(p, N)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_jost_zeros", lambda coeffs, M, rho: (None, ()))
+                uncounted = discrete_spectrum(p, N)
+            assert len(res.eigenvalues) >= len(uncounted.eigenvalues), N
+            for u in res.eigenvalues:
+                assert np.min(np.abs(ref - u)) <= 1e-8 * abs(u), (N, u)
 
     def test_count_zero_needs_no_eigensolve(self, monkeypatch):
         def refuse(*args):
@@ -950,6 +984,65 @@ class TestJostCount:
         for u in res.eigenvalues:
             v = rest.pop(int(np.argmin(np.abs(np.array(rest) - u))))
             assert abs(u - v) <= 1e-12 * max(1.0, abs(u)), (abc, u, v)
+
+
+class TestOneBuild:
+    """discrete_spectrum builds the coefficients once, to the trace-norm
+    horizon; only a ladder rung beyond it builds its own order."""
+
+    @staticmethod
+    def _spy(monkeypatch, floor=0):
+        # records the size of every build, and builds at least ``floor``
+        sizes = []
+        build = spectral.jacobi_coeffs
+
+        def spy(p, n):
+            sizes.append(n)
+            return build(p, max(n, floor))
+
+        monkeypatch.setattr(spectral, "jacobi_coeffs", spy)
+        return sizes
+
+    def test_count_zero_builds_once(self, monkeypatch):
+        # count 0 at N = 1024: one build, to the 20001 entries of the
+        # trace-norm horizon, and none to order 64N
+        sizes = self._spy(monkeypatch)
+        discrete_spectrum(validate_params(1.96 + 0.3j, 1.91, 2.41), 1024)
+        assert sizes == [spectral.TAIL_HORIZON + 1] == [20001]
+
+    @pytest.mark.parametrize(
+        "N, cases",
+        [
+            (256, [tuple(complex(*e[k]) for k in "abc")
+                   for e in json.loads(POOL.read_text(encoding="utf-8"))]),
+            (1024, [(-3.1 + 0.9j, 0.4, 1.6), (3.18 - 1.48j, 2.23, -4.28), (-5.3, -2.6, 0.4)]),
+        ],
+        ids=["pool-256", "1024"],
+    )
+    def test_larger_build_changes_nothing(self, monkeypatch, N, cases):
+        # every build at least 64N + 1 entries, enough for every rung
+        for abc in cases:
+            p = validate_params(*abc)
+            res = discrete_spectrum(p, N)
+            with monkeypatch.context() as m:
+                self._spy(m, 64 * N + 1)
+                big = discrete_spectrum(p, N)
+            for name in SpectralResult.__dataclass_fields__:
+                assert repr(getattr(res, name)) == repr(getattr(big, name)), (abc, name)
+
+    def test_rung_beyond_build_builds_its_own(self, monkeypatch):
+        # with the horizon cut to 2N the Klein ladder of the near-band pair
+        # climbs past the trace-norm build; only the bound may change
+        p = validate_params(-5.1, -2.6, 0.5)
+        res = discrete_spectrum(p)
+        monkeypatch.setattr(spectral, "TAIL_HORIZON", 0)
+        sizes = self._spy(monkeypatch)
+        cut = discrete_spectrum(p)
+        assert sizes[0] == 513 and sizes[1:] == [1024 << k for k in range(len(sizes) - 1)]
+        assert res.N_check == cut.N_check == sizes[-1]
+        for name in SpectralResult.__dataclass_fields__:
+            if name != "trace_bound":
+                assert repr(getattr(res, name)) == repr(getattr(cut, name)), name
 
 
 class TestTraceNormBound:
