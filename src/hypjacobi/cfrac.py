@@ -351,9 +351,9 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     t = termination_index(p)
     terminated_at = t if t is not None and t < n_max - 1 else None
     n = n_max if terminated_at is None else terminated_at + 1
-    # validate_params screens the leading entries of non-terminating triples
-    # only (a terminating one with a huge parameter must still reach
-    # TerminationTooDeep), so every entry is screened here
+    # validate_params screens only c_1..c_3 and b_0^2 of a non-terminating
+    # triple (a later entry overflows where c + m is small, and a terminating
+    # one must still reach TerminationTooDeep), so every entry is screened here
     with np.errstate(over="ignore", invalid="ignore"):
         d = -c_array(p, 2 * n)  # d[j - 1] = d_j, j = 1..2n
         diag = np.empty(n, dtype=d.dtype)

@@ -62,8 +62,6 @@ def _jdump(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _f17(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f'{{"re":{_f17(obj.real)},"im":{_f17(obj.imag)}}}'
     if isinstance(obj, str):
         return f'"{_json_escape(obj)}"'
     if isinstance(obj, dict):

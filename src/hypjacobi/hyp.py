@@ -92,8 +92,9 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
     NonFiniteParameter
         If a real or imaginary part of a, b, c, c - a or c - b is NaN or
         infinite (the differences enter every fraction coefficient), or if
-        the fraction does not terminate and its leading entries overflow
-        (see ``_leading_entries_finite``).
+        the fraction does not terminate and one of c_1, c_2, c_3 or
+        b_0^2 = 16 c_2 c_3, as the coefficient kernel ``cfrac.c_array``
+        forms them, overflows.
     CNonpositiveInteger
         If c lies within ``eps_c`` of {0, -1, -2, ...}.  The series (and
         every continued-fraction coefficient denominator) degenerates there.
@@ -107,12 +108,21 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
             f"c = {c} is within {eps_c} of a nonpositive integer"
         )
     zeros = _zero_indices(a, b, c)
-    if not (zeros or _leading_entries_finite(a, b, c)):
-        raise NonFiniteParameter(
-            f"the J-fraction entries of (a,b,c) = ({a}, {b}, {c}) are not finite (overflow)"
-        )
     is_real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
-    return HypParams(a=a, b=b, c=c, is_real=is_real, zeros=zeros)
+    p = HypParams(a=a, b=b, c=c, is_real=is_real, zeros=zeros)
+    # a huge parameter (e.g. a = 1e200 + 1j, where b_n^2 ~ |a|^2) is refused
+    # at once; a terminating triple is not screened, so that one with a huge
+    # parameter still reaches TerminationTooDeep
+    if not zeros:
+        from .cfrac import c_array  # cfrac imports this module
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            c1, c2, c3 = c_array(p, 3)
+            if not np.isfinite([c1, c2, c3, 16 * c2 * c3]).all():
+                raise NonFiniteParameter(
+                    f"the J-fraction entries of (a,b,c) = ({a}, {b}, {c}) are not finite (overflow)"
+                )
+    return p
 
 
 def _zero_indices(a: complex, b: complex, c: complex) -> tuple[int, ...]:
@@ -128,24 +138,6 @@ def _zero_indices(a: complex, b: complex, c: complex) -> tuple[int, ...]:
     factors = ((a, 1), (c - b, 1), (b, 0), (c - a, 0))
     js = {parity - 2 * int(x.real) for x, parity in factors if is_nonpositive_integer(x)}
     return tuple(sorted(js - {0}))
-
-
-def _leading_entries_finite(a: complex, b: complex, c: complex) -> bool:
-    """Whether c_1, c_2, c_3 and b_0^2 = 16 c_2 c_3 are finite, formed as
-    the coefficient kernel forms them.
-
-    Every J-fraction entry is a product of the linear factors a + m,
-    b + m, c - a + m, c - b + m over factors in c; for a huge parameter
-    (e.g. a = 1e200 + 1j, where b_n^2 ~ |a|^2) the leading entries
-    overflow, so such a triple is refused at once.  A later entry can still
-    overflow when c + m is small; ``cfrac.jacobi_coeffs`` screens every
-    entry it forms.  A terminating triple is not checked, so that one with
-    a huge parameter still reaches TerminationTooDeep.
-    """
-    c1 = -a * (c - b) / (c * (c + 1))
-    c2 = -(b + 1) * (c - a + 1) / ((c + 1) * (c + 2))
-    c3 = -(a + 1) * (c - b + 1) / ((c + 2) * (c + 3))
-    return all(cmath.isfinite(x) for x in (c1, c2, c3, 16 * c2 * c3))
 
 
 def hyp2f1_series(

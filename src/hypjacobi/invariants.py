@@ -45,9 +45,10 @@ def run(p: HypParams, N: int = 256, tol: float = 1e-10) -> list[Check]:
     def record(name: str, passed: bool, detail: str) -> None:
         checks.append(Check(name, bool(passed), detail))
 
-    # first, and to the order the spectrum step builds, so that a triple
-    # whose entries overflow is refused before the series comparison
-    coeffs = cfrac.jacobi_coeffs(p, 2 * N)
+    # first, and to the horizon the spectrum step builds, so that a triple
+    # whose horizon is too deep or whose entries overflow is refused
+    # before the series comparison
+    spectral.trace_norm_bound(p, 2 * N)
     worst = 0.0
     for z in (0.3 + 0.0j, -0.5 + 0.1j, 0.2 - 0.4j, 0.55 + 0.2j):
         series = hyp.ratio_series(p, z)
@@ -57,6 +58,7 @@ def run(p: HypParams, N: int = 256, tol: float = 1e-10) -> list[Check]:
 
     # the moments grow without bound as c approaches -1: relative bounds
     s = cfrac.moment_oracle(p, 3)
+    coeffs = cfrac.jacobi_coeffs(p, 2)
     a0 = coeffs.diag[0]
     err = abs(s[1] - a0)
     detail = [f"|s1-a0|={err:.3e}"]

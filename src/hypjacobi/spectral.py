@@ -662,12 +662,12 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     count = klein_count(p)
     # a complex non-terminating triple is counted and located by the Jost function
     jost = count is None and not (p.is_real or p.zeros)
-    n_sum, rest = _trace_horizon(p, max(2 * N, 64))
+    n_sum, rest = _trace_horizon(p, 2 * N)
     coeffs = jacobi_coeffs(p, n_sum + 1)
     bound = _trace_sum(coeffs, n_sum, rest)
     exact = coeffs.terminated_at is not None and coeffs.terminated_at < N - 1
     seeds: tuple[complex, ...] = ()
-    if jost and not exact:
+    if jost:
         # a tol <= 0 gives rho = 0 and no count
         count, seeds = _jost_zeros(coeffs, N, max(tol, 0.0) ** (1.0 / (4 * N)))
 
@@ -706,16 +706,9 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
                 if stop is None or len(retained) >= stop:
                     break
 
-    if p.is_real:
-        # a real triple is solved in real arithmetic, so non-real values
-        # already come in exact conjugate pairs; only rounding-level
-        # imaginary parts are dropped
-        retained = [
-            complex(v.real, 0.0) if abs(v.imag) <= max(tol * max(1.0, abs(v)), 1e-12) else v
-            for v in retained
-        ]
-
-    # collapse near-coincident values into explicit multiplicities
+    # collapse near-coincident values into explicit multiplicities; a real
+    # triple is solved in real arithmetic, so its non-real values come in
+    # exact conjugate pairs, and a pair this close averages to a real value
     retained.sort(key=lambda v: (v.real, v.imag))
     merged: list[complex] = []
     final: list[complex] = []

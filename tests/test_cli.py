@@ -321,13 +321,15 @@ class TestPromptTypedEnd:
             ("spectrum", "3e153,1", "1.5", 2),
             ("spectrum", "1e100,1", "1.5", 2),
             ("check", "1e150,1", "-9.99999999", 2),
-            ("check", "1e9", "1.5", 3),
+            ("check", "1e9", "1.5", 2),
+            ("check", "1e154", "-30000.5", 2),
         ],
     )
     def test_huge_parameters(self, subcommand, a, c, expected, capsys):
-        # the trace-norm horizon grows like 4|a| (exit 2 beyond the cap); the
-        # series comparison of check meets overflowing terms (exit 3), unless
-        # the screen of the J-fraction entries refuses the triple first
+        # the trace-norm horizon grows like 4|a| (exit 2 beyond the cap), and
+        # entries can overflow inside a long terminating block (c - b =
+        # -30001; exit 2): check screens both, as its spectrum step does,
+        # before its series comparison meets the overflowing terms
         t0 = time.perf_counter()
         code = main([subcommand, "-a", a, "-b", "0.5", "-c", c, "--N", "16"])
         assert time.perf_counter() - t0 < 2.0
@@ -344,6 +346,21 @@ class TestPromptTypedEnd:
         code = main(["eval", "-a", "1", "-b", "0", "-c", "1", "--z", "4"])
         assert code == 3
         assert capsys.readouterr().err == f"failure: {exc.__name__}: injected\n"
+
+
+class TestEscaping:
+    def test_json_escape(self):
+        assert cli._json_escape('say "hi"') == 'say \\"hi\\"'
+        assert cli._json_escape("C:\\dir") == "C:\\\\dir"
+        assert cli._json_escape("a\nb\tc\x01é") == "a\\u000ab\\u0009c\\u0001é"
+        # keys and string values alike
+        assert cli._jdump({'k"': "a\\b"}) == '{"k\\"":"a\\\\b"}'
+
+    def test_csv_cell_quoting(self):
+        assert cli._csv_cell("plain") == "plain"
+        assert cli._csv_cell("a,b") == '"a,b"'
+        assert cli._csv_cell('say "hi"') == '"say ""hi"""'
+        assert cli._csv_cell("two\nlines") == '"two\nlines"'
 
 
 class TestDeterminism:

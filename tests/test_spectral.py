@@ -624,6 +624,16 @@ class TestOrder2NConfirmation:
         # NaN and the candidate is discarded, again without a warning
         assert _one_rung(bands, [4.0 + 0j], 1e-10) == ([], [4.0])
 
+    def test_refine_stops_at_vanishing_pivot(self):
+        # mu = 1 is the eigenvalue of the leading 1 x 1 block: the first
+        # pivot is zero, and mu comes back unchanged
+        got = spectral._refine([1.0, 2.0], [0.5], 1.0)
+        assert got == 1.0 + 0j and isinstance(got, complex)
+
+    def test_refine_stops_at_nan_step(self):
+        # a NaN entry makes the step NaN: mu comes back unchanged, not NaN
+        assert spectral._refine([1.0, math.nan], [0.5], 3.0) == 3.0 + 0j
+
     def test_claimed_value_is_not_retained_twice(self):
         # three candidates, two of them equal, all converge onto 3
         bands = self._path_bands(float)
@@ -652,6 +662,37 @@ class TestOrder2NConfirmation:
         # Jost function sees only |lam| < rho = tol^(1/4N), z = lam + 1/lam,
         # and a count of 0 reports no eigenvalue
         assert len(discrete_spectrum(validate_params(*abc)).eigenvalues) == zeros
+
+
+class TestMergeStep:
+    """Retained values within MERGE_TOL are averaged and repeated, the
+    average flagged in ``merged``; the values are fed through the
+    ``_ladder`` seam."""
+
+    @staticmethod
+    def _spectrum(monkeypatch, abc, values):
+        monkeypatch.setattr(spectral, "klein_count", lambda p: None)
+        monkeypatch.setattr(spectral, "_jost_zeros", lambda coeffs, M, rho: (None, ()))
+        monkeypatch.setattr(
+            spectral, "_ladder",
+            lambda bands_at, orders, cands, tol, count=None: (list(values), [], orders[-1]),
+        )
+        return discrete_spectrum(validate_params(*abc), 64)
+
+    def test_close_values_merge(self, monkeypatch):
+        close = [3.0 + 1j, 3.0 + 1e-8 + 1j]
+        res = self._spectrum(monkeypatch, (1 + 2j, 3, -0.5), [-4.0 + 0j] + close)
+        rep = sum(close) / 2
+        assert abs(rep - (3.0 + 5e-9 + 1j)) <= 1e-15
+        assert res.eigenvalues == (-4.0, rep, rep) and res.merged == (rep,)
+
+    def test_close_conjugate_pair_of_real_triple_merges_to_real(self, monkeypatch):
+        # a real triple is solved in real arithmetic, so a non-real value
+        # comes with its exact conjugate; a pair this close averages to a
+        # real double value with a +0.0 imaginary part
+        res = self._spectrum(monkeypatch, (-12.5, -7.5, -3.5), [3.5 + 1e-11j, 3.5 - 1e-11j])
+        assert repr(res.eigenvalues) == repr((3.5 + 0j, 3.5 + 0j))
+        assert repr(res.merged) == repr((3.5 + 0j,))
 
 
 def _counted_grid():
@@ -824,6 +865,13 @@ class TestJostCount:
         free = replace(coeffs, diag=np.zeros(257, complex), offdiag_sq=np.ones(256, complex))
         assert spectral._jost_zeros(free, 256, 0.98) == (0, ())
         assert spectral._jost_zeros(coeffs, 256, 1.0) == (None, ())
+
+    def test_infinite_entry_counts_nothing(self):
+        # psi_{-1} is not finite on the contour: no count, and no warning
+        coeffs = jacobi_coeffs(validate_params(-2.5 + 0.7j, 0.3, 1.4), 257)
+        diag = coeffs.diag.copy()
+        diag[3] = np.inf
+        assert spectral._jost_zeros(replace(coeffs, diag=diag), 256, 0.98) == (None, ())
 
     def test_seed_and_orders_reported(self):
         # the Jost function reads order N; its seeds are all retained, no
