@@ -2,6 +2,7 @@
 approximant identities and the moment oracle."""
 
 import math
+import random
 import threading
 
 import numpy as np
@@ -30,6 +31,7 @@ from hypjacobi import (
 )
 from hypjacobi.cfrac import (
     TERMINATION_CAP,
+    _jacobi_entries,
     c_array,
     cfrac_termination_index,
     near_band,
@@ -226,6 +228,19 @@ class TestJacobiCoeffs:
         assert abs(jc.diag[0] + 2.0 / 3.0) < 1e-14
         assert abs(jc.diag[1] - 2.0 / 3.0) < 1e-14
         assert abs(jc.offdiag_sq[0] + 16.0 / 9.0) < 1e-14
+
+    @pytest.mark.parametrize("abc", [(1, 0, 1), (-1.5, 0, 1), (2 + 1j, 0.5, 3), (-40, 0.5, 1.5)])
+    def test_complex_view_of_native_kernel(self, abc):
+        # the kernel keeps the triple's own arithmetic; jacobi_coeffs is its
+        # complex128 view, entry for entry
+        p = validate_params(*abc)
+        entries = _jacobi_entries(p, 64)
+        jc = jacobi_coeffs(p, 64)
+        assert entries.diag.dtype == entries.offdiag_sq.dtype == (float if p.is_real else complex)
+        assert jc.diag.dtype == jc.offdiag_sq.dtype == jc.offdiag.dtype == complex
+        assert jc.diag.tobytes() == entries.diag.astype(complex).tobytes()
+        assert jc.offdiag_sq.tobytes() == entries.offdiag_sq.astype(complex).tobytes()
+        assert jc.terminated_at == entries.terminated_at
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateRatio):
@@ -539,6 +554,38 @@ class TestCArray:
         for j in range(1, 301):
             ref = _ref_c(p, j)
             assert abs(arr[j - 1] - ref) <= 4 * eps * abs(ref), j
+
+    def test_matches_closed_form_bit_for_bit(self):
+        # the kernel forms c + 2m once per parity; the closed form written
+        # out term by term gives the same bytes, zero entries included
+        rng = random.Random(19)
+        triples = []
+        while len(triples) < 80:
+            a, b, c = (round(rng.uniform(-8, 8), 2) for _ in range(3))
+            if len(triples) % 5 == 0:
+                a = -float(rng.randint(1, 40))  # a + m = 0
+            elif len(triples) % 5 == 1:
+                b = c + rng.randint(1, 40)  # c - b + m = 0
+            if len(triples) % 2:
+                a, b = complex(a, round(rng.uniform(-3, 3), 2)), complex(b, round(rng.uniform(-2, 2), 2))
+            try:
+                triples.append(validate_params(a, b, c))
+            except CNonpositiveInteger:
+                continue
+        assert sum(bool(p.zeros) for p in triples) >= 16
+        for p in triples:
+            a, b, c = (x.real if p.is_real else x for x in (p.a, p.b, p.c))
+            for n in (1, 2, 157, 4000):
+                ref = np.empty(n, dtype=float if p.is_real else complex)
+                m = np.arange((n + 1) // 2, dtype=float)
+                ref[0::2] = -(a + m) * (c - b + m) / ((c + 2 * m) * (c + 2 * m + 1))
+                m = np.arange(1, n // 2 + 1, dtype=float)
+                ref[1::2] = -(b + m) * (c - a + m) / ((c + 2 * m - 1) * (c + 2 * m))
+                for k in p.zeros:
+                    if k <= n:
+                        ref[k - 1] = 0.0
+                got = c_array(p, n)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (p, n)
 
     def test_exact_zeros(self):
         p = validate_params(-2, -1.5, 1)  # a + 2 = 0 at j = 5, b + 1.5 never

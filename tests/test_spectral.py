@@ -52,6 +52,9 @@ PKAPPA = validate_params(-1.5, 0, 1)
 
 B_101_AT_4 = -(0.5) * (2.0 / math.log(3.0) - 1.0)
 
+#: real triples with negative b_n^2 (below their stabilization index)
+NEGATIVE_SQUARES = [(-0.21, -2.99, -4.48), (2.83, -1.61, -1.07), (-5.01, 3.64, -2.63)]
+
 
 class TestGeometry:
     def test_band_distance(self):
@@ -285,6 +288,16 @@ class TestDiscreteSpectrum:
             assert abs(1.0 / b_function(PTERM2, away, method="cf")) <= 1e-3
             probe = lam + 0.1 * lam / abs(lam)
             assert abs(b_function(PTERM2, probe, method="cf")) < 1e3
+
+    @pytest.mark.parametrize("N", [-3, 0])
+    @pytest.mark.parametrize("p", [PTERM2, validate_params(-40, 0.5, 1.5), PKAPPA],
+                             ids=["terminating", "terminating-long", "non-terminating"])
+    def test_order_below_one_names_n(self, p, N):
+        # every triple needs N >= 1, named as N, before any bound is taken
+        with pytest.raises(ValueError, match=r"^truncation order N must be >= 1, got -?\d+$"):
+            discrete_spectrum(p, N)
+        with pytest.raises(ValueError, match="truncation order N"):
+            hyp_zeros(p, N)
 
     def test_eigenvalues_settle_with_n(self):
         r1 = discrete_spectrum(PKAPPA, 64)
@@ -1040,15 +1053,16 @@ class TestOneBuild:
 
     @staticmethod
     def _spy(monkeypatch, floor=0):
-        # records the size of every build, and builds at least ``floor``
+        # records the size of every build of the native kernel, and builds
+        # at least ``floor``
         sizes = []
-        build = spectral.jacobi_coeffs
+        build = spectral._jacobi_entries
 
         def spy(p, n):
             sizes.append(n)
             return build(p, max(n, floor))
 
-        monkeypatch.setattr(spectral, "jacobi_coeffs", spy)
+        monkeypatch.setattr(spectral, "_jacobi_entries", spy)
         return sizes
 
     def test_count_zero_builds_once(self, monkeypatch):
@@ -1073,8 +1087,10 @@ class TestOneBuild:
             p = validate_params(*abc)
             res = discrete_spectrum(p, N)
             with monkeypatch.context() as m:
-                self._spy(m, 64 * N + 1)
+                sizes = self._spy(m, 64 * N + 1)
                 big = discrete_spectrum(p, N)
+            # the spy saw, and enlarged, the one horizon build
+            assert sizes[0] == spectral.TAIL_HORIZON + 1, abc
             for name in SpectralResult.__dataclass_fields__:
                 assert repr(getattr(res, name)) == repr(getattr(big, name)), (abc, name)
 
@@ -1149,6 +1165,28 @@ class TestTraceNormBound:
 
     def test_horizon_below_cap_accepted(self):
         assert np.isfinite(trace_norm_bound(validate_params(2e5, 0.5, 1.5), 64))
+
+    @pytest.mark.parametrize(
+        "abc", NEGATIVE_SQUARES + [(-2.5 + 0.7j, 0.3, 1.4), (-40, 0.5, 1.5)],
+        ids=["negative-squares-1", "negative-squares-2", "negative-squares-3",
+             "complex", "terminating"],
+    )
+    @pytest.mark.parametrize("K", [1, 512])
+    def test_native_sum_matches_complex_formula(self, abc, K):
+        # the bound from the native arrays equals, bit for bit, the sum over
+        # the complex128 JacobiCoeffs with its principal roots b_n
+        p = validate_params(*abc)
+        n, rest = spectral._trace_horizon(p, K)
+        jc = jacobi_coeffs(p, n + 1)
+        ref = float(np.sum(np.abs(jc.diag[:n])) + 2.0 * np.sum(np.abs(jc.offdiag[:n] - 1.0)) + rest)
+        entries = spectral._jacobi_entries(p, n + 1)
+        assert entries.diag.dtype == (float if p.is_real else complex)
+        if abc in NEGATIVE_SQUARES:
+            # these reach the complex root of the native sum
+            assert (entries.offdiag_sq < 0).any()
+        assert spectral._trace_sum(entries, n, rest).hex() == ref.hex()
+        assert trace_norm_bound(p, K).hex() == ref.hex()
+        assert discrete_spectrum(p, 64).trace_bound.hex() == trace_norm_bound(p, 128).hex()
 
 
 class TestLiebThirring:
