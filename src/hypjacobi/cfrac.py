@@ -29,9 +29,10 @@ closed forms in the terminating polynomial cases.
 Every coefficient comes from one vectorized kernel, :func:`c_array`, and
 J has one public form, the complex128 arrays of :class:`JacobiCoeffs` built
 by :func:`jacobi_coeffs`; the spectrum reads the same entries in the
-triple's own arithmetic from :func:`_jacobi_entries`, the kernel behind it.  Termination is decided once per triple, in closed
-form, by ``hyp.validate_params`` (``HypParams.zeros``); both termination
-indices derive from it.  So is the sign pattern of the b_n^2 of a real
+triple's own arithmetic from :func:`_jacobi_entries`, the kernel behind
+it.  Termination is decided once per triple, in closed form, by
+``hyp.validate_params`` (``HypParams.zeros``); both termination indices
+derive from it.  So is the sign pattern of the b_n^2 of a real
 triple (:func:`stabilization_index`).
 """
 

@@ -243,10 +243,10 @@ def _tridiagonal_bands(coeffs, n: int) -> np.ndarray:
     ``offdiag_sq``: the native arrays of ``cfrac._jacobi_entries``, which
     the spectrum reads and which are float64 for a real triple, or the
     complex128 arrays of ``JacobiCoeffs``, read as real when no entry has
-    an imaginary part.  Scaling by s_k rather than
-    putting 1 on the superdiagonal keeps the off-diagonal magnitudes of J:
-    with a unit superdiagonal, complex triples with large leading
-    coefficients lost a decimal digit in their eigenvalues.  Returns the
+    an imaginary part.  Scaling by s_k rather than putting 1 on the
+    superdiagonal keeps the off-diagonal magnitudes of J: with a unit
+    superdiagonal, complex triples with large leading coefficients lost a
+    decimal digit in their eigenvalues.  Returns the
     bands of T as a 3 x n array (rows: superdiagonal, diagonal,
     subdiagonal, the first and last entry unused).
     """

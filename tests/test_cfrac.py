@@ -562,17 +562,20 @@ class TestCArray:
         triples = []
         while len(triples) < 80:
             a, b, c = (round(rng.uniform(-8, 8), 2) for _ in range(3))
-            if len(triples) % 5 == 0:
-                a = -float(rng.randint(1, 40))  # a + m = 0
-            elif len(triples) % 5 == 1:
-                b = c + rng.randint(1, 40)  # c - b + m = 0
+            ai, bi = (round(rng.uniform(-3, 3), 2) for _ in range(2))
+            kind = len(triples) % 5
+            if kind == 0:
+                a, ai = -float(rng.randint(1, 40)), 0.0  # a + m = 0
+            elif kind == 1:
+                b, bi = c + rng.randint(1, 40), 0.0  # c - b + m = 0
             if len(triples) % 2:
-                a, b = complex(a, round(rng.uniform(-3, 3), 2)), complex(b, round(rng.uniform(-2, 2), 2))
+                a, b = complex(a, ai), complex(b, bi)
             try:
                 triples.append(validate_params(a, b, c))
             except CNonpositiveInteger:
                 continue
-        assert sum(bool(p.zeros) for p in triples) >= 16
+        for real in (True, False):
+            assert sum(bool(p.zeros) for p in triples if p.is_real is real) >= 8
         for p in triples:
             a, b, c = (x.real if p.is_real else x for x in (p.a, p.b, p.c))
             for n in (1, 2, 157, 4000):
