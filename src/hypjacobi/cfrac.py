@@ -27,10 +27,9 @@ expansion of B at infinity (``moment_oracle``) and against exact rational
 closed forms in the terminating polynomial cases.
 
 Every coefficient comes from one vectorized kernel, :func:`c_array`, and
-J has one public form, the complex128 arrays of :class:`JacobiCoeffs` built
-by :func:`jacobi_coeffs`; the spectrum reads the same entries in the
-triple's own arithmetic from :func:`_jacobi_entries`, the kernel behind
-it.  Termination is decided once per triple, in closed form, by
+J has one form, the arrays of :class:`JacobiCoeffs` built by
+:func:`jacobi_coeffs` in the triple's own arithmetic (float64 for a real
+triple, complex128 otherwise).  Termination is decided once per triple, in closed form, by
 ``hyp.validate_params`` (``HypParams.zeros``); both termination indices
 derive from it.  So is the sign pattern of the b_n^2 of a real
 triple (:func:`stabilization_index`).
@@ -41,7 +40,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -207,8 +207,9 @@ class CFValue:
 
 @dataclass(frozen=True, eq=False)
 class JacobiCoeffs:
-    """The leading block of J: diagonal a_n, off-diagonal squares b_n^2 and
-    their principal roots b_n, complex128 arrays.
+    """The leading block of J: diagonal a_n and off-diagonal squares b_n^2
+    in the triple's own arithmetic (float64 for a real triple, as
+    :func:`c_array`, complex128 otherwise), and their principal roots b_n.
 
     J is complex symmetric (equal sub- and superdiagonal b_n), not
     Hermitian unless the triple is real with positive b_n^2.
@@ -220,8 +221,14 @@ class JacobiCoeffs:
     params: HypParams
     diag: np.ndarray
     offdiag_sq: np.ndarray
-    offdiag: np.ndarray
     terminated_at: Optional[int]
+
+    @cached_property
+    def offdiag(self) -> np.ndarray:
+        """The principal roots b_n of ``offdiag_sq`` as complex128, a negative
+        real square getting the positive imaginary root; taken on first
+        access and kept."""
+        return _principal_roots(self.offdiag_sq)
 
     def matrix(self) -> np.ndarray:
         """The block as a dense matrix."""
@@ -336,19 +343,30 @@ def cf_ratio_eval(
     return CFValue(val, depth, corr)
 
 
-class _Entries(NamedTuple):
-    """a_n and b_n^2 of the leading block of J in the triple's own
-    arithmetic, with ``terminated_at`` as in :class:`JacobiCoeffs`."""
+def _principal_roots(sq: np.ndarray) -> np.ndarray:
+    """Principal roots of the squares ``sq`` as complex128, a negative real
+    square getting the positive imaginary root."""
+    # -0.0 imaginary parts (artifacts of d_j = -c_j) would land on the
+    # wrong side of the sqrt branch cut; the fix goes on a copy, so the
+    # stored squares keep their signed zeros
+    sq = sq.astype(complex)
+    sq.imag[sq.imag == 0.0] = 0.0
+    return np.sqrt(sq)
 
-    diag: np.ndarray
-    offdiag_sq: np.ndarray
-    terminated_at: Optional[int]
 
+def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
+    """The J-fraction coefficients, the one form of J.
 
-def _jacobi_entries(p: HypParams, n_max: int) -> _Entries:
-    """The kernel of :func:`jacobi_coeffs`: the same diagonal and squares,
-    float64 for a real triple (as :func:`c_array`) and complex128 otherwise,
-    with the same termination cut and overflow screen."""
+    Produces up to ``n_max`` diagonal entries a_0..a_{n_max-1} and
+    ``n_max - 1`` squares b_0^2..b_{n_max-2}, float64 for a real triple
+    and complex128 otherwise; their principal roots b_n are
+    ``JacobiCoeffs.offdiag`` (the m-function and the spectrum only see
+    b_n^2, so any other branch would give a diagonally similar matrix with
+    the same results).  If some b_n^2 vanishes exactly (a linear factor of
+    d_{2n+2} or d_{2n+3} hits zero) the fraction terminates:
+    ``terminated_at = n`` and the arrays stop with a_n as the last diagonal
+    entry.  NonFiniteParameter if an entry overflows.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     require_nondegenerate(p)
@@ -369,42 +387,7 @@ def _jacobi_entries(p: HypParams, n_max: int) -> _Entries:
             f"the J-fraction entries of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
             "are not finite (overflow)"
         )
-    return _Entries(diag, offdiag_sq, terminated_at)
-
-
-def _principal_roots(sq: np.ndarray) -> np.ndarray:
-    """Principal roots of the squares ``sq`` as complex128, a negative real
-    square getting the positive imaginary root."""
-    # -0.0 imaginary parts (artifacts of d_j = -c_j) would land on the
-    # wrong side of the sqrt branch cut; the fix goes on a copy, so the
-    # stored squares keep their signed zeros
-    sq = sq.astype(complex)
-    sq.imag[sq.imag == 0.0] = 0.0
-    return np.sqrt(sq)
-
-
-def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
-    """The J-fraction coefficients, the one public form of J.
-
-    Produces up to ``n_max`` diagonal entries a_0..a_{n_max-1}, and
-    ``n_max - 1`` squares b_0^2..b_{n_max-2} with their principal roots b_n
-    (a negative real square gets the positive imaginary root; the
-    m-function and the spectrum only see b_n^2, so any other branch would
-    give a diagonally similar matrix with the same results).  If some b_n^2
-    vanishes exactly (a linear factor of d_{2n+2} or d_{2n+3} hits zero)
-    the fraction terminates: ``terminated_at = n`` and the arrays stop with
-    a_n as the last diagonal entry.  NonFiniteParameter if an entry
-    overflows.  The complex128 view of :func:`_jacobi_entries`, whose
-    native arrays the spectrum and the trace-norm bound read.
-    """
-    diag, offdiag_sq, terminated_at = _jacobi_entries(p, n_max)
-    return JacobiCoeffs(
-        params=p,
-        diag=diag.astype(complex, copy=False),
-        offdiag_sq=offdiag_sq.astype(complex, copy=False),
-        offdiag=_principal_roots(offdiag_sq),
-        terminated_at=terminated_at,
-    )
+    return JacobiCoeffs(params=p, diag=diag, offdiag_sq=offdiag_sq, terminated_at=terminated_at)
 
 
 def _cfrac_approximant(p: HypParams, n: int, z: complex) -> complex:

@@ -85,9 +85,9 @@ class SignSignature:
 
 def _real_bands(p: HypParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal a_j and roots btilde_j = sqrt(|b_j^2|) of a real triple,
-    from ``jacobi_coeffs(p, n)``."""
+    from ``jacobi_coeffs(p, n)``, whose arrays are float64 for it."""
     coeffs = jacobi_coeffs(p, n)
-    return coeffs.diag.real, np.sqrt(np.abs(coeffs.offdiag_sq.real))
+    return coeffs.diag, np.sqrt(np.abs(coeffs.offdiag_sq))
 
 
 def sign_signature(p: HypParams) -> SignSignature:
@@ -118,7 +118,7 @@ def sign_signature(p: HypParams) -> SignSignature:
     if n_stab > SCAN_LIMIT:
         raise ScanExhausted(f"negative b^2 at index {n_stab - 1} >= scan limit {SCAN_LIMIT}")
 
-    bsq = jacobi_coeffs(p, max(n_stab + 3, 8)).offdiag_sq.real
+    bsq = jacobi_coeffs(p, max(n_stab + 3, 8)).offdiag_sq
     prefix = len(bsq) + 1
     eps = [1] * prefix
     for j in range(n_stab - 1, -1, -1):

@@ -56,20 +56,21 @@ def run(p: HypParams, N: int = 256, tol: float = 1e-10) -> list[Check]:
         worst = max(worst, _rel(abs(cf - series), series))
     record("series_vs_cf", worst <= 1e-9, f"max rel diff {worst:.3e}")
 
-    # the moments grow without bound as c approaches -1: relative bounds
+    # the moments grow without bound as c approaches -1: relative bounds;
+    # complex arithmetic throughout, also for a real triple's float64 entries
     s = cfrac.moment_oracle(p, 3)
     coeffs = cfrac.jacobi_coeffs(p, 2)
-    a0 = coeffs.diag[0]
+    a0 = complex(coeffs.diag[0])
     err = abs(s[1] - a0)
     detail = [f"|s1-a0|={err:.3e}"]
     ok = _rel(err, s[1]) <= 1e-9
     if len(coeffs.offdiag_sq) >= 1:
-        b0 = coeffs.offdiag_sq[0]
+        b0 = complex(coeffs.offdiag_sq[0])
         e2 = abs(s[2] - (a0 * a0 + b0))
         ok = ok and _rel(e2, s[2]) <= 1e-8
         detail.append(f"|s2-(a0^2+b0^2)|={e2:.3e}")
     if len(coeffs.diag) >= 2 and len(coeffs.offdiag_sq) >= 1:
-        a1 = coeffs.diag[1]
+        a1 = complex(coeffs.diag[1])
         e3 = abs(s[3] - (a0**3 + 2 * a0 * b0 + a1 * b0))
         ok = ok and _rel(e3, s[3]) <= 1e-7
         detail.append(f"|s3-...|={e3:.3e}")
@@ -101,7 +102,7 @@ def run(p: HypParams, N: int = 256, tol: float = 1e-10) -> list[Check]:
     sig = classify.sign_signature(p)
     coeffs_n = cfrac.jacobi_coeffs(p, max(sig.N + 4, 8))
     ok = all(
-        sig.eps(j) * sig.eps(j + 1) * b2.real > 0
+        sig.eps(j) * sig.eps(j + 1) * b2 > 0
         for j, b2 in enumerate(coeffs_n.offdiag_sq)
         if b2 != 0
     )

@@ -6,10 +6,10 @@ The J-fraction coefficients define a complex symmetric tridiagonal matrix
 
 with J - J_0 trace class, so the essential spectrum is the band [-2, 2] and
 B(z) = <(J - z)^{-1} e, e> is meromorphic off the band with poles exactly at
-the eigenvalues of J.  Every function here reads the leading block of J as
-its diagonal and squares: the m-function from ``cfrac.JacobiCoeffs``, the
-spectrum and the trace-norm bound from the same entries in the triple's own
-arithmetic (``cfrac._jacobi_entries``).  This module evaluates B by
+the eigenvalues of J.  Every function here reads the leading block of J
+from ``cfrac.JacobiCoeffs``, in the triple's own arithmetic: the
+m-function through the roots b_k, the spectrum and the trace-norm bound
+through the diagonal and the squares.  This module evaluates B by
 resolvent and by the continued fraction, filters truncation spectra for
 stable eigenvalues (stopping at a zero count where one is known: the
 classical count of Klein for real triples; for complex ones the winding of
@@ -30,7 +30,6 @@ from .cfrac import (
     BAND_EVAL_GUARD,
     TERMINATION_CAP,
     JacobiCoeffs,
-    _jacobi_entries,
     _principal_roots,
     band_distance,
     c_coeff,
@@ -232,18 +231,18 @@ class SpectralResult:
         return self.distance_sum <= self.trace_bound + 1e-9
 
 
-def _tridiagonal_bands(coeffs, n: int) -> np.ndarray:
+def _tridiagonal_bands(coeffs: JacobiCoeffs, n: int) -> np.ndarray:
     """The leading order-n block of J in the form
 
         T = diag(a_k) + superdiag(s_k) + subdiag(b_k^2 / s_k),   s_k = |b_k^2|^(1/2),
 
     which is diagonally similar to J (no b_k inside a block vanishes) and
     needs no complex square root, so T is real whenever every a_k and b_k^2
-    is, which holds for every real triple.  ``coeffs`` gives ``diag`` and
-    ``offdiag_sq``: the native arrays of ``cfrac._jacobi_entries``, which
-    the spectrum reads and which are float64 for a real triple, or the
-    complex128 arrays of ``JacobiCoeffs``, read as real when no entry has
-    an imaginary part.  Scaling by s_k rather than putting 1 on the
+    is, which holds for every real triple.  ``coeffs`` is a
+    ``JacobiCoeffs``, whose arrays are float64 for a real triple; complex128
+    arrays are read as real when no entry has an imaginary part (a = alpha
+    + i beta, b = c - alpha + i beta with real c gives such a complex
+    triple).  Scaling by s_k rather than putting 1 on the
     superdiagonal keeps the off-diagonal magnitudes of J: with a unit
     superdiagonal, complex triples with large leading coefficients lost a
     decimal digit in their eigenvalues.  Returns the
@@ -261,7 +260,7 @@ def _tridiagonal_bands(coeffs, n: int) -> np.ndarray:
     return bands
 
 
-def _tridiagonal_eigvals(coeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the leading order-n block of J, without eigenvectors:
     dense QR on the form T of ``_tridiagonal_bands``, in real arithmetic
     for a real triple.  Returns the bands of T and its eigenvalues as
@@ -530,10 +529,10 @@ def _jost_values(diag: np.ndarray, sq: np.ndarray, lam: np.ndarray) -> tuple[np.
     return x * np.exp(1j * len(diag) * np.angle(lam)), log
 
 
-def _jost_zeros(coeffs, M: int, rho: float) -> tuple[int | None, tuple[complex, ...]]:
+def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, tuple[complex, ...]]:
     """Count and locate the eigenvalues z = lam + 1/lam of J_M glued to the
-    free tail with |lam| < rho, from the first M + 1 entries of ``coeffs``
-    (``diag`` and ``offdiag_sq``, as for ``_tridiagonal_bands``):
+    free tail with |lam| < rho, from the first M + 1 entries of the
+    ``JacobiCoeffs`` ``coeffs`` (``diag`` and ``offdiag_sq``):
     the zeros of its Jost function psi_{-1} (``_jost_values``; Killip and
     Simon, Ann. of Math. 158, 2003) inside |lam| = rho.
 
@@ -623,8 +622,7 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     from that debris.  The coefficients are built once, to the horizon of
     the trace-norm bound (at least 2N + 1 entries), and that build serves
     every rung that it covers; a rung beyond it builds its own order.  Each
-    build is the native arrays of ``cfrac._jacobi_entries`` (float64 for a
-    real triple), not the complex128 ``JacobiCoeffs``.
+    build is a ``JacobiCoeffs``, float64 for a real triple.
 
     When ``klein_count`` knows how many zeros F(a, b+1, c+1; .) has (a real
     triple with c+1 > 0), that count decides when the spectrum is complete.
@@ -666,9 +664,14 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     Near-coincident retained values (within MERGE_TOL) are averaged and
     repeated, so multiplicity is reported by repetition and the merge is
     flagged in ``merged``.
+
+    ValueError unless N >= 1 (N >= 8 for a non-terminating triple) and
+    0 < tol < inf.
     """
     if N < 1:
         raise ValueError(f"truncation order N must be >= 1, got {N}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance tol must be positive and finite, got {tol}")
     if N < 8 and termination_index(p) is None:
         raise ValueError("truncation order must be >= 8 for non-terminating triples")
 
@@ -676,19 +679,18 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     # a complex non-terminating triple is counted and located by the Jost function
     jost = count is None and not (p.is_real or p.zeros)
     n_sum, rest = _trace_horizon(p, 2 * N)
-    coeffs = _jacobi_entries(p, n_sum + 1)
+    coeffs = jacobi_coeffs(p, n_sum + 1)
     bound = _trace_sum(coeffs, n_sum, rest)
     exact = coeffs.terminated_at is not None and coeffs.terminated_at < N - 1
     seeds: tuple[complex, ...] = ()
     if jost:
-        # a tol <= 0 gives rho = 0 and no count
-        count, seeds = _jost_zeros(coeffs, N, max(tol, 0.0) ** (1.0 / (4 * N)))
+        count, seeds = _jost_zeros(coeffs, N, tol ** (1.0 / (4 * N)))
 
     def bands_at(n):
         # a rung beyond the build builds its own order (a terminated build
         # already holds its whole block)
         beyond = n > len(coeffs.diag) and coeffs.terminated_at is None
-        return _tridiagonal_bands(_jacobi_entries(p, n) if beyond else coeffs, n)
+        return _tridiagonal_bands(jacobi_coeffs(p, n) if beyond else coeffs, n)
 
     if exact:
         # the order-N build would already have stopped at the exact block
@@ -805,16 +807,16 @@ def _trace_horizon(p: HypParams, K: int) -> tuple[int, float]:
     return n, (ca + 2.0 * cb) / (2.0 * (2.0 * (n - 1.0) - beta))
 
 
-def _trace_sum(entries, n: int, rest: float) -> float:
+def _trace_sum(coeffs: JacobiCoeffs, n: int, rest: float) -> float:
     """|a_k| summed over k < n, plus 2|b_k - 1| over the bonds k < n,
-    plus ``rest``, from the native arrays (``cfrac._jacobi_entries``) of a
-    build of at least n + 1 entries.  For a real triple b_k is the float
-    root of b_k^2; only a negative square (there are a few, all below
+    plus ``rest``, from a build of at least n + 1 entries.  For a complex
+    triple b_k is ``coeffs.offdiag``.  For a real one it is the float root
+    of b_k^2, and only a negative square (there are a few, all below
     ``stabilization_index``) takes the principal complex root, whose
-    |b_k - 1| is that of ``JacobiCoeffs.offdiag`` to the last bit."""
-    diag, sq = entries.diag[:n], entries.offdiag_sq[:n]
+    |b_k - 1| is that of ``coeffs.offdiag`` to the last bit."""
+    diag, sq = coeffs.diag[:n], coeffs.offdiag_sq[:n]
     if np.iscomplexobj(sq):
-        dev = np.abs(_principal_roots(sq) - 1.0)
+        dev = np.abs(coeffs.offdiag[:n] - 1.0)
     else:
         neg = sq < 0.0
         dev = np.abs(np.sqrt(np.where(neg, 0.0, sq)) - 1.0)
@@ -839,7 +841,7 @@ def trace_norm_bound(p: HypParams, K: int) -> float:
     ``cfrac.TERMINATION_CAP`` (n_min is about 4|a| for moderate b and c).
     """
     n, rest = _trace_horizon(p, K)
-    return _trace_sum(_jacobi_entries(p, n + 1), n, rest)
+    return _trace_sum(jacobi_coeffs(p, n + 1), n, rest)
 
 
 def hyp_zeros(

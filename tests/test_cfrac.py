@@ -31,7 +31,6 @@ from hypjacobi import (
 )
 from hypjacobi.cfrac import (
     TERMINATION_CAP,
-    _jacobi_entries,
     c_array,
     cfrac_termination_index,
     near_band,
@@ -230,17 +229,33 @@ class TestJacobiCoeffs:
         assert abs(jc.offdiag_sq[0] + 16.0 / 9.0) < 1e-14
 
     @pytest.mark.parametrize("abc", [(1, 0, 1), (-1.5, 0, 1), (2 + 1j, 0.5, 3), (-40, 0.5, 1.5)])
-    def test_complex_view_of_native_kernel(self, abc):
-        # the kernel keeps the triple's own arithmetic; jacobi_coeffs is its
-        # complex128 view, entry for entry
+    def test_one_form_in_own_arithmetic(self, abc):
+        # a_n and b_n^2 in the arithmetic of c_array, bit for bit the closed
+        # forms a_0 = 2 - 4 d_2, a_n = 2 - 4 d_{2n+1} - 4 d_{2n+2} and
+        # b_n^2 = 16 d_{2n+2} d_{2n+3}; the roots b_n are complex128
         p = validate_params(*abc)
-        entries = _jacobi_entries(p, 64)
         jc = jacobi_coeffs(p, 64)
-        assert entries.diag.dtype == entries.offdiag_sq.dtype == (float if p.is_real else complex)
-        assert jc.diag.dtype == jc.offdiag_sq.dtype == jc.offdiag.dtype == complex
-        assert jc.diag.tobytes() == entries.diag.astype(complex).tobytes()
-        assert jc.offdiag_sq.tobytes() == entries.offdiag_sq.astype(complex).tobytes()
-        assert jc.terminated_at == entries.terminated_at
+        assert jc.diag.dtype == jc.offdiag_sq.dtype == (np.float64 if p.is_real else np.complex128)
+        n = len(jc.diag)
+        assert len(jc.offdiag_sq) == n - 1 and n == (64 if jc.terminated_at is None else 40)
+        cs = c_array(p, 2 * n)
+
+        def d(j):
+            return -cs[j - 1]
+
+        k = np.arange(1, n)
+        diag = np.concatenate(([2.0 - 4.0 * d(2)], 2.0 - 4.0 * d(2 * k + 1) - 4.0 * d(2 * k + 2)))
+        k = np.arange(n - 1)
+        assert jc.diag.tobytes() == diag.tobytes()
+        assert jc.offdiag_sq.tobytes() == (16.0 * d(2 * k + 2) * d(2 * k + 3)).tobytes()
+        roots = jc.offdiag
+        assert roots.dtype == np.complex128
+        assert roots.tobytes() == np.sqrt(jc.offdiag_sq.astype(complex)).tobytes()
+        neg = jc.offdiag_sq.real < 0
+        assert neg.any() == (abc in ((-1.5, 0, 1), (-40, 0.5, 1.5)))
+        assert (roots[neg].real == 0).all() and (roots[neg].imag > 0).all()
+        # taken once, on first access
+        assert jc.offdiag is roots
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateRatio):

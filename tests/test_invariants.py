@@ -65,6 +65,16 @@ def test_moment_match_relative_near_c_minus_one(abc):
     assert moment.passed, moment.detail
 
 
+def test_moment_match_detail_bytes():
+    # the moments are compared in complex arithmetic also for a real
+    # triple's float64 entries: a float64 a0**3 moves the last error
+    moment = invariants.run(validate_params(-3.0, -3.8, 3.81), 16)[1]
+    assert moment.name == "moment_match"
+    assert moment.detail == (
+        "|s1-a0|=1.776e-15, |s2-(a0^2+b0^2)|=2.132e-14, |s3-...|=1.705e-13"
+    )
+
+
 @pytest.mark.parametrize(
     "abc", [("-1.5", "0.3", "1.2"), ("2,1", "0.5", "3"), ("1", "0", "1")],
     ids=["real", "complex", "stieltjes"],

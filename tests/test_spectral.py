@@ -299,6 +299,18 @@ class TestDiscreteSpectrum:
         with pytest.raises(ValueError, match="truncation order N"):
             hyp_zeros(p, N)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10, 0.0, math.inf])
+    @pytest.mark.parametrize("abc", [(-5.1, -2.6, 0.5), (-2.5 + 0.7j, 0.3, 1.4)],
+                             ids=["real", "complex"])
+    def test_bad_tolerance_refused(self, abc, tol):
+        # these spectra have 6 and 2 values; a tol outside (0, inf) used to
+        # report 0 or 1 of them
+        p = validate_params(*abc)
+        with pytest.raises(ValueError, match=r"^tolerance tol must be positive and finite"):
+            discrete_spectrum(p, 64, tol)
+        with pytest.raises(ValueError, match="tolerance tol"):
+            hyp_zeros(p, 64, tol)
+
     def test_eigenvalues_settle_with_n(self):
         r1 = discrete_spectrum(PKAPPA, 64)
         r2 = discrete_spectrum(PKAPPA, 128)
@@ -330,6 +342,19 @@ class TestEigensolveLayer:
         assert bands.dtype == np.float64
         bands, _ = _tridiagonal_eigvals(jacobi_coeffs(validate_params(1 + 2j, 3, -0.5), 64), 64)
         assert bands.dtype == np.complex128
+
+    def test_all_real_complex_triple_solved_in_real_arithmetic(self):
+        # a = alpha + i beta, b = c - alpha + i beta with real c: a complex
+        # triple whose entries are all real, read in real arithmetic
+        p = validate_params(0.5 + 1j, 1.5 + 1j, 2)
+        assert not p.is_real
+        assert spectral._tridiagonal_bands(jacobi_coeffs(p, 64), 64).dtype == np.float64
+        for N in (64, 256):
+            res = discrete_spectrum(p, N)
+            assert res.eigenvalues, N
+            for values in (res.eigenvalues, res.discarded):
+                for v in values:
+                    assert v.imag == 0 or v.conjugate() in values, (N, v)
 
     @pytest.mark.parametrize(
         "abc", [(-1.5, 0, 1), (-3.7, 0.2, 1.1), (-6.5, -0.4, 0.7), (-12.5, -7.5, -3.5)]
@@ -1053,16 +1078,16 @@ class TestOneBuild:
 
     @staticmethod
     def _spy(monkeypatch, floor=0):
-        # records the size of every build of the native kernel, and builds
-        # at least ``floor``
+        # records the size of every coefficient build, and builds at least
+        # ``floor``
         sizes = []
-        build = spectral._jacobi_entries
+        build = spectral.jacobi_coeffs
 
         def spy(p, n):
             sizes.append(n)
             return build(p, max(n, floor))
 
-        monkeypatch.setattr(spectral, "_jacobi_entries", spy)
+        monkeypatch.setattr(spectral, "jacobi_coeffs", spy)
         return sizes
 
     def test_count_zero_builds_once(self, monkeypatch):
@@ -1173,17 +1198,17 @@ class TestTraceNormBound:
     )
     @pytest.mark.parametrize("K", [1, 512])
     def test_native_sum_matches_complex_formula(self, abc, K):
-        # the bound from the native arrays equals, bit for bit, the sum over
-        # the complex128 JacobiCoeffs with its principal roots b_n
+        # the bound from the arrays in the triple's own arithmetic equals,
+        # bit for bit, the complex128 sum with the principal roots b_n
         p = validate_params(*abc)
         n, rest = spectral._trace_horizon(p, K)
         jc = jacobi_coeffs(p, n + 1)
-        ref = float(np.sum(np.abs(jc.diag[:n])) + 2.0 * np.sum(np.abs(jc.offdiag[:n] - 1.0)) + rest)
-        entries = spectral._jacobi_entries(p, n + 1)
+        diag = jc.diag.astype(complex)
+        ref = float(np.sum(np.abs(diag[:n])) + 2.0 * np.sum(np.abs(jc.offdiag[:n] - 1.0)) + rest)
         if abc in NEGATIVE_SQUARES:
-            # these reach the complex root of the native sum
-            assert (entries.offdiag_sq < 0).any()
-        assert spectral._trace_sum(entries, n, rest).hex() == ref.hex()
+            # these reach the complex root of the real sum
+            assert (jc.offdiag_sq < 0).any()
+        assert spectral._trace_sum(jc, n, rest).hex() == ref.hex()
         assert trace_norm_bound(p, K).hex() == ref.hex()
         assert discrete_spectrum(p, 64).trace_bound.hex() == trace_norm_bound(p, 128).hex()
 
