@@ -29,10 +29,10 @@ closed forms in the terminating polynomial cases.
 Every coefficient comes from one vectorized kernel, :func:`c_array`, and
 J has one form, the arrays of :class:`JacobiCoeffs` built by
 :func:`jacobi_coeffs` in the triple's own arithmetic (float64 for a real
-triple, complex128 otherwise).  Termination is decided once per triple, in closed form, by
-``hyp.validate_params`` (``HypParams.zeros``); both termination indices
-derive from it.  So is the sign pattern of the b_n^2 of a real
-triple (:func:`stabilization_index`).
+triple, complex128 otherwise).  Termination is decided once per triple,
+in closed form, by ``hyp.validate_params`` (``HypParams.zeros``); both
+termination indices derive from it.  So is the sign pattern of the b_n^2
+of a real triple (:func:`stabilization_index`).
 """
 
 from __future__ import annotations

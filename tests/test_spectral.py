@@ -303,8 +303,8 @@ class TestDiscreteSpectrum:
     @pytest.mark.parametrize("abc", [(-5.1, -2.6, 0.5), (-2.5 + 0.7j, 0.3, 1.4)],
                              ids=["real", "complex"])
     def test_bad_tolerance_refused(self, abc, tol):
-        # these spectra have 6 and 2 values; a tol outside (0, inf) used to
-        # report 0 or 1 of them
+        # these spectra have 6 and 2 values, of which a tol outside (0, inf)
+        # would report 0 or 1 with no error
         p = validate_params(*abc)
         with pytest.raises(ValueError, match=r"^tolerance tol must be positive and finite"):
             discrete_spectrum(p, 64, tol)
