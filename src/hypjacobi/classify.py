@@ -90,6 +90,15 @@ def _real_bands(p: HypParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     return coeffs.diag, np.sqrt(np.abs(coeffs.offdiag_sq))
 
 
+def _dense_tridiagonal(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The dense matrix with the given diagonal, superdiagonal and subdiagonal."""
+    t = np.diag(diag)
+    k = np.arange(len(diag) - 1)
+    t[k, k + 1] = upper
+    t[k + 1, k] = lower
+    return t
+
+
 def sign_signature(p: HypParams) -> SignSignature:
     """Compute the eps-sequence, stabilization index N and kappa.
 
@@ -273,6 +282,13 @@ def quadrature(p: HypParams, N: int) -> Quadrature:
     eigenvalues, the weights the squared first components of the
     normalized eigenvectors, so the first 2N-1 moments of the rule equal
     <J^k e, e> exactly and the weights sum to one (B ~ -1/z).
+
+    The truncation is solved as a dense symmetric matrix by
+    ``numpy.linalg.eigh`` (LAPACK ``syevd``).  On a matrix that is already
+    tridiagonal its reduction is the identity and it ends in the same
+    divide and conquer (``stedc``) as a tridiagonal solver (``stevd``), so
+    the rule is the tridiagonal one; the price is O(N^3) time and O(N^2)
+    memory for the dense matrix and its eigenvectors.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -280,11 +296,8 @@ def quadrature(p: HypParams, N: int) -> Quadrature:
         raise NotStieltjes(
             f"(a,b,c) = ({p.a.real}, {p.b.real}, {p.c.real}) violates the classical box"
         )
-    # the library's only SciPy call, imported here so that nothing else
-    # pays for loading SciPy
-    from scipy.linalg import eigh_tridiagonal
-
-    nodes, vecs = eigh_tridiagonal(*_real_bands(p, N))
+    diag, btilde = _real_bands(p, N)
+    nodes, vecs = np.linalg.eigh(_dense_tridiagonal(diag, btilde, btilde))
     weights = vecs[0, :] ** 2
     return Quadrature(nodes=nodes, weights=weights, order=N)
 
@@ -311,11 +324,7 @@ def build_H(p: HypParams, N: int) -> tuple[np.ndarray, np.ndarray]:
     rank perturbation of a real symmetric matrix.
     """
     diag, upper, lower, eps = _h_bands(p, N)
-    h = np.diag(diag)
-    k = np.arange(len(diag) - 1)
-    h[k, k + 1] = upper
-    h[k + 1, k] = lower
-    return h, np.diag(eps)
+    return _dense_tridiagonal(diag, upper, lower), np.diag(eps)
 
 
 def h_m_function(p: HypParams, z: complex, N: int) -> complex:

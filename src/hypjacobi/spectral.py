@@ -553,7 +553,9 @@ def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, t
     s_j = -j rho^j mean_l(L(theta_l) e^(i j theta_l)), j = 1..k, k sums
     over the samples.  Newton's identities give the polynomial
     with roots lam_i, and the seeds are z_i = lam_i + 1/lam_i; seeds that
-    are not finite are dropped.
+    are not finite are dropped.  When every entry is real the real part of
+    the polynomial is solved, so real zeros come out real and the others in
+    exact conjugate pairs, as the ladder climbs and mirrors them.
 
     Returns (count, seeds): (None, ()) when no sampling is accepted, the
     accepted winding is negative, psi_{-1} is not finite and nonzero at
@@ -599,6 +601,8 @@ def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, t
     poly = [(-1) ** i * e[i] for i in range(count + 1)]
     if not np.isfinite(poly).all():
         return count, ()
+    if not (np.imag(diag).any() or np.imag(sq).any()):
+        poly = np.real(poly)
     with np.errstate(all="ignore"):
         lam = np.roots(poly)
         z = lam + 1.0 / lam

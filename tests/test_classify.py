@@ -27,6 +27,7 @@ from hypjacobi import (
     stieltjes_check,
     validate_params,
 )
+from hypjacobi.classify import _real_bands
 
 P101 = validate_params(1, 0, 1)
 PKAPPA = validate_params(-1.5, 0, 1)
@@ -287,6 +288,22 @@ class TestQuadrature:
     def test_not_stieltjes(self):
         with pytest.raises(NotStieltjes):
             quadrature(PKAPPA, 16)
+
+    def test_agrees_with_scipy_tridiagonal_solver(self):
+        # the dense eigh of quadrature against SciPy's tridiagonal stevd;
+        # bit for bit on the builds tried, but that depends on the LAPACK
+        eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            c = rng.uniform(0.1, 4.0)
+            a = rng.uniform(1e-3, c + 1 - 1e-3)
+            b = rng.uniform(-1 + 1e-3, c - 1e-3)
+            p = validate_params(a, b, c)
+            for n in (1, 2, 16, 64, 256):
+                quad = quadrature(p, n)
+                nodes, vecs = eigh_tridiagonal(*_real_bands(p, n))
+                np.testing.assert_allclose(quad.nodes, nodes, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(quad.weights, vecs[0] ** 2, rtol=1e-12, atol=0)
 
 
 class TestBuildH:

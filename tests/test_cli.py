@@ -383,11 +383,11 @@ class TestDeterminism:
 
 _SCIPY_PROBE = """
 import json, sys
-from hypjacobi import cli
+sys.modules["scipy"] = None  # any SciPy import now raises ImportError
 from hypjacobi.cli import main
 
 def scipy_loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+    return sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None)
 
 out = sys.argv[1]
 report = {"import": scipy_loaded()}
@@ -399,21 +399,21 @@ print(json.dumps(report))
 
 
 class TestSciPyOffPath:
-    def test_only_measure_loads_scipy(self, cli_env, tmp_path):
+    def test_no_subcommand_loads_scipy(self, cli_env, tmp_path):
+        # the library needs numpy alone, even where SciPy is installed
+        abc = ["-a", "1", "-b", "0", "-c", "1", "--N", "16"]
         runs = [
-            ["eval", "-a", "2,1", "-b", "0.5", "-c", "3", "--z", "5,2"],
-            ["spectrum", "-a", "-2", "-b", "0", "-c", "1"],
-            ["classify", "-a", "-1.5", "-b", "0", "-c", "1", "--trials", "5"],
-            ["coeffs", "-a", "1", "-b", "0", "-c", "1", "--N", "16"],
-            ["measure", "-a", "1", "-b", "0", "-c", "1", "--N", "16"],
+            ["eval", *abc, "--z", "5,2"],
+            ["spectrum", *abc],
+            ["classify", *abc, "--trials", "5"],
+            ["coeffs", *abc],
+            ["measure", *abc],
+            ["check", *abc],
         ]
         cmd = [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out"), json.dumps(runs)]
         r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
         assert r.returncode == 0, r.stderr
         report = json.loads(r.stdout)
         assert report["import"] == []
-        for name in ("eval", "spectrum", "classify", "coeffs"):
-            assert report[name] == [0, []], name
-        # quadrature is the one lazy SciPy import site
-        code, loaded = report["measure"]
-        assert code == 0 and "scipy.linalg" in loaded
+        for argv in runs:
+            assert report[argv[0]] == [0, []], argv[0]

@@ -918,6 +918,21 @@ class TestJostCount:
         assert len(res.eigenvalues) == 2 and res.N_used == 256 and res.N_check <= 64 * 256
         assert res.discarded == ()
 
+    def test_real_entries_give_real_seeds(self):
+        # (0.5+1i, 1.5+1i, 2) has real entries; seeds from the complex
+        # polynomial carried rounding-level imaginary parts of both signs,
+        # and the seed with Im < 0 had no partner to mirror it, so N = 64
+        # kept 1 of its 2 values
+        p = validate_params(0.5 + 1j, 1.5 + 1j, 2)
+        count, seeds = self._zeros(p, 64)
+        assert count == 2 and all(v.imag == 0 for v in seeds)
+        ref = discrete_spectrum(p, 1024).eigenvalues
+        for N in (64, 256):
+            res = discrete_spectrum(p, N)
+            assert len(res.eigenvalues) == 2 and res.discarded == (), N
+            for v in res.eigenvalues:
+                assert min(abs(v - r) for r in ref) <= 1e-12, (N, v)
+
     def test_met_count_needs_no_eigensolve(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("eigensolve")
