@@ -260,10 +260,9 @@ def near_band(z: complex) -> bool:
 
 
 def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> complex:
-    # coeffs starts with c_1..c_depth; tail initialized at 1.  complex128
-    # entries because a float64 entry times a complex z is ~5x slower per step
-    coeffs = coeffs[:depth].astype(complex)
-    t = 1.0 + 0.0j
+    # coeffs: complex128 c_1..c_depth or more, and z as complex128 (exact),
+    # since mixed operands are ~5x slower per step; tail initialized at 1
+    z, t = np.complex128(z), 1.0 + 0.0j
     for j in range(depth - 1, -1, -1):
         t = 1.0 + coeffs[j] * z / t
         if t == 0:
@@ -295,6 +294,22 @@ def settle(evaluate: Callable[[int], complex], n: int, n_max: int, tol: float, w
     )
 
 
+def shared_build(build: Callable[[int], object], cap: int) -> Callable[[int], object]:
+    """The growth rule of every :func:`settle` loop: order n reads the first
+    n entries of ``build(min(8 * n, cap))``, made again only when n outgrows
+    it, so one build serves three doublings (a short build costs its call)."""
+    made, size = None, 0
+
+    def at(n: int):
+        nonlocal made, size
+        if n > size:
+            size = min(8 * n, cap)
+            made = build(size)
+        return made
+
+    return at
+
+
 def cf_ratio_eval(
     p: HypParams, z: complex, tol: float = 1e-13, max_depth: int = 1 << 17
 ) -> CFValue:
@@ -324,22 +339,15 @@ def cf_ratio_eval(
         depth = j_zero - 1
         if depth == 0:
             return CFValue(1.0 + 0.0j, 1, 0.0)
-        val = _backward_eval(c_array(p, depth), z, depth)
+        val = _backward_eval(c_array(p, depth).astype(complex), z, depth)
         return CFValue(val, depth, 0.0)
 
     if near_band(2.0 - 4.0 / z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
-    coeffs = ()
-
-    def at_depth(depth: int) -> complex:
-        nonlocal coeffs
-        if depth > len(coeffs):
-            # one kernel call serves three doublings: at small depths the
-            # call overhead, not the entry count, is the cost
-            coeffs = c_array(p, min(8 * depth, max_depth))
-        return _backward_eval(coeffs, z, depth)
-
-    val, depth, corr = settle(at_depth, 8, max_depth, tol, f"continued fraction at z = {z}")
+    coeffs = shared_build(lambda n: c_array(p, n).astype(complex), max_depth)
+    val, depth, corr = settle(
+        lambda n: _backward_eval(coeffs(n), z, n), 8, max_depth, tol, f"continued fraction at z = {z}"
+    )
     return CFValue(val, depth, corr)
 
 

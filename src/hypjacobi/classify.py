@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cfrac import (
-    jacobi_coeffs, require_nondegenerate, settle, stabilization_index, termination_index
+    jacobi_coeffs, require_nondegenerate, settle, shared_build, stabilization_index,
+    termination_index,
 )
 from .errors import (
     DegenerateSamples,
@@ -248,15 +249,18 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     sig = sign_signature(p)
     n_stab = sig.N
 
-    def tail_at(n: int) -> complex:
-        diag, btilde = _real_bands(p, n)
-        return resolvent_first(diag[n_stab:], btilde[n_stab:], btilde[n_stab:], z)
+    def tail_at(bands, n: int) -> complex:
+        # the first n entries of the bands, from the stabilization index on
+        diag, btilde = bands[0][n_stab:n], bands[1][n_stab : n - 1]
+        return resolvent_first(diag, btilde, btilde, z)
 
     if sig.terminated_at is not None:
-        phi = tail_at(sig.terminated_at + 2)
+        n = sig.terminated_at + 2
+        phi = tail_at(_real_bands(p, n), n)
     else:
+        bands = shared_build(lambda m: _real_bands(p, n_stab + m + 1), 8192)
         phi = settle(
-            lambda m: tail_at(n_stab + m + 1), max(64, 2 * n_stab + 2), 8192, tol,
+            lambda m: tail_at(bands(m), n_stab + m + 1), max(64, 2 * n_stab + 2), 8192, tol,
             f"tail m-function at z = {z}",
         )[0]
     diag, btilde = _real_bands(p, n_stab + 1)

@@ -39,6 +39,7 @@ from .cfrac import (
     near_band,
     require_nondegenerate,
     settle,
+    shared_build,
     termination_index,
 )
 from .errors import (
@@ -113,7 +114,8 @@ def resolvent_first(diag, upper, lower, z: complex) -> complex:
     not finite or exceeds GROWTH_LIMIT (z numerically indistinguishable
     from an eigenvalue).
     """
-    up, lo = np.asarray(upper).tolist(), np.asarray(lower).tolist()
+    up = np.asarray(upper).tolist()
+    lo = up if lower is upper else np.asarray(lower).tolist()
     numer = [u * v for u, v in zip(up, lo)]
     out = jfrac_backward(np.asarray(diag).tolist(), numer, np.abs(lower).tolist(), z)
     if out is not None:
@@ -187,10 +189,14 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     if method == "resolvent":
         if t is not None:
             return m_function(p, z, t + 1)
-        return settle(
-            lambda n: m_function(p, z, n), RESOLVENT_N0, RESOLVENT_NMAX, tol,
-            f"resolvent m-function at z = {z}",
-        )[0]
+        coeffs = shared_build(lambda n: build_truncated(p, n), RESOLVENT_NMAX)
+
+        def m_at(n: int) -> complex:
+            jc = coeffs(n)
+            offdiag = jc.offdiag[: n - 1]
+            return resolvent_first(jc.diag[:n], offdiag, offdiag, z)
+
+        return settle(m_at, RESOLVENT_N0, RESOLVENT_NMAX, tol, f"resolvent m-function at z = {z}")[0]
 
     raise ValueError(f"unknown method: {method!r}")
 

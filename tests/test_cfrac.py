@@ -1,6 +1,7 @@
 """Continued-fraction engine: coefficients, evaluation, J-fraction data,
 approximant identities and the moment oracle."""
 
+import cmath
 import math
 import random
 import threading
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypjacobi import hyp
+from hypjacobi import cfrac, hyp
 from hypjacobi import (
     CNonpositiveInteger,
     CoeffStream,
@@ -145,6 +146,41 @@ class TestCFRatioEval:
         assert err.value.last_value is not None
         # depth 8 is a single evaluation: no correction was ever measured
         assert err.value.last_correction == math.inf
+
+
+class TestCFRatioBuilds:
+    """cf_ratio_eval reads one c_array build per three doublings of the
+    depth, of min(8 * depth, max_depth) entries."""
+
+    P = validate_params(1.3, 0.4, 2.1)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        sizes = []
+        build = cfrac.c_array
+
+        def spy(p, n):
+            sizes.append(n)
+            return build(p, n)
+
+        monkeypatch.setattr(cfrac, "c_array", spy)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "r, depth, builds", [(0.5, 128, [64, 1024]), (0.95, 2048, [64, 1024, 16384])]
+    )
+    def test_build_sizes(self, monkeypatch, r, depth, builds):
+        lam = cmath.rect(r, 2.0)
+        w = -4.0 / (lam + 1.0 / lam - 2.0)
+        sizes = self._spy(monkeypatch)
+        out = cf_ratio_eval(self.P, w, tol=1e-12)
+        assert (out.depth_used, sizes) == (depth, builds)
+
+    def test_build_capped_at_max_depth(self, monkeypatch):
+        sizes = self._spy(monkeypatch)
+        with pytest.raises(NoConvergence):
+            cf_ratio_eval(self.P, -2 + 1j, tol=-1.0, max_depth=300)
+        assert sizes == [64, 300]
 
 
 class TestSettle:

@@ -27,6 +27,7 @@ from hypjacobi import (
     stieltjes_check,
     validate_params,
 )
+from hypjacobi import classify
 from hypjacobi.classify import _real_bands
 
 P101 = validate_params(1, 0, 1)
@@ -228,6 +229,34 @@ class TestSchur:
             schur_reconstruct(PKAPPA, 2.5 + 1.5j, tol=-1.0)
         assert err.value.last_value is not None
         assert 0.0 <= err.value.last_correction < 1e-10
+
+    @staticmethod
+    def _spy(monkeypatch, floor=0):
+        # records the size of every band build, building at least ``floor``
+        sizes = []
+        build = classify._real_bands
+
+        def spy(p, n):
+            sizes.append(n)
+            return build(p, max(n, floor))
+
+        monkeypatch.setattr(classify, "_real_bands", spy)
+        return sizes
+
+    @pytest.mark.parametrize("z, tail", [(2.5 + 1.5j, [513]), (1.5 + 0.05j, [513, 8193])])
+    def test_tail_builds_per_three_doublings(self, monkeypatch, z, tail):
+        # tail orders 64..512 slice one build, 1024..8192 another; the
+        # chain below the stabilization index N reads N + 1 entries
+        n_stab = sign_signature(PKAPPA).N
+        assert n_stab == 1
+        ref = schur_reconstruct(PKAPPA, z)
+        with monkeypatch.context() as m:
+            sizes = self._spy(m)
+            assert repr(schur_reconstruct(PKAPPA, z)) == repr(ref)
+        assert sizes == [n_stab + k for k in tail] + [n_stab + 1]
+        with monkeypatch.context() as m:
+            self._spy(m, 8192 + n_stab + 1)
+            assert repr(schur_reconstruct(PKAPPA, z)) == repr(ref)
 
     def test_chain_of_callables(self):
         # composing schur_step handles matches the direct reconstruction

@@ -1,6 +1,7 @@
 """Jacobi operators: m-function, B by both routes, stable spectrum,
 trace-norm bound, the distance-sum inequality and the zero map."""
 
+import cmath
 import json
 import math
 from dataclasses import replace
@@ -1085,6 +1086,61 @@ class TestJostCount:
         for u in res.eigenvalues:
             v = rest.pop(int(np.argmin(np.abs(np.array(rest) - u))))
             assert abs(u - v) <= 1e-12 * max(1.0, abs(u)), (abc, u, v)
+
+
+class TestResolventBuild:
+    """The resolvent route of B reads one build per three doublings of its
+    order: orders n up to 512 slice one build of 512 entries, orders 1024
+    to 4096 one of RESOLVENT_NMAX."""
+
+    P = validate_params(1.3, 0.4, 2.1)
+
+    @staticmethod
+    def _z(r):
+        lam = cmath.rect(r, 2.0)
+        return lam + 1.0 / lam
+
+    @staticmethod
+    def _spy(monkeypatch, floor=0):
+        # records the size of every build, building at least ``floor``, and
+        # the order at which the loop settled
+        sizes, orders = [], []
+        build, loop = spectral.build_truncated, spectral.settle
+
+        def spy_build(p, n):
+            sizes.append(n)
+            return build(p, max(n, floor))
+
+        def spy_settle(*args):
+            out = loop(*args)
+            orders.append(out[1])
+            return out
+
+        monkeypatch.setattr(spectral, "build_truncated", spy_build)
+        monkeypatch.setattr(spectral, "settle", spy_settle)
+        return sizes, orders
+
+    @pytest.mark.parametrize("r, order, builds", [(0.5, 128, [512]), (0.95, 1024, [512, 4096])])
+    def test_builds_per_three_doublings(self, monkeypatch, r, order, builds):
+        z = self._z(r)
+        with monkeypatch.context() as m:
+            sizes, orders = self._spy(m)
+            got = b_function(self.P, z, "resolvent")
+        assert (orders, sizes) == ([order], builds)
+        # the value of the order where the loop settled, bit for bit
+        assert repr(got) == repr(m_function(self.P, z, order))
+
+    @pytest.mark.parametrize(
+        "abc", [(1.3, 0.4, 2.1), (-1.2 + 0.4j, 0.6, 1.1 + 0.3j), (2 + 1j, 0.5, 3), (-5.3, -2.6, 0.4)]
+    )
+    def test_larger_build_changes_nothing(self, monkeypatch, abc):
+        p = validate_params(*abc)
+        for r in (0.5, 0.8, 0.95):
+            z = self._z(r)
+            ref = b_function(p, z, "resolvent")
+            with monkeypatch.context() as m:
+                self._spy(m, spectral.RESOLVENT_NMAX)
+                assert repr(b_function(p, z, "resolvent")) == repr(ref), (abc, r)
 
 
 class TestOneBuild:
