@@ -80,7 +80,7 @@ def c_array(p: HypParams, n: int) -> np.ndarray:
     out = np.empty(n, dtype=float if p.is_real else complex)
     m = np.arange((n + 1) // 2, dtype=float)  # c_{2m+1}
     t = c + 2 * m
-    out[0::2] = -(a + m) * (c - b + m) / (t * (t + 1))
+    out[0::2] = -(a + m) * (c - b + m) / ((t + 1) * t)
     m = np.arange(1, n // 2 + 1, dtype=float)  # c_{2m}
     t = c + 2 * m
     out[1::2] = -(b + m) * (c - a + m) / ((t - 1) * t)

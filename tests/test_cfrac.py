@@ -641,6 +641,33 @@ class TestCArray:
                 got = c_array(p, n)
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (p, n)
 
+    def test_entries_do_not_depend_on_build_size(self):
+        # numpy may reorder an array product once it elides a temporary (at
+        # 256 KB), and a complex product need not be bitwise commutative; so
+        # the first n entries of J must not depend on how many are built
+        rng = random.Random(22)
+        triples = [(1.3, 0.4, 2.1), (-1.2 + 0.4j, 0.6, 1.1), (-1.2 + 0.4j, 0.6, 1.1 + 0.3j)]
+        while len(triples) < 24:
+            a, b, c = (round(rng.uniform(-5, 5), 2) for _ in range(3))
+            kind = len(triples) % 3
+            if kind:
+                a = complex(a, round(rng.uniform(-2, 2), 2))
+            if kind == 2:
+                c = complex(c, round(rng.uniform(-2, 2), 2))
+            triples.append((a, b, c))
+        for abc in triples:
+            try:
+                p = validate_params(*abc)
+                full = jacobi_coeffs(p, 20001)
+            except (CNonpositiveInteger, DegenerateRatio):
+                continue
+            if full.terminated_at is not None:
+                continue
+            for n in (2, 33, 513, 4097, 16385):
+                jc = jacobi_coeffs(p, n)
+                assert jc.diag.tobytes() == full.diag[:n].tobytes(), (abc, n)
+                assert jc.offdiag_sq.tobytes() == full.offdiag_sq[: n - 1].tobytes(), (abc, n)
+
     def test_exact_zeros(self):
         p = validate_params(-2, -1.5, 1)  # a + 2 = 0 at j = 5, b + 1.5 never
         arr = c_array(p, 12)
