@@ -271,12 +271,16 @@ def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> complex:
 
 
 def settle(evaluate: Callable[[int], complex], n: int, n_max: int, tol: float, what: str):
-    """The one refinement loop: ``evaluate`` at n, 2n, ... up to n_max.
+    """The one refinement loop: ``evaluate`` at n, 2n, ... up to n_max, each
+    caller reading one build per three doublings (:func:`shared_build`).
 
     Returns (value, order, correction) for the first value within
     ``tol * max(1, |value|)`` of the one before; else NoConvergence with
     ``last_value`` and ``last_correction`` (inf below two evaluations).
+    ValueError for a NaN or +inf ``tol``; a negative one is never met.
     """
+    if not tol < math.inf:
+        raise ValueError(f"tolerance tol must be a number below inf, got {tol}")
     prev, corr = None, math.inf
     while n <= n_max:
         val = evaluate(n)
@@ -345,10 +349,9 @@ def cf_ratio_eval(
     if near_band(2.0 - 4.0 / z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
     coeffs = shared_build(lambda n: c_array(p, n).astype(complex), max_depth)
-    val, depth, corr = settle(
+    return CFValue(*settle(
         lambda n: _backward_eval(coeffs(n), z, n), 8, max_depth, tol, f"continued fraction at z = {z}"
-    )
-    return CFValue(val, depth, corr)
+    ))
 
 
 def _principal_roots(sq: np.ndarray) -> np.ndarray:

@@ -255,8 +255,7 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
         return resolvent_first(diag, btilde, btilde, z)
 
     if sig.terminated_at is not None:
-        n = sig.terminated_at + 2
-        phi = tail_at(_real_bands(p, n), n)
+        phi = tail_at(_real_bands(p, sig.terminated_at + 2), sig.terminated_at + 2)
     else:
         bands = shared_build(lambda m: _real_bands(p, n_stab + m + 1), 8192)
         phi = settle(

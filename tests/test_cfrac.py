@@ -148,6 +148,13 @@ class TestCFRatioEval:
         assert err.value.last_correction == math.inf
 
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_nan_or_inf_tol_refused(self, tol):
+        # tol = inf once stopped at depth 16, tol = nan ran to the depth cap
+        with pytest.raises(ValueError, match="tol"):
+            cf_ratio_eval(validate_params(1.3, 0.4, 2.1), -1.5, tol=tol)
+
+
 class TestCFRatioBuilds:
     """cf_ratio_eval reads one c_array build per three doublings of the
     depth, of min(8 * depth, max_depth) entries."""
@@ -216,6 +223,16 @@ class TestSettle:
             settle(lambda n: pytest.fail("evaluated"), 16, 8, 1e-12, "test")
         assert err.value.last_value is None
         assert err.value.last_correction == math.inf
+
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_nan_or_inf_tol_refused(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            settle(lambda n: pytest.fail("evaluated"), 8, 64, tol, "test")
+
+    def test_minus_inf_tol_never_met(self):
+        with pytest.raises(NoConvergence):
+            settle(lambda n: 1.0, 8, 64, -math.inf, "test")
 
 
 class TestJacobiCoeffs:

@@ -230,6 +230,11 @@ class TestSchur:
         assert err.value.last_value is not None
         assert 0.0 <= err.value.last_correction < 1e-10
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_reconstruct_nan_or_inf_tol_refused(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            schur_reconstruct(PKAPPA, 2.5 + 1.5j, tol=tol)
+
     @staticmethod
     def _spy(monkeypatch, floor=0):
         # records the size of every band build, building at least ``floor``
