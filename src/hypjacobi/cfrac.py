@@ -80,6 +80,7 @@ def c_array(p: HypParams, n: int) -> np.ndarray:
     out = np.empty(n, dtype=float if p.is_real else complex)
     m = np.arange((n + 1) // 2, dtype=float)  # c_{2m+1}
     t = c + 2 * m
+    # (t + 1) * t as numpy orders it in a large build: no entry may depend on n
     out[0::2] = -(a + m) * (c - b + m) / ((t + 1) * t)
     m = np.arange(1, n // 2 + 1, dtype=float)  # c_{2m}
     t = c + 2 * m
@@ -260,8 +261,8 @@ def near_band(z: complex) -> bool:
 
 
 def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> complex:
-    # coeffs: complex128 c_1..c_depth or more, and z as complex128 (exact),
-    # since mixed operands are ~5x slower per step; tail initialized at 1
+    # coeffs: complex128 c_1..c_depth or more, since a float64 entry times a
+    # complex z is ~5x slower per step; z as complex128 (exact); tail at 1
     z, t = np.complex128(z), 1.0 + 0.0j
     for j in range(depth - 1, -1, -1):
         t = 1.0 + coeffs[j] * z / t
@@ -271,8 +272,7 @@ def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> complex:
 
 
 def settle(evaluate: Callable[[int], complex], n: int, n_max: int, tol: float, what: str):
-    """The one refinement loop: ``evaluate`` at n, 2n, ... up to n_max, each
-    caller reading one build per three doublings (:func:`shared_build`).
+    """The one refinement loop: ``evaluate`` at n, 2n, ... up to n_max.
 
     Returns (value, order, correction) for the first value within
     ``tol * max(1, |value|)`` of the one before; else NoConvergence with
@@ -299,9 +299,9 @@ def settle(evaluate: Callable[[int], complex], n: int, n_max: int, tol: float, w
 
 
 def shared_build(build: Callable[[int], object], cap: int) -> Callable[[int], object]:
-    """The growth rule of every :func:`settle` loop: order n reads the first
-    n entries of ``build(min(8 * n, cap))``, made again only when n outgrows
-    it, so one build serves three doublings (a short build costs its call)."""
+    """The growth rule of every :func:`settle` loop, one build per three
+    doublings: order n reads the first n entries of ``build(min(8 * n, cap))``,
+    made again only when n outgrows it (a short build costs its call)."""
     made, size = None, 0
 
     def at(n: int):
@@ -319,8 +319,8 @@ def cf_ratio_eval(
 ) -> CFValue:
     """Evaluate the C-fraction for F(a,b,c;z)/F(a,b+1,c+1;z).
 
-    Backward recurrence from depth 8, doubling the depth (:func:`settle`)
-    until two successive evaluations agree to ``tol * max(1, |value|)``.
+    Backward recurrence, doubling the depth from 8 (:func:`settle`, one build
+    per three doublings) until two evaluations agree to ``tol * max(1, |value|)``.
     Converges everywhere off the cut [1, inf) where the ratio is finite.
 
     A terminating fraction (some c_j = 0) is rational: it is evaluated at

@@ -241,7 +241,8 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     The tail fraction from the stabilization index on has real diagonal and
     positive squares, hence is a classical Nevanlinna function; it is
     evaluated as the m-function of the tail operator (adaptively in the
-    truncation order, ``cfrac.settle``), then pulled down through
+    truncation order, ``cfrac.settle``, the orders up to 512 slicing one
+    band build and the rest another), then pulled down through
 
         phi_j = -eps_j / (z - a_j + eps_j btilde_j^2 phi_{j+1}).
     """
@@ -250,7 +251,6 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     n_stab = sig.N
 
     def tail_at(bands, n: int) -> complex:
-        # the first n entries of the bands, from the stabilization index on
         diag, btilde = bands[0][n_stab:n], bands[1][n_stab : n - 1]
         return resolvent_first(diag, btilde, btilde, z)
 

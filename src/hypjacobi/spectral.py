@@ -135,10 +135,10 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     """Evaluate B(a,b,c;z) off the band.
 
     ``method="cf"`` goes through the continued fraction at w = -4/(z-2);
-    ``method="resolvent"`` doubles the truncation order until two
-    successive m-function values agree to ``tol``.  The two routes are
-    algebraically identical and their numerical agreement is one of the
-    package's standing invariants.
+    ``method="resolvent"`` doubles the order of J_N from 64 until two values
+    agree to ``tol``, orders up to 512 slicing one build and the rest another.
+    The routes are algebraically identical; their numerical agreement is
+    one of the package's standing invariants.
 
     Terminating triples give a rational B, so for them the band guard is
     waived and evaluation works anywhere off the (finitely many) poles.
