@@ -150,7 +150,7 @@ class TestCFRatioEval:
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_nan_or_inf_tol_refused(self, tol):
-        # tol = inf once stopped at depth 16, tol = nan ran to the depth cap
+        # unchecked, tol = inf stops at depth 16 and tol = nan runs to the cap
         with pytest.raises(ValueError, match="tol"):
             cf_ratio_eval(validate_params(1.3, 0.4, 2.1), -1.5, tol=tol)
 
@@ -672,6 +672,7 @@ class TestCArray:
             if kind == 2:
                 c = complex(c, round(rng.uniform(-2, 2), 2))
             triples.append((a, b, c))
+        kinds = []
         for abc in triples:
             try:
                 p = validate_params(*abc)
@@ -680,10 +681,12 @@ class TestCArray:
                 continue
             if full.terminated_at is not None:
                 continue
+            kinds.append(p.c.imag != 0)
             for n in (2, 33, 513, 4097, 16385):
                 jc = jacobi_coeffs(p, n)
                 assert jc.diag.tobytes() == full.diag[:n].tobytes(), (abc, n)
                 assert jc.offdiag_sq.tobytes() == full.offdiag_sq[: n - 1].tobytes(), (abc, n)
+        assert kinds.count(True) >= 6 and kinds.count(False) >= 12
 
     def test_exact_zeros(self):
         p = validate_params(-2, -1.5, 1)  # a + 2 = 0 at j = 5, b + 1.5 never

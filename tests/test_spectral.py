@@ -252,7 +252,7 @@ class TestBFunction:
     @pytest.mark.parametrize("method", ["cf", "resolvent"])
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_nan_or_inf_tol_refused(self, method, tol):
-        # tol = inf once took the first cf value, 2.5e-7 off at z = 3
+        # unchecked, tol = inf takes the first cf value, 2.5e-7 off at z = 3
         with pytest.raises(ValueError, match="tol"):
             b_function(validate_params(1.3, 0.4, 2.1), 3.0, method=method, tol=tol)
 
