@@ -74,17 +74,19 @@ def c_array(p: HypParams, n: int) -> np.ndarray:
 
     float64 for a real triple, complex128 otherwise.  An entry is exactly 0
     where a linear factor of its numerator vanishes (the indices of
-    ``p.zeros``).
+    ``p.zeros``).  One ``m = 0..n//2`` and one ``t = c + 2m`` serve both
+    halves: c_{2m+1} reads their first (n+1)//2 entries, c_{2m} all but the
+    first.  No entry depends on n.
     """
     a, b, c = (x.real if p.is_real else x for x in (p.a, p.b, p.c))
     out = np.empty(n, dtype=float if p.is_real else complex)
-    m = np.arange((n + 1) // 2, dtype=float)  # c_{2m+1}
+    m = np.arange(n // 2 + 1, dtype=float)
     t = c + 2 * m
+    mo, to = m[: (n + 1) // 2], t[: (n + 1) // 2]  # c_{2m+1}
     # (t + 1) * t as numpy orders it in a large build: no entry may depend on n
-    out[0::2] = -(a + m) * (c - b + m) / ((t + 1) * t)
-    m = np.arange(1, n // 2 + 1, dtype=float)  # c_{2m}
-    t = c + 2 * m
-    out[1::2] = -(b + m) * (c - a + m) / ((t - 1) * t)
+    out[0::2] = -(a + mo) * (c - b + mo) / ((to + 1) * to)
+    me, te = m[1:], t[1:]  # c_{2m}
+    out[1::2] = -(b + me) * (c - a + me) / ((te - 1) * te)
     for k in p.zeros:
         if k <= n:
             out[k - 1] = 0.0
@@ -260,13 +262,20 @@ def near_band(z: complex) -> bool:
     return (abs(w.imag) if w.real >= 1.0 else abs(w - 1.0)) <= CUT_GUARD
 
 
-def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> complex:
-    # coeffs: complex128 c_1..c_depth or more, since a float64 entry times a
-    # complex z is ~5x slower per step; z as complex128 (exact); tail at 1
-    z, t = np.complex128(z), 1.0 + 0.0j
-    for j in range(depth - 1, -1, -1):
-        t = 1.0 + coeffs[j] * z / t
-        if t == 0:
+def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> np.complex128:
+    """The C-fraction 1 + c_1 z/(1 + ... c_depth z/1) by its backward
+    recurrence t = 1 + c_j z / t, a vanishing t replaced by TINY.
+
+    ``coeffs`` holds c_1..c_depth or more as complex128 (a float64 entry
+    times a complex z is ~5x slower per step); the loop walks the reversed
+    prefix view.  Every step stays in numpy complex128 scalars, z converted
+    exactly: Python ``complex`` arithmetic rounds differently.
+    """
+    z, one = np.complex128(z), np.complex128(1.0)
+    t = one
+    for c in coeffs[:depth][::-1]:
+        t = one + c * z / t
+        if not t:
             t = TINY
     return t
 

@@ -18,7 +18,7 @@ again.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class HypParams:
 
     ``is_real`` is true iff all three imaginary parts are exactly zero;
     several real-case operations key off this flag rather than re-testing.
+    ``c1`` is the leading coefficient c_1 as ``cfrac.c_array`` forms it
+    (the scale of B); it is derived, so it enters neither repr nor equality.
     """
 
     a: complex
@@ -53,6 +55,7 @@ class HypParams:
     c: complex
     is_real: bool
     zeros: tuple[int, ...]  # every j >= 1 with c_j = 0, see _zero_indices
+    c1: complex = field(repr=False, compare=False)
 
     def shifted(self, da: int = 0, db: int = 0, dc: int = 0) -> "HypParams":
         """Validated triple with integer-shifted parameters."""
@@ -94,7 +97,10 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
         infinite (the differences enter every fraction coefficient), or if
         the fraction does not terminate and one of c_1, c_2, c_3 or
         b_0^2 = 16 c_2 c_3, as the coefficient kernel ``cfrac.c_array``
-        forms them, overflows.
+        forms them, overflows, or one of c_1, c_2, c_3 underflows to 0 (with
+        no zero index, an exact 0 can only come from an underflow, such as
+        c(c+1) overflowing; it would divide B's scale by zero or cut J off
+        at a spurious b_0^2 = 0).
     CNonpositiveInteger
         If c lies within ``eps_c`` of {0, -1, -2, ...}.  The series (and
         every continued-fraction coefficient denominator) degenerates there.
@@ -109,20 +115,24 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
         )
     zeros = _zero_indices(a, b, c)
     is_real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
-    p = HypParams(a=a, b=b, c=c, is_real=is_real, zeros=zeros)
+    p = HypParams(a=a, b=b, c=c, is_real=is_real, zeros=zeros, c1=0j)  # c1 formed below
+    from .cfrac import c_array  # cfrac imports this module
+
     # a huge parameter (e.g. a = 1e200 + 1j, where b_n^2 ~ |a|^2) is refused
     # at once; a terminating triple is not screened, so that one with a huge
     # parameter still reaches TerminationTooDeep
-    if not zeros:
-        from .cfrac import c_array  # cfrac imports this module
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            c1, c2, c3 = c_array(p, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1, c2, c3 = c_array(p, 3)
+        if not zeros:
             if not np.isfinite([c1, c2, c3, 16 * c2 * c3]).all():
                 raise NonFiniteParameter(
                     f"the J-fraction entries of (a,b,c) = ({a}, {b}, {c}) are not finite (overflow)"
                 )
-    return p
+            if not (c1 and c2 and c3):
+                raise NonFiniteParameter(
+                    f"a leading fraction coefficient of (a,b,c) = ({a}, {b}, {c}) underflows to 0"
+                )
+    return replace(p, c1=complex(c1))
 
 
 def _zero_indices(a: complex, b: complex, c: complex) -> tuple[int, ...]:

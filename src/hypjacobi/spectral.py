@@ -32,7 +32,6 @@ from .cfrac import (
     JacobiCoeffs,
     _principal_roots,
     band_distance,
-    c_coeff,
     cf_ratio_eval,
     jacobi_coeffs,
     jfrac_backward,
@@ -117,7 +116,13 @@ def resolvent_first(diag, upper, lower, z: complex) -> complex:
     up = np.asarray(upper).tolist()
     lo = up if lower is upper else np.asarray(lower).tolist()
     numer = [u * v for u, v in zip(up, lo)]
-    out = jfrac_backward(np.asarray(diag).tolist(), numer, np.abs(lower).tolist(), z)
+    return _resolvent_x0(np.asarray(diag).tolist(), numer, np.abs(lower).tolist(), z)
+
+
+def _resolvent_x0(diag: list, numer: list, lower_abs: list, z: complex) -> complex:
+    """:func:`resolvent_first` from its Python-number lists: the diagonal,
+    the products upper_k lower_k and |lower_k|."""
+    out = jfrac_backward(diag, numer, lower_abs, z)
     if out is not None:
         x0 = 1.0 / -out[0]
         if abs(x0) * out[1] <= GROWTH_LIMIT:
@@ -134,11 +139,15 @@ def m_function(p: HypParams, z: complex, N: int) -> complex:
 def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12) -> complex:
     """Evaluate B(a,b,c;z) off the band.
 
-    ``method="cf"`` goes through the continued fraction at w = -4/(z-2);
-    ``method="resolvent"`` doubles the order of J_N from 64 until two values
-    agree to ``tol``, orders up to 512 slicing one build and the rest another.
-    The routes are algebraically identical; their numerical agreement is
-    one of the package's standing invariants.
+    ``method="cf"`` goes through the continued fraction at w = -4/(z-2),
+    scaled by -1/(4 d_1) with the c_1 = -d_1 that ``validate_params``
+    formed (``HypParams.c1``); ``method="resolvent"`` doubles the order of
+    J_N from 64 until two values agree to ``tol``, orders up to 512 slicing
+    one build and the rest another.  Each build is converted to Python
+    numbers once, entry by entry as the order reaches it, and every order
+    reads a prefix of those lists.  The routes are algebraically identical;
+    their numerical agreement is one of the package's standing invariants.
+    Both return a Python ``complex``.
 
     Terminating triples give a rational B, so for them the band guard is
     waived and evaluation works anywhere off the (finitely many) poles.
@@ -175,26 +184,31 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
             # terminating (rational) triple, where the block is exact
             return m_function(p, z, t + 1)
         w = band_to_cut(z)
-        scale = -1.0 / (4.0 * -c_coeff(p, 1))  # B = scale * (ratio - 1)
+        scale = -1.0 / (4.0 * -p.c1)  # B = scale * (ratio - 1)
         try:
             r = cf_ratio_eval(p, w, tol=tol)
         except NoConvergence as exc:
             raise NoConvergence(
                 f"B at z = {z}: {exc}",
-                last_value=scale * (exc.last_value - 1.0),
+                last_value=complex(scale * (exc.last_value - 1.0)),
                 last_correction=abs(scale) * exc.last_correction,
             ) from exc
-        return scale * (r.value - 1.0)
+        # the product in numpy scalars, as r.value is one; then a Python complex
+        return complex(scale * (r.value - 1.0))
 
     if method == "resolvent":
         if t is not None:
             return m_function(p, z, t + 1)
         coeffs = shared_build(lambda n: build_truncated(p, n), RESOLVENT_NMAX)
+        diag, numer, lower_abs = [], [], []  # resolvent_first's lists, grown
 
         def m_at(n: int) -> complex:
             jc = coeffs(n)
-            offdiag = jc.offdiag[: n - 1]
-            return resolvent_first(jc.diag[:n], offdiag, offdiag, z)
+            diag.extend(jc.diag[len(diag) : n].tolist())
+            off = jc.offdiag[len(numer) : n - 1]
+            numer.extend([u * u for u in off.tolist()])
+            lower_abs.extend(np.abs(off).tolist())
+            return _resolvent_x0(diag, numer, lower_abs, z)
 
         return settle(m_at, RESOLVENT_N0, RESOLVENT_NMAX, tol, f"resolvent m-function at z = {z}")[0]
 

@@ -189,6 +189,56 @@ class TestCFRatioBuilds:
             cf_ratio_eval(self.P, -2 + 1j, tol=-1.0, max_depth=300)
         assert sizes == [64, 300]
 
+    @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (1.3 + 0.5j, 0.4, 2.1), (-2, 0.5, 1.5)])
+    def test_b_function_builds_no_scale(self, monkeypatch, abc):
+        # B's scale reads the c_1 of validate_params (HypParams.c1), the
+        # same bits as a build of its own: the fraction's builds are all
+        p = validate_params(*abc)
+        assert p.c1 == c_coeff(p, 1)
+        sizes = self._spy(monkeypatch)
+        b_function(p, cmath.rect(0.5, 2.0) + 1.0 / cmath.rect(0.5, 2.0), method="cf")
+        assert sizes == ([64, 1024] if not p.zeros else [4])  # terminating: c_5 = 0
+
+
+def _indexed_backward_eval(coeffs, z, depth):
+    """The C-fraction recurrence indexed step by step, in numpy scalars:
+    the reference that ``cfrac._backward_eval`` must match bit for bit."""
+    z, t = np.complex128(z), 1.0 + 0.0j
+    for j in range(depth - 1, -1, -1):
+        t = 1.0 + coeffs[j] * z / t
+        if t == 0:
+            t = cfrac.TINY
+    return t
+
+
+class TestBackwardEval:
+    @pytest.mark.parametrize("complex_triple", [False, True])
+    def test_matches_indexed_reference(self, complex_triple):
+        rng = random.Random(23)
+        done = 0
+        while done < 6:
+            a, b, c = (round(rng.uniform(-5, 5), 2) for _ in range(3))
+            if complex_triple:
+                a, c = complex(a, rng.uniform(-2, 2)), complex(c, rng.uniform(-2, 2))
+            try:
+                p = validate_params(a, b, c)
+            except CNonpositiveInteger:
+                continue
+            coeffs = c_array(p, 48).astype(complex)
+            w = complex(rng.uniform(-6, 0.9), rng.uniform(-3, 3))
+            for depth in range(1, 49):  # the whole build and every shorter prefix
+                want = _indexed_backward_eval(coeffs, w, depth)
+                assert repr(cfrac._backward_eval(coeffs, w, depth)) == repr(want), (p, w, depth)
+            done += 1
+
+    def test_vanishing_step_takes_tiny(self):
+        # 1 + 0.25 * (-4) / 1 = 0 at the first step, replaced by TINY
+        coeffs = np.array([0.3, 0.5, 0.25, 0.7], dtype=complex)
+        for depth in (3, 4):
+            want = _indexed_backward_eval(coeffs, -4.0, depth)
+            assert repr(cfrac._backward_eval(coeffs, -4.0, depth)) == repr(want)
+        assert abs(cfrac._backward_eval(coeffs, -4.0, 3) - 1.0) < 1e-270
+
 
 class TestSettle:
     def test_doubles_until_first_agreeing_pair(self):
@@ -682,7 +732,7 @@ class TestCArray:
             if full.terminated_at is not None:
                 continue
             kinds.append(p.c.imag != 0)
-            for n in (2, 33, 513, 4097, 16385):
+            for n in (1, 2, 3, 33, 64, 65, 513, 4097, 16385):
                 jc = jacobi_coeffs(p, n)
                 assert jc.diag.tobytes() == full.diag[:n].tobytes(), (abc, n)
                 assert jc.offdiag_sq.tobytes() == full.offdiag_sq[: n - 1].tobytes(), (abc, n)

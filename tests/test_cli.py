@@ -230,6 +230,16 @@ class TestExitCodes:
         assert "not finite" in r.stderr
 
 
+    def test_underflowed_leading_coefficient_is_validation(self, cli_env):
+        # c(c+1) overflows and c_1 = c_2 = c_3 = -0: one line, no numpy warning
+        cmd = [sys.executable, "-m", "hypjacobi.cli", "eval", "-a", "4.9929651975296e13",
+               "-b", "0.010789734977852653", "-c", "3.751716335085896e189,38.73",
+               "--z", "1.5118,-0.3111"]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.count("\n") == 1 and "underflows to 0" in r.stderr
+        assert "Warning" not in r.stderr
+
     @pytest.mark.parametrize("subcommand", ["eval", "spectrum", "classify", "coeffs", "check"])
     @pytest.mark.parametrize(
         "params", [["-a=-1.7e308", "-b", "0"], ["-a", "1", "-b=-1.7e308"]], ids=["c-a", "c-b"]

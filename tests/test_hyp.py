@@ -1,6 +1,7 @@
 """Series core: validation, summation, ratio oracle, contiguous relation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from hypjacobi import (
     CNonpositiveInteger,
     NoConvergence,
+    NonFiniteParameter,
     OutsideDisk,
     contiguous_residual,
     hyp2f1_series,
     ratio_series,
     validate_params,
 )
+from hypjacobi.cfrac import c_array
 
 
 def brute_force_series(a, b, c, z, n_terms):
@@ -59,6 +62,28 @@ class TestValidateParams:
         with pytest.raises(CNonpositiveInteger):
             validate_params(1, 1, -1 + 1e-4, eps_c=1e-3)
         validate_params(1, 1, -1 + 1e-4, eps_c=1e-6)
+
+    @pytest.mark.parametrize(
+        "abc",
+        [
+            # c(c+1) overflows: c_1, c_2 and c_3 all come out as -0
+            (4.9929651975296e13, 0.010789734977852653, 3.751716335085896e189 + 38.73j),
+            # c_1 ~ -a/c = -1e-354 alone underflows; c_2, c_3 ~ 1e-154
+            (1e-200, 0.5, 1e154),
+        ],
+    )
+    def test_underflowed_leading_coefficient_refused(self, abc):
+        # no zero index, so an exact 0 is an underflow: B's scale would
+        # divide by it (cf) and b_0^2 = 0 would cut J off (resolvent)
+        with pytest.raises(NonFiniteParameter, match="underflows to 0"):
+            validate_params(*abc)
+
+    @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (2 + 1j, 0.5, 3), (-2, 0.5, 1.5), (0, 1, 2)])
+    def test_leading_coefficient_kept_out_of_repr_and_equality(self, abc):
+        p = validate_params(*abc)
+        assert repr(p.c1) == repr(complex(c_array(p, 1)[0]))
+        assert "c1" not in repr(p)
+        assert p == replace(p, c1=p.c1 + 1) and hash(p) == hash(replace(p, c1=p.c1 + 1))
 
 
 class TestSeries:

@@ -250,6 +250,45 @@ class TestBFunction:
 
 
     @pytest.mark.parametrize("method", ["cf", "resolvent"])
+    @pytest.mark.parametrize(
+        "abc, z",
+        [((1.3, 0.4, 2.1), 3.0), ((1.3, 0.4, 2.1), -0.5 + 2j), ((2 + 1j, 0.5, 3), 3.0 - 1j),
+         ((-2, 0, 1), 1.0), ((-2, 0, 1), 2.0), ((-2, 0, 1), -3.0)],
+    )
+    def test_both_routes_return_python_complex(self, method, abc, z):
+        # the cf route computes in numpy scalars; its value keeps its bits
+        # and its signed zeros as a Python complex
+        val = b_function(validate_params(*abc), z, method=method)
+        assert type(val) is complex
+
+    def test_cf_value_is_the_numpy_product(self):
+        p = validate_params(1.3, 0.4, 2.1)
+        r = spectral.cf_ratio_eval(p, band_to_cut(-3.0))
+        scale = -1.0 / (4.0 * -c_coeff(p, 1))
+        assert repr(b_function(p, -3.0, method="cf")) == repr(complex(scale * (r.value - 1.0)))
+
+    @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (2 + 1j, 0.5, 3), (-1.2 + 0.4j, 0.6, 1.1 + 0.3j)])
+    def test_resolvent_orders_match_sliced_build(self, monkeypatch, abc):
+        # each build is converted to lists once, as the orders reach it; the
+        # value at every order is resolvent_first on the build sliced there
+        p = validate_params(*abc)
+        z = cmath.rect(0.985, 1.0) + 1.0 / cmath.rect(0.985, 1.0)  # slow: orders beyond 512
+        seen = []
+        settle = spectral.settle
+
+        def spy(evaluate, *args):
+            return settle(lambda n: seen.append((n, evaluate(n))) or seen[-1][1], *args)
+
+        monkeypatch.setattr(spectral, "settle", spy)
+        val = b_function(p, z, method="resolvent")
+        assert [n for n, _ in seen] == [64, 128, 256, 512, 1024, 2048, 4096][: len(seen)]
+        assert len(seen) >= 5 and val == seen[-1][1]
+        full = jacobi_coeffs(p, spectral.RESOLVENT_NMAX)
+        for n, got in seen:
+            off = full.offdiag[: n - 1]
+            assert repr(got) == repr(resolvent_first(full.diag[:n], off, off, z)), n
+
+    @pytest.mark.parametrize("method", ["cf", "resolvent"])
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_nan_or_inf_tol_refused(self, method, tol):
         # unchecked, tol = inf takes the first cf value, 2.5e-7 off at z = 3
