@@ -547,7 +547,7 @@ def moment_oracle(p: HypParams, order: int) -> tuple[complex, ...]:
     f_num = _hyp_taylor(p.a, p.b, p.c, m)
     f_den = _hyp_taylor(p.a, p.b + 1, p.c + 1, m)
     ratio = _poly_mul(f_num, _poly_inv(f_den, m), m)
-    scale = -1.0 / (4.0 * (-c_coeff(p, 1)))
+    scale = -1.0 / (4.0 * (-p.c1))
     g = [scale * x for x in ratio]
     g[0] = 0.0 + 0.0j
 

@@ -97,10 +97,10 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
         infinite (the differences enter every fraction coefficient), or if
         the fraction does not terminate and one of c_1, c_2, c_3 or
         b_0^2 = 16 c_2 c_3, as the coefficient kernel ``cfrac.c_array``
-        forms them, overflows, or one of c_1, c_2, c_3 underflows to 0 (with
-        no zero index, an exact 0 can only come from an underflow, such as
-        c(c+1) overflowing; it would divide B's scale by zero or cut J off
-        at a spurious b_0^2 = 0).
+        forms them, overflows; or if one of c_1, c_2, c_3 below the first
+        zero index underflows to 0 (there an exact 0 can only come from an
+        underflow, e.g. of a/(c(c+1)) once c(c+1) overflows; it would
+        divide B's scale by zero or cut J off at a spurious b_0^2 = 0).
     CNonpositiveInteger
         If c lies within ``eps_c`` of {0, -1, -2, ...}.  The series (and
         every continued-fraction coefficient denominator) degenerates there.
@@ -123,15 +123,15 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
     # parameter still reaches TerminationTooDeep
     with np.errstate(over="ignore", invalid="ignore"):
         c1, c2, c3 = c_array(p, 3)
-        if not zeros:
-            if not np.isfinite([c1, c2, c3, 16 * c2 * c3]).all():
-                raise NonFiniteParameter(
-                    f"the J-fraction entries of (a,b,c) = ({a}, {b}, {c}) are not finite (overflow)"
-                )
-            if not (c1 and c2 and c3):
-                raise NonFiniteParameter(
-                    f"a leading fraction coefficient of (a,b,c) = ({a}, {b}, {c}) underflows to 0"
-                )
+        if not zeros and not np.isfinite([c1, c2, c3, 16 * c2 * c3]).all():
+            raise NonFiniteParameter(
+                f"the J-fraction entries of (a,b,c) = ({a}, {b}, {c}) are not finite (overflow)"
+            )
+    # c_j before the first zero index is exactly 0 only by underflow
+    if not all((c1, c2, c3)[: (zeros[0] if zeros else 4) - 1]):
+        raise NonFiniteParameter(
+            f"a leading fraction coefficient of (a,b,c) = ({a}, {b}, {c}) underflows to 0"
+        )
     return replace(p, c1=complex(c1))
 
 

@@ -77,7 +77,7 @@ def run(p: HypParams, N: int = 256, tol: float = 1e-10) -> list[Check]:
     record("moment_match", ok, ", ".join(detail))
 
     worst = 0.0
-    d1 = -cfrac.c_coeff(p, 1)
+    d1 = -p.c1
     for n in (3, 8):
         for z in (5 + 2j, -3 + 1.5j):
             jn = cfrac.approximant(p, "j-fraction", n, z)

@@ -70,11 +70,13 @@ class TestValidateParams:
             (4.9929651975296e13, 0.010789734977852653, 3.751716335085896e189 + 38.73j),
             # c_1 ~ -a/c = -1e-354 alone underflows; c_2, c_3 ~ 1e-154
             (1e-200, 0.5, 1e154),
+            # terminating at c_7 = 0 (a + 3 = 0), but c_1..c_3 underflow
+            (-3, 0.5, 1e200),
         ],
     )
     def test_underflowed_leading_coefficient_refused(self, abc):
-        # no zero index, so an exact 0 is an underflow: B's scale would
-        # divide by it (cf) and b_0^2 = 0 would cut J off (resolvent)
+        # no zero index among 1..3, so an exact 0 is an underflow: B's scale
+        # would divide by it (cf) and b_0^2 = 0 would cut J off (resolvent)
         with pytest.raises(NonFiniteParameter, match="underflows to 0"):
             validate_params(*abc)
 
