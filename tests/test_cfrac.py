@@ -674,7 +674,7 @@ class TestCArray:
             assert abs(arr[j - 1] - ref) <= 4 * eps * abs(ref), j
 
     def test_matches_closed_form_bit_for_bit(self):
-        # the kernel forms c + 2m once per parity; the closed form written
+        # the kernel forms c + 2m once for both halves; the closed form written
         # out term by term gives the same bytes, zero entries included
         rng = random.Random(19)
         triples = []
