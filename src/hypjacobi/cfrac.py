@@ -208,6 +208,19 @@ class CFValue:
     last_correction: float
 
 
+def dense_tridiagonal(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """diag + superdiag(upper) + subdiag(lower) as one dense array in the
+    widest dtype of the three, each entry added to a zero (a -0.0 part
+    comes out +0.0, as in a sum of ``np.diag`` terms)."""
+    n = len(diag)
+    t = np.zeros((n, n), dtype=np.result_type(diag, upper, lower))
+    flat = t.reshape(-1)
+    flat[:: n + 1] += diag
+    flat[1 :: n + 1] += upper
+    flat[n :: n + 1] += lower
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class JacobiCoeffs:
     """The leading block of J: diagonal a_n and off-diagonal squares b_n^2
@@ -234,8 +247,8 @@ class JacobiCoeffs:
         return _principal_roots(self.offdiag_sq)
 
     def matrix(self) -> np.ndarray:
-        """The block as a dense matrix."""
-        return np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
+        """The block as a dense complex128 matrix, b_n on both off-diagonals."""
+        return dense_tridiagonal(self.diag, self.offdiag, self.offdiag)
 
 
 def band_distance(z: complex) -> float:

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cfrac import (
-    jacobi_coeffs, require_nondegenerate, settle, shared_build, stabilization_index,
-    termination_index,
+    dense_tridiagonal, jacobi_coeffs, require_nondegenerate, settle, shared_build,
+    stabilization_index, termination_index,
 )
 from .errors import (
     DegenerateSamples,
@@ -89,15 +89,6 @@ def _real_bands(p: HypParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     from ``jacobi_coeffs(p, n)``, whose arrays are float64 for it."""
     coeffs = jacobi_coeffs(p, n)
     return coeffs.diag, np.sqrt(np.abs(coeffs.offdiag_sq))
-
-
-def _dense_tridiagonal(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """The dense matrix with the given diagonal, superdiagonal and subdiagonal."""
-    t = np.diag(diag)
-    k = np.arange(len(diag) - 1)
-    t[k, k + 1] = upper
-    t[k + 1, k] = lower
-    return t
 
 
 def sign_signature(p: HypParams) -> SignSignature:
@@ -300,7 +291,7 @@ def quadrature(p: HypParams, N: int) -> Quadrature:
             f"(a,b,c) = ({p.a.real}, {p.b.real}, {p.c.real}) violates the classical box"
         )
     diag, btilde = _real_bands(p, N)
-    nodes, vecs = np.linalg.eigh(_dense_tridiagonal(diag, btilde, btilde))
+    nodes, vecs = np.linalg.eigh(dense_tridiagonal(diag, btilde, btilde))
     weights = vecs[0, :] ** 2
     return Quadrature(nodes=nodes, weights=weights, order=N)
 
@@ -327,7 +318,7 @@ def build_H(p: HypParams, N: int) -> tuple[np.ndarray, np.ndarray]:
     rank perturbation of a real symmetric matrix.
     """
     diag, upper, lower, eps = _h_bands(p, N)
-    return _dense_tridiagonal(diag, upper, lower), np.diag(eps)
+    return dense_tridiagonal(diag, upper, lower), np.diag(eps)
 
 
 def h_m_function(p: HypParams, z: complex, N: int) -> complex:

@@ -33,6 +33,7 @@ from .cfrac import (
     _principal_roots,
     band_distance,
     cf_ratio_eval,
+    dense_tridiagonal,
     jacobi_coeffs,
     jfrac_backward,
     near_band,
@@ -251,52 +252,44 @@ class SpectralResult:
         return self.distance_sum <= self.trace_bound + 1e-9
 
 
-def _tridiagonal_bands(coeffs: JacobiCoeffs, n: int) -> np.ndarray:
+def _leading_entries(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n entries a_k and n - 1 squares b_k^2 of ``coeffs``, read
+    as real when none has an imaginary part (a complex triple a = alpha +
+    i beta, b = c - alpha + i beta with real c has such entries)."""
+    diag, sq = coeffs.diag[:n], coeffs.offdiag_sq[: n - 1]
+    if np.iscomplexobj(diag) and not (diag.imag.any() or sq.imag.any()):
+        diag, sq = diag.real, sq.real
+    return diag, sq
+
+
+def _tridiagonal(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The leading order-n block of J in the form
 
         T = diag(a_k) + superdiag(s_k) + subdiag(b_k^2 / s_k),   s_k = |b_k^2|^(1/2),
 
     which is diagonally similar to J (no b_k inside a block vanishes) and
-    needs no complex square root, so T is real whenever every a_k and b_k^2
-    is, which holds for every real triple.  ``coeffs`` is a
-    ``JacobiCoeffs``, whose arrays are float64 for a real triple; complex128
-    arrays are read as real when no entry has an imaginary part (a = alpha
-    + i beta, b = c - alpha + i beta with real c gives such a complex
-    triple).  Scaling by s_k rather than putting 1 on the
-    superdiagonal keeps the off-diagonal magnitudes of J: with a unit
-    superdiagonal, complex triples with large leading coefficients lost a
-    decimal digit in their eigenvalues.  Returns the
-    bands of T as a 3 x n array (rows: superdiagonal, diagonal,
-    subdiagonal, the first and last entry unused).
-    """
-    diag, sq = coeffs.diag[:n], coeffs.offdiag_sq[: n - 1]
-    if np.iscomplexobj(diag) and not (diag.imag.any() or sq.imag.any()):
-        diag, sq = diag.real, sq.real
+    needs no complex square root, so T is real whenever its entries are
+    (``_leading_entries``), as for every real triple.  Scaling by s_k
+    rather than putting 1 on the superdiagonal keeps the off-diagonal
+    magnitudes of J: with a unit superdiagonal, complex triples with large
+    leading coefficients lost a decimal digit in their eigenvalues.
+    Returns (diag, upper, lower), the one form of T here, in one dtype."""
+    diag, sq = _leading_entries(coeffs, n)
     scale = np.sqrt(np.abs(sq))
-    bands = np.zeros((3, len(diag)), dtype=diag.dtype)
-    bands[0, 1:] = scale
-    bands[1] = diag
-    bands[2, :-1] = sq / scale
-    return bands
+    return diag, scale.astype(diag.dtype, copy=False), sq / scale
 
 
-def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int):
     """Eigenvalues of the leading order-n block of J, without eigenvectors:
-    dense QR on the form T of ``_tridiagonal_bands``, in real arithmetic
-    for a real triple.  Returns the bands of T and its eigenvalues as
+    dense QR on the form T of ``_tridiagonal``, in real arithmetic when T
+    is real.  Returns T as (diag, upper, lower) and its eigenvalues as
     complex128."""
-    bands = _tridiagonal_bands(coeffs, n)
-    t = np.diag(bands[1])
-    if bands.shape[1] > 1:
-        # one dense temporary at a time, since the coefficient build of
-        # discrete_spectrum is alive beside t; the same sums entry by entry
-        t += np.diag(bands[0, 1:], 1)
-        t += np.diag(bands[2, :-1], -1)
+    tri = _tridiagonal(coeffs, n)
     try:
-        vals = np.linalg.eigvals(t)
+        vals = np.linalg.eigvals(dense_tridiagonal(*tri))
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"QR iteration failed: {exc}") from exc
-    return bands, vals.astype(complex)
+    return tri, vals.astype(complex)
 
 
 def _twisted_column(diag, upper, lower, mu: complex) -> np.ndarray:
@@ -373,9 +366,9 @@ def _refine(diag, prod, mu):
     return complex(mu)
 
 
-def _ladder(bands_at, orders, candidates, tol: float, count: int | None = None):
-    """Refine candidates at the truncation ``orders`` in turn (``bands_at(n)``
-    gives the bands of T_n) and split them into retained and discarded.
+def _ladder(tri_at, orders, candidates, tol: float, count: int | None = None):
+    """Refine candidates at the truncation ``orders`` in turn (``tri_at(n)``
+    is ``_tridiagonal`` of T_n) and split them into retained and discarded.
 
     At each order every climbing candidate is refined from its value v to
     mu (``_refine``).  v is retained, reported as mu, when mu lies within
@@ -388,13 +381,14 @@ def _ladder(bands_at, orders, candidates, tol: float, count: int | None = None):
     for one shift as for many).  With a ``count`` candidates climb farthest
     from the band first and the ladder stops once ``count`` values are
     retained.  For a real T only the member of each conjugate pair in the
-    upper half plane climbs and the other mirrors it.  Values are checked
+    upper half plane climbs and the other mirrors it, and a later complex
+    T is read by its real part.  Values are checked
     (``_check_eigenvalues``) on the block of the order that retained them.
     Returns (retained, discarded), both in candidate order, and the
     highest order reached.
     """
-    bands = bands_at(orders[0])
-    real = not np.iscomplexobj(bands)
+    tri = tri_at(orders[0])
+    real = not np.iscomplexobj(tri[0])
     climbing = {i: lam for i, lam in enumerate(candidates) if not (real and lam.imag < 0)}
     if count is not None:
         climbing = dict(sorted(climbing.items(), key=lambda item: -band_distance(item[1])))
@@ -404,9 +398,9 @@ def _ladder(bands_at, orders, candidates, tol: float, count: int | None = None):
     for n in orders:
         if not climbing or (count is not None and len(taken) >= count):
             break
-        bands = bands if n == reached else bands_at(n)
-        diag = bands[1].tolist()
-        prod = (bands[0, 1:] * bands[2, :-1]).tolist()
+        tri = tri if n == reached else tuple(np.real(x) if real else x for x in tri_at(n))
+        diag = tri[0].tolist()
+        prod = (tri[1] * tri[2]).tolist()
         screen = {}
         if len(orders) == 1:
             steps = _newton_steps(diag, prod, np.array(list(climbing.values()), dtype=complex))
@@ -428,7 +422,7 @@ def _ladder(bands_at, orders, candidates, tol: float, count: int | None = None):
                 found[i] = mu
             elif outside and cmath.isfinite(mu):
                 carried[i] = mu
-        _check_eigenvalues(bands, accepted)
+        _check_eigenvalues(tri, accepted)
         climbing = carried
         reached = n
 
@@ -448,8 +442,8 @@ def _ladder(bands_at, orders, candidates, tol: float, count: int | None = None):
     return retained, discarded, reached
 
 
-def _check_eigenvalues(bands: np.ndarray, vals) -> None:
-    """Residual contract for eigenvalues of the tridiagonal T in ``bands``.
+def _check_eigenvalues(tri, vals) -> None:
+    """Residual contract for eigenvalues of T = (diag, upper, lower).
 
     Each value gets one step of inverse iteration, one O(N) solve: the
     column of (T - mu)^{-1} picked by a twisted factorization
@@ -463,21 +457,22 @@ def _check_eigenvalues(bands: np.ndarray, vals) -> None:
     """
     if len(vals) == 0:
         return
-    row_sums = np.abs(bands[1])
-    row_sums[:-1] += np.abs(bands[0, 1:])
-    row_sums[1:] += np.abs(bands[2, :-1])
+    diag, upper, lower = tri
+    row_sums = np.abs(diag)
+    row_sums[:-1] += np.abs(upper)
+    row_sums[1:] += np.abs(lower)
     scale = max(float(np.max(row_sums)), 1.0)
     nudge = 8.0 * np.finfo(float).eps * scale
-    diag, upper, lower = bands[1].tolist(), bands[0, 1:].tolist(), bands[2, :-1].tolist()
+    lists = diag.tolist(), upper.tolist(), lower.tolist()
     for lam in vals:
         try:
-            v = _twisted_column(diag, upper, lower, complex(lam) + nudge)
+            v = _twisted_column(*lists, complex(lam) + nudge)
         except ZeroDivisionError as exc:
             raise EigensolverFailure(f"inverse iteration singular at eigenvalue {lam}") from exc
         v = v / np.linalg.norm(v)
-        tv = bands[1] * v
-        tv[:-1] += bands[0, 1:] * v[1:]
-        tv[1:] += bands[2, :-1] * v[:-1]
+        tv = diag * v
+        tv[:-1] += upper * v[1:]
+        tv[1:] += lower * v[:-1]
         res = float(np.linalg.norm(tv - lam * v))
         if not res <= EIG_RESIDUAL * scale:
             raise EigensolverFailure(
@@ -573,9 +568,10 @@ def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, t
     s_j = -j rho^j mean_l(L(theta_l) e^(i j theta_l)), j = 1..k, k sums
     over the samples.  Newton's identities give the polynomial
     with roots lam_i, and the seeds are z_i = lam_i + 1/lam_i; seeds that
-    are not finite are dropped.  When every entry is real the real part of
-    the polynomial is solved, so real zeros come out real and the others in
-    exact conjugate pairs, as the ladder climbs and mirrors them.
+    are not finite are dropped.  When the entries are real
+    (``_leading_entries``) the real part of the polynomial is solved, so
+    real zeros come out real and the others in exact conjugate pairs, as
+    the ladder climbs and mirrors them.
 
     Returns (count, seeds): (None, ()) when no sampling is accepted, the
     accepted winding is negative, psi_{-1} is not finite and nonzero at
@@ -584,7 +580,7 @@ def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, t
     """
     if not 0.0 < rho < 1.0:
         return None, ()
-    diag, sq = coeffs.diag[: M + 1], coeffs.offdiag_sq[:M]
+    diag, sq = _leading_entries(coeffs, M + 1)
     k = 1 << math.ceil(math.log2(16.0 / (1.0 - rho)))
     for _ in range(JOST_DOUBLINGS + 1):
         theta = np.arange(2 * k) * (math.pi / k)
@@ -621,7 +617,7 @@ def _jost_zeros(coeffs: JacobiCoeffs, M: int, rho: float) -> tuple[int | None, t
     poly = [(-1) ** i * e[i] for i in range(count + 1)]
     if not np.isfinite(poly).all():
         return count, ()
-    if not (np.imag(diag).any() or np.imag(sq).any()):
+    if not np.iscomplexobj(diag):
         poly = np.real(poly)
     with np.errstate(all="ignore"):
         lam = np.roots(poly)
@@ -710,19 +706,19 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     if jost:
         count, seeds = _jost_zeros(coeffs, N, tol ** (1.0 / (4 * N)))
 
-    def bands_at(n):
+    def tri_at(n):
         # a rung beyond the build builds its own order (a terminated build
         # already holds its whole block)
         beyond = n > len(coeffs.diag) and coeffs.terminated_at is None
-        return _tridiagonal_bands(jacobi_coeffs(p, n) if beyond else coeffs, n)
+        return _tridiagonal(jacobi_coeffs(p, n) if beyond else coeffs, n)
 
     if exact:
         # the order-N build would already have stopped at the exact block
-        bands, vals = _tridiagonal_eigvals(coeffs, N)
+        tri, vals = _tridiagonal_eigvals(coeffs, N)
         retained = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
-        _check_eigenvalues(bands, retained)
+        _check_eigenvalues(tri, retained)
         discarded: list[complex] = []
-        n_used = n_check = bands.shape[1]
+        n_used = n_check = len(tri[0])
     else:
         # (seed order s, candidates or None for the order-s eigenvalues, count
         # that stops the ladder), tried in turn until one meets its count
@@ -741,7 +737,7 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
                 # 2s, 4s, ... up to 64N with a count, the one rung 2N without
                 last = (64 if stop else 2) * N
                 orders = [n_used << k for k in range(1, (last // n_used).bit_length())]
-                retained, discarded, n_check = _ladder(bands_at, orders, candidates, tol, stop)
+                retained, discarded, n_check = _ladder(tri_at, orders, candidates, tol, stop)
                 if stop is None or len(retained) >= stop:
                     break
 

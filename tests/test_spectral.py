@@ -102,6 +102,17 @@ class TestBuildTruncated:
         assert len(tj.diag) == 3 and tj.terminated_at is None
         assert abs(tj.offdiag[0] - math.sqrt(8.0 / 9.0)) < 1e-15
 
+    def test_matrix_keeps_imaginary_roots(self):
+        # a real triple with negative squares: their roots i |b_n| sit next
+        # to a float diagonal, bit for bit the sum of np.diag terms
+        tj = jacobi_coeffs(PKAPPA, 8)
+        k = np.flatnonzero(tj.offdiag_sq < 0)
+        assert k.size and tj.diag.dtype == np.float64
+        m = tj.matrix()
+        ref = np.diag(tj.diag) + np.diag(tj.offdiag, 1) + np.diag(tj.offdiag, -1)
+        assert m.dtype == ref.dtype == np.complex128 and m.tobytes() == ref.tobytes()
+        assert (m[k, k + 1].imag > 0).all() and (m[k + 1, k].imag > 0).all()
+
 
 class TestMFunction:
     def test_exact_pole_case(self):
@@ -386,17 +397,17 @@ class TestEigensolveLayer:
             assert np.min(np.abs(ref_n - lam)) <= 1e-12
 
     def test_real_triple_solved_in_real_arithmetic(self):
-        bands, _ = _tridiagonal_eigvals(jacobi_coeffs(PKAPPA, 64), 64)
-        assert bands.dtype == np.float64
-        bands, _ = _tridiagonal_eigvals(jacobi_coeffs(validate_params(1 + 2j, 3, -0.5), 64), 64)
-        assert bands.dtype == np.complex128
+        tri, _ = _tridiagonal_eigvals(jacobi_coeffs(PKAPPA, 64), 64)
+        assert all(x.dtype == np.float64 for x in tri)
+        tri, _ = _tridiagonal_eigvals(jacobi_coeffs(validate_params(1 + 2j, 3, -0.5), 64), 64)
+        assert all(x.dtype == np.complex128 for x in tri)
 
     def test_all_real_complex_triple_solved_in_real_arithmetic(self):
         # a = alpha + i beta, b = c - alpha + i beta with real c: a complex
         # triple whose entries are all real, read in real arithmetic
         p = validate_params(0.5 + 1j, 1.5 + 1j, 2)
         assert not p.is_real
-        assert spectral._tridiagonal_bands(jacobi_coeffs(p, 64), 64).dtype == np.float64
+        assert all(x.dtype == np.float64 for x in spectral._tridiagonal(jacobi_coeffs(p, 64), 64))
         for N in (64, 256):
             res = discrete_spectrum(p, N)
             assert res.eigenvalues, N
@@ -423,9 +434,9 @@ class TestEigensolveLayer:
     def test_residual_check_exact_block(self):
         # 1x1 terminating block: the eigenvalue is exact, the nudged shift
         # keeps the inverse iteration regular
-        bands, vals = _tridiagonal_eigvals(jacobi_coeffs(PTERM1, 16), 16)
-        assert bands.shape == (3, 1) and vals[0] == 3.0
-        _check_eigenvalues(bands, vals)
+        tri, vals = _tridiagonal_eigvals(jacobi_coeffs(PTERM1, 16), 16)
+        assert [len(x) for x in tri] == [1, 0, 0] and vals[0] == 3.0
+        _check_eigenvalues(tri, vals)
 
     @pytest.mark.parametrize("shift", [1e-6, 1e-6j], ids=["real", "imag"])
     @pytest.mark.parametrize(
@@ -435,23 +446,22 @@ class TestEigensolveLayer:
     def test_residual_check_rejects_moved_eigenvalue(self, abc, shift):
         p = validate_params(*abc)
         lam = discrete_spectrum(p, 64).eigenvalues[0]
-        bands, _ = _tridiagonal_eigvals(jacobi_coeffs(p, 128), 128)
-        _check_eigenvalues(bands, [lam])
+        tri, _ = _tridiagonal_eigvals(jacobi_coeffs(p, 128), 128)
+        _check_eigenvalues(tri, [lam])
         with pytest.raises(EigensolverFailure, match="residual"):
-            _check_eigenvalues(bands, [lam + shift])
+            _check_eigenvalues(tri, [lam + shift])
 
     def test_residual_check_localized_eigenvector(self):
         # the eigenvector of the value near 10.1 decays from the last entry
         # to about 1e-29 at the first: a column started at e_0 misses it
         n = 30
-        bands = np.zeros((3, n))
-        bands[0, 1:] = bands[2, :-1] = 1.0
-        bands[1, -1] = 10.0
-        vals = np.linalg.eigvals(_dense(bands[1], bands[0, 1:], bands[2, :-1]))
-        _check_eigenvalues(bands, vals)
+        tri = np.zeros(n), np.ones(n - 1), np.ones(n - 1)
+        tri[0][-1] = 10.0
+        vals = np.linalg.eigvals(_dense(*tri))
+        _check_eigenvalues(tri, vals)
         top = vals[np.argmax(vals.real)]
         with pytest.raises(EigensolverFailure, match="residual"):
-            _check_eigenvalues(bands, [top + 1e-6])
+            _check_eigenvalues(tri, [top + 1e-6])
 
     @pytest.mark.parametrize(
         "abc", [(-184, -3.2, 3.3), (-2.1, -192, 3.6), (-183, 2.4 - 0.9j, -3.6 - 1j), (-60, -3.2, 3.3)]
@@ -466,9 +476,9 @@ class TestEigensolveLayer:
         # off-diagonals 0.5 keep ||T||_inf <= 1, so the nudged shift is
         # exactly 8 eps and the last pivot mu - d_1 vanishes
         nudge = 8.0 * np.finfo(float).eps
-        bands = np.array([[0.0, 0.5], [0.0, nudge], [0.5, 0.0]])
+        tri = np.array([0.0, nudge]), np.array([0.5]), np.array([0.5])
         with pytest.raises(EigensolverFailure, match="singular"):
-            _check_eigenvalues(bands, [0.0])
+            _check_eigenvalues(tri, [0.0])
 
 
 def _dense_confirm(vals2, candidates, tol):
@@ -500,10 +510,10 @@ def _polished_eigenvalue(p, lam):
     return cut_to_band(complex(w))
 
 
-def _one_rung(bands, candidates, tol):
-    """The ladder with one rung, on the given bands: the order-2N
+def _one_rung(tri, candidates, tol):
+    """The ladder with one rung, on T = (diag, upper, lower): the order-2N
     confirmation.  Returns (retained, discarded)."""
-    return _ladder(lambda n: bands, [bands.shape[1]], candidates, tol)[:2]
+    return _ladder(lambda n: tri, [len(tri[0])], candidates, tol)[:2]
 
 
 def _reference_spectrum(monkeypatch, p, N, tol, vals2=None):
@@ -518,7 +528,7 @@ def _reference_spectrum(monkeypatch, p, N, tol, vals2=None):
         m.setattr(spectral, "_jost_zeros", lambda coeffs, M, rho: (None, ()))
         m.setattr(
             spectral, "_ladder",
-            lambda bands_at, orders, cands, t, count=None: (
+            lambda tri_at, orders, cands, t, count=None: (
                 *_dense_confirm(vals2, cands, t), orders[-1]
             ),
         )
@@ -669,46 +679,44 @@ class TestOrder2NConfirmation:
             assert abs(one - ref) <= 1e-12 * max(1.0, abs(ref))
 
     @staticmethod
-    def _path_bands(dtype):
+    def _path(dtype):
         # T - 3 = tridiag(1; 1, 2, ..., 2, 1; 1), the signless Laplacian of
         # a path: 3 is an exact eigenvalue, the next one is 3.038, and every
         # forward pivot of T - 3 is 1 except the last, which is exactly 0
         n = 16
-        bands = np.zeros((3, n), dtype=dtype)
-        bands[0, 1:] = bands[2, :-1] = 1.0
-        bands[1] = 5.0
-        bands[1, [0, -1]] = 4.0
-        return bands
+        diag = np.full(n, 5.0, dtype=dtype)
+        diag[[0, -1]] = 4.0
+        return diag, np.ones(n - 1, dtype=dtype), np.ones(n - 1, dtype=dtype)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_tol_decides_on_refined_value(self, dtype):
-        bands = self._path_bands(dtype)
-        retained, discarded = _one_rung(bands, [3.0 + 1e-12], 1e-10)
+        tri = self._path(dtype)
+        retained, discarded = _one_rung(tri, [3.0 + 1e-12], 1e-10)
         assert discarded == [] and abs(retained[0] - 3.0) <= 1e-15
-        retained, discarded = _one_rung(bands, [3.0 + 1e-8], 1e-10)
+        retained, discarded = _one_rung(tri, [3.0 + 1e-8], 1e-10)
         assert retained == [] and discarded == [3.0 + 1e-8]
 
     def test_band_guard_on_refined_value(self):
         # shifted so that the exact eigenvalue sits 1e-9 inside the band
         # guard; the candidate, 2e-9 above it, is outside the guard
-        bands = self._path_bands(float)
-        bands[1] -= 1.0 - BAND_GUARD + 1e-9
+        tri = self._path(float)
+        tri[0][:] -= 1.0 - BAND_GUARD + 1e-9
         mu = 2.0 + BAND_GUARD - 1e-9
         lam = complex(mu + 2e-9)
         assert band_distance(lam) > BAND_GUARD
-        assert _one_rung(bands, [lam], 1e-8) == ([], [lam])
+        assert _one_rung(tri, [lam], 1e-8) == ([], [lam])
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_exact_eigenvalue_zero_pivot(self, dtype):
         # the screen's last pivot vanishes: a zero step, not a warning (the
         # suite turns RuntimeWarning into an error)
-        bands = self._path_bands(dtype)
-        retained, discarded = _one_rung(bands, [3.0 + 0j], 1e-10)
+        tri = self._path(dtype)
+        retained, discarded = _one_rung(tri, [3.0 + 0j], 1e-10)
         assert retained == [3.0] and discarded == []
-        _check_eigenvalues(bands, retained)
+        _check_eigenvalues(tri, retained)
         # 4 is an eigenvalue of the leading 1 x 1 block: the screen yields
         # NaN and the candidate is discarded, again without a warning
-        assert _one_rung(bands, [4.0 + 0j], 1e-10) == ([], [4.0])
+        assert _one_rung(tri, [4.0 + 0j], 1e-10) == ([], [4.0])
 
     def test_refine_stops_at_vanishing_pivot(self):
         # mu = 1 is the eigenvalue of the leading 1 x 1 block: the first
@@ -722,9 +730,9 @@ class TestOrder2NConfirmation:
 
     def test_claimed_value_is_not_retained_twice(self):
         # three candidates, two of them equal, all converge onto 3
-        bands = self._path_bands(float)
+        tri = self._path(float)
         cands = [3.0 + 1e-12, 3.0 + 1e-12, 3.0 - 1e-12]
-        retained, discarded = _one_rung(bands, cands, 1e-10)
+        retained, discarded = _one_rung(tri, cands, 1e-10)
         assert retained == [3.0] and discarded == cands[1:]
 
     def test_near_band_real_eigenvalues_counted(self):
@@ -761,7 +769,7 @@ class TestMergeStep:
         monkeypatch.setattr(spectral, "_jost_zeros", lambda coeffs, M, rho: (None, ()))
         monkeypatch.setattr(
             spectral, "_ladder",
-            lambda bands_at, orders, cands, tol, count=None: (list(values), [], orders[-1]),
+            lambda tri_at, orders, cands, tol, count=None: (list(values), [], orders[-1]),
         )
         return discrete_spectrum(validate_params(*abc), 64)
 
@@ -883,19 +891,19 @@ class TestCountedLadder:
     def test_count_stops_the_ladder(self):
         # candidates for the eigenvalues 3 and 5 + 2 cos(pi/16) of the path
         # matrix: with count 1 only the one farther from the band climbs
-        bands = TestOrder2NConfirmation._path_bands(float)
+        tri = TestOrder2NConfirmation._path(float)
         top = 5.0 + 2.0 * math.cos(math.pi / 16)
         cands = [3.0 + 1e-12, top + 1e-12]
-        retained, discarded, reached = _ladder(lambda n: bands, [8, 16], cands, 1e-10, count=1)
+        retained, discarded, reached = _ladder(lambda n: tri, [8, 16], cands, 1e-10, count=1)
         assert discarded == cands[:1] and abs(retained[0] - top) <= 1e-14 and reached == 8
-        retained, discarded, _ = _ladder(lambda n: bands, [8, 16], cands, 1e-10, count=2)
+        retained, discarded, _ = _ladder(lambda n: tri, [8, 16], cands, 1e-10, count=2)
         assert discarded == [] and len(retained) == 2
 
     def test_value_that_moves_is_followed(self):
         # the candidate is 1e-8 from the eigenvalue 3 of every rung: the
         # first refinement moves it by more than tol, the second agrees
-        bands = TestOrder2NConfirmation._path_bands(float)
-        retained, discarded, reached = _ladder(lambda n: bands, [8, 16], [3.0 + 1e-8], 1e-10, count=1)
+        tri = TestOrder2NConfirmation._path(float)
+        retained, discarded, reached = _ladder(lambda n: tri, [8, 16], [3.0 + 1e-8], 1e-10, count=1)
         assert retained == [3.0] and discarded == [] and reached == 16
 
 
@@ -980,6 +988,36 @@ class TestJostCount:
             assert len(res.eigenvalues) == 2 and res.discarded == (), N
             for v in res.eigenvalues:
                 assert min(abs(v - r) for r in ref) <= 1e-12, (N, v)
+
+    @pytest.mark.parametrize(
+        "abc, N, values",
+        [
+            *[
+                ((-4 - 1.25j, 6.890000000000001 - 1.25j, 2.89), N,
+                 (-14.378798586595849, -5.882938717533155, -3.3024864951626602))
+                for N in (8, 9)
+            ],
+            ((3.27 - 0.25j, -4.18 - 0.25j, -0.91), 8,
+             (-445.2226762479192, -9.946296589890448, -3.020817376352968)),
+            *[
+                ((3.27 - 0.25j, -4.18 - 0.25j, -0.91), N,
+                 (-445.2226762479192, -9.94629658989045, -3.0208173763529684))
+                for N in (9, 10)
+            ],
+            *[((3.11 + 0.75j, -1 + 0.75j, 2.11), N, (-2.2188063147066877,)) for N in range(13, 19)],
+        ],
+    )
+    def test_ladder_keeps_arithmetic_of_first_rung(self, abc, N, values):
+        # entries exactly real up to the first rung (2N) and complex by
+        # rounding further on: a later rung refined in complex arithmetic
+        # gave real values an imaginary part of 1e-44 to 1e-33, whose
+        # phantom conjugate filled the count before the last seed climbed
+        # (the first two triples lost -3.3025 and -3.0208 at N = 8), or
+        # was reported without a conjugate
+        res = discrete_spectrum(validate_params(*abc), N)
+        assert len(res.eigenvalues) == len(values), res.eigenvalues
+        for u, v in zip(res.eigenvalues, values):
+            assert u.imag == 0 and abs(u.real - v) <= 1e-12 * abs(v), (u, v)
 
     def test_met_count_needs_no_eigensolve(self, monkeypatch):
         def refuse(*args):
