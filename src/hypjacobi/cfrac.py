@@ -350,6 +350,8 @@ def cf_ratio_eval(
 
     Raises
     ------
+    NonFiniteParameter
+        A coefficient of a terminating fraction overflows.
     OnCut
         z within guard distance of [1, inf) for a non-terminating fraction,
         measured in z or in 2 - 4/z (:func:`near_band`).
@@ -365,8 +367,15 @@ def cf_ratio_eval(
         depth = j_zero - 1
         if depth == 0:
             return CFValue(1.0 + 0.0j, 1, 0.0)
-        val = _backward_eval(c_array(p, depth).astype(complex), z, depth)
-        return CFValue(val, depth, 0.0)
+        # validate_params screens no coefficient of a terminating triple
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = c_array(p, depth)
+        if not np.isfinite(coeffs).all():
+            raise NonFiniteParameter(
+                f"the C-fraction coefficients of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
+                "are not finite (overflow)"
+            )
+        return CFValue(_backward_eval(coeffs.astype(complex), z, depth), depth, 0.0)
 
     if near_band(2.0 - 4.0 / z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")

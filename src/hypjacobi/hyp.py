@@ -100,7 +100,8 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
         forms them, overflows; or if one of c_1, c_2, c_3 below the first
         zero index underflows to 0 (there an exact 0 can only come from an
         underflow, e.g. of a/(c(c+1)) once c(c+1) overflows; it would
-        divide B's scale by zero or cut J off at a spurious b_0^2 = 0).
+        divide B's scale by zero or cut J off at a spurious b_0^2 = 0); or
+        if c_1 is so small that B's scale -1/(4 d_1), d_1 = -c_1, overflows.
     CNonpositiveInteger
         If c lies within ``eps_c`` of {0, -1, -2, ...}.  The series (and
         every continued-fraction coefficient denominator) degenerates there.
@@ -131,6 +132,12 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
     if not all((c1, c2, c3)[: (zeros[0] if zeros else 4) - 1]):
         raise NonFiniteParameter(
             f"a leading fraction coefficient of (a,b,c) = ({a}, {b}, {c}) underflows to 0"
+        )
+    # B's scale -1/(4 d_1), d_1 = -c_1, as b_function forms it
+    if c1 and cmath.isinf(-1.0 / (4.0 * -complex(c1))):
+        raise NonFiniteParameter(
+            f"c_1 = {complex(c1)} of (a,b,c) = ({a}, {b}, {c}) is so small that "
+            "B's scale -1/(4 d_1) overflows"
         )
     return replace(p, c1=complex(c1))
 

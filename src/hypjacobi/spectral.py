@@ -156,7 +156,8 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     Raises
     ------
     NonFiniteParameter
-        z has a NaN or infinite real or imaginary part.
+        z has a NaN or infinite real or imaginary part, or the coefficients
+        of a terminating fraction overflow (both routes).
     OnBand
         z within guard distance of [-2, 2] for a non-terminating triple,
         measured in z or in w = -4/(z-2) (``cfrac.near_band``), for both
@@ -292,33 +293,70 @@ def _tridiagonal_eigvals(coeffs: JacobiCoeffs, n: int):
     return tri, vals.astype(complex)
 
 
-def _twisted_column(diag, upper, lower, mu: complex) -> np.ndarray:
-    """Column k of (T - mu)^{-1} up to scale, entry k equal to 1, for T =
-    diag + superdiag(upper) + subdiag(lower) over sequences of Python numbers.
+def _twisted_columns(diag, upper, lower):
+    """The twisted column of T - mu as a function of mu, for T = diag +
+    superdiag(upper) + subdiag(lower) given as sequences or arrays.
 
+    The column is column k of (T - mu)^{-1} up to scale, entry k equal to
+    1.  T is read into Python lists, and its products upper_i lower_i
+    formed, once; each column then costs its two pivot recurrences, in
+    Python arithmetic: real for a real mu and a real T, complex otherwise.
     Only the residual check uses it, so the check shares no code with the
-    Newton refinement whose values it checks.  p_i are the pivots of eliminating T - mu from the top row down, q_i
+    Newton refinement whose values it checks.
+    p_i are the pivots of eliminating T - mu from the top row down, q_i
     those from the bottom row up (the pivots of :func:`cfrac.jfrac_backward`,
     negated), and gamma_i = p_i + q_i - (d_i - mu) is 1 / ((T - mu)^{-1})_{ii}.
     The twist k minimizes |gamma_k|, the row where the eigenvector nearest
     mu is large.  Then x_i = -upper_i x_{i+1} / p_i above k and x_i =
     -lower_{i-1} x_{i-1} / q_i below it, so (T - mu) x = gamma_k e_k.
-    ZeroDivisionError on a vanishing pivot.
+    Every operation commutes with conjugation in IEEE arithmetic, so for a
+    real T the column at conj(mu) is the conjugate of the column at mu, bit
+    for bit.  ZeroDivisionError on a vanishing pivot.
     """
-    n = len(diag)
-    prod = [u * v for u, v in zip(upper, lower)]
-    a = [d - mu for d in diag]
-    p, q = [a[0]], [a[-1]]
-    for i in range(1, n):
-        p.append(a[i] - prod[i - 1] / p[-1])
-        j = n - 1 - i
-        q.append(a[j] - prod[j] / q[-1])
-    p, q = np.array(p), np.array(q[::-1])
-    k = int(np.argmin(np.abs(p + q - np.array(a))))
-    x = np.ones(n, dtype=p.dtype)
-    x[:k] = np.cumprod((-np.asarray(upper[:k]) / p[:k])[::-1])[::-1]
-    x[k + 1 :] = np.cumprod(-np.asarray(lower[k:]) / q[k + 1 :])
-    return x
+    diag, upper, lower = np.asarray(diag), np.asarray(upper), np.asarray(lower)
+    d = diag.tolist()
+    prod = [u * v for u, v in zip(upper.tolist(), lower.tolist())]
+    down = list(zip(d[-2::-1], prod[::-1]))
+    up = list(zip(d[1:], prod))
+
+    def column(mu) -> np.ndarray:
+        p = [d[0] - mu]
+        pivot = p[0]
+        for di, b2 in up:
+            pivot = (di - mu) - b2 / pivot
+            p.append(pivot)
+        q = [d[-1] - mu]
+        pivot = q[0]
+        for di, b2 in down:
+            pivot = (di - mu) - b2 / pivot
+            q.append(pivot)
+        p, q = np.array(p), np.array(q[::-1])
+        k = int(np.argmin(np.abs(p + q - (diag - mu))))
+        x = np.ones(len(d), dtype=p.dtype)
+        x[:k] = np.cumprod((-upper[:k] / p[:k])[::-1])[::-1]
+        x[k + 1 :] = np.cumprod(-lower[k:] / q[k + 1 :])
+        return x
+
+    return column
+
+
+def _twisted_column(diag, upper, lower, mu: complex) -> np.ndarray:
+    """Column k of (T - mu)^{-1} up to scale, entry k equal to 1, for T =
+    diag + superdiag(upper) + subdiag(lower) (``_twisted_columns`` at one
+    mu)."""
+    return _twisted_columns(diag, upper, lower)(mu)
+
+
+def _residual(tri, column, lam, mu) -> float:
+    """||(T - lam) v|| for T = (diag, upper, lower) and v = ``column(mu)``
+    (``_twisted_columns`` of T) normalized."""
+    diag, upper, lower = tri
+    v = column(mu)
+    v = v / np.linalg.norm(v)
+    tv = diag * v
+    tv[:-1] += upper * v[1:]
+    tv[1:] += lower * v[:-1]
+    return float(np.linalg.norm(tv - lam * v))
 
 
 def _newton_steps(diag, prod, mu):
@@ -454,6 +492,14 @@ def _check_eigenvalues(tri, vals) -> None:
     mu = lam + 8 eps ||T||_inf is nudged so that an exact eigenvalue (a
     terminating 1x1 block) leaves the pivots nonzero.  The normalized
     column v must satisfy ||(T - lam) v|| <= EIG_RESIDUAL * max(||T||_inf, 1).
+
+    T is converted once per call, not once per value.  On a real T a real
+    value is checked in float arithmetic (Python's complex division with
+    zero imaginary parts gives the same real quotients and the same
+    ZeroDivisionError), and a value below the real axis whose exact
+    conjugate is also in ``vals`` is not checked again: its column and
+    residual are the conjugate and the same float as those of its mirror
+    (the ladder mirrors each pair as ``mu.conjugate()``).
     """
     if len(vals) == 0:
         return
@@ -462,18 +508,21 @@ def _check_eigenvalues(tri, vals) -> None:
     row_sums[:-1] += np.abs(upper)
     row_sums[1:] += np.abs(lower)
     scale = max(float(np.max(row_sums)), 1.0)
-    nudge = 8.0 * np.finfo(float).eps * scale
-    lists = diag.tolist(), upper.tolist(), lower.tolist()
+    # a Python float: a float plus an np.float64 would compute in numpy
+    # scalars, which return inf on a vanishing pivot instead of raising
+    nudge = float(8.0 * np.finfo(float).eps * scale)
+    real = not np.iscomplexobj(diag)
+    column = _twisted_columns(diag, upper, lower)
+    vals = [complex(lam) for lam in vals]
+    mirrored = set(vals) if real else set()
     for lam in vals:
+        if lam.imag < 0 and lam.conjugate() in mirrored:
+            continue
+        at = lam.real if real and lam.imag == 0 else lam
         try:
-            v = _twisted_column(*lists, complex(lam) + nudge)
+            res = _residual(tri, column, at, at + nudge)
         except ZeroDivisionError as exc:
             raise EigensolverFailure(f"inverse iteration singular at eigenvalue {lam}") from exc
-        v = v / np.linalg.norm(v)
-        tv = diag * v
-        tv[:-1] += upper * v[1:]
-        tv[1:] += lower * v[:-1]
-        res = float(np.linalg.norm(tv - lam * v))
         if not res <= EIG_RESIDUAL * scale:
             raise EigensolverFailure(
                 f"eigenpair residual {res:.3e} exceeds contract at eigenvalue {lam}"
@@ -524,12 +573,19 @@ def _jost_values(diag: np.ndarray, sq: np.ndarray, lam: np.ndarray) -> tuple[np.
     1 for the free matrix).  Every few steps, the last of them at n = 0,
     each point is divided by its own |x_n|, which keeps x O(1) and does not
     change its argument; the logs of those divisors are summed per point.
+    The division is one multiply by the complex 1/s - 0i: numpy divides a
+    complex by a real s as a multiply by fl(1/s) (Smith's algorithm), and
+    the imaginary part -0.0 gives the quotient's signed zeros too, which
+    decide np.angle of a real negative psi_{-1} (pi or -pi).
     """
     z = lam + 1.0 / lam
     x, nxt = np.ones_like(lam), lam.copy()
     log = len(diag) * np.log(np.abs(lam))
     inv = 1.0 / np.concatenate(([1.0 + 0j], sq))
     new = np.empty_like(lam)
+    s = np.empty(lam.shape)
+    recip = np.empty_like(lam)
+    recip.imag = -0.0
     for n in range(len(diag) - 1, -1, -1):
         np.subtract(z, diag[n], out=new)
         new *= x
@@ -537,9 +593,10 @@ def _jost_values(diag: np.ndarray, sq: np.ndarray, lam: np.ndarray) -> tuple[np.
         new *= inv[n]
         x, nxt, new = new, x, nxt
         if n % 8 == 0:
-            s = np.abs(x)
-            x /= s
-            nxt /= s
+            np.abs(x, out=s)
+            np.divide(1.0, s, out=recip.real)
+            x *= recip
+            nxt *= recip
             log += np.log(s)
     return x * np.exp(1j * len(diag) * np.angle(lam)), log
 

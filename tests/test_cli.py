@@ -240,6 +240,21 @@ class TestExitCodes:
         assert r.stderr.count("\n") == 1 and "underflows to 0" in r.stderr
         assert "Warning" not in r.stderr
 
+    @pytest.mark.parametrize(
+        "abc",
+        [["-a", "5e-324", "-b=-1.92", "-c", "1"],
+         ["-a=-1", "-b=-1.6770215441802886e263", "-c", "5.4577398424171344e107"]],
+        ids=["scale", "terminating"],
+    )
+    def test_overflowing_fraction_is_validation(self, abc, cli_env):
+        # B's scale -1/(4 d_1) overflows, or a terminating C-fraction's
+        # coefficients do: one line, no numpy warning
+        cmd = [sys.executable, "-m", "hypjacobi.cli", "eval", *abc, "--z", "3.1,0.7"]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.count("\n") == 1 and r.stderr.startswith("error:")
+        assert "Warning" not in r.stderr
+
     @pytest.mark.parametrize("subcommand", ["eval", "spectrum", "classify", "coeffs", "check"])
     @pytest.mark.parametrize(
         "params", [["-a=-1.7e308", "-b", "0"], ["-a", "1", "-b=-1.7e308"]], ids=["c-a", "c-b"]

@@ -4,6 +4,7 @@ trace-norm bound, the distance-sum inequality and the zero map."""
 import cmath
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypjacobi import (
     HorizonTooDeep,
     NearSingular,
     NoConvergence,
+    NonFiniteParameter,
     OnBand,
     ShiftInvalid,
     b_function,
@@ -182,6 +184,30 @@ class TestResolventSolvers:
 
 
 class TestBFunction:
+    @pytest.mark.parametrize(
+        "abc",
+        [(-1, -1.6770215441802886e263, 5.4577398424171344e107), (4.6274424674579763e285, -39, 2.41692139056693e41)],
+    )
+    def test_terminating_overflow_refused_by_both_routes(self, abc):
+        # a terminating C-fraction whose coefficients overflow: the cf route
+        # returned NaN with a RuntimeWarning, the resolvent route refused it
+        p = validate_params(*abc)
+        assert p.zeros
+        for method in ("cf", "resolvent"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteParameter, match="not finite"):
+                    b_function(p, 3.1 + 0.7j, method=method)
+
+    @pytest.mark.parametrize("abc", [(5e-324, -1.92, 1), (1e-300, -32.5, 3.717362548317856e16)])
+    def test_overflowing_scale_refused(self, abc):
+        # c_1 is tiny but not 0, and B's scale -1/(4 d_1) overflows: the cf
+        # route returned nan+inf*i, the resolvent route a value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteParameter, match="scale"):
+                validate_params(*abc)
+
     def test_closed_form_both_methods(self):
         for method in ("cf", "resolvent"):
             val = b_function(P101, 4.0, method=method, tol=1e-13)
@@ -479,6 +505,56 @@ class TestEigensolveLayer:
         tri = np.array([0.0, nudge]), np.array([0.5]), np.array([0.5])
         with pytest.raises(EigensolverFailure, match="singular"):
             _check_eigenvalues(tri, [0.0])
+
+    def test_residual_of_conjugate_is_same_float(self):
+        # the check skips the mirror of a value of a real T: its column is
+        # the exact conjugate (up to the sign of a zero, as at the twist's
+        # entry 1), so its residual is the same float
+        pairs = 0
+        for abc in seeded_grid(21, 30, False):
+            tri, vals = _tridiagonal_eigvals(jacobi_coeffs(validate_params(*abc), 64), 64)
+            assert not np.iscomplexobj(tri[0])
+            column = spectral._twisted_columns(*tri)
+            for lam in (complex(v) for v in vals if v.imag > 0):
+                mu = lam + 1e-13
+                x, y = column(mu), column(mu.conjugate())
+                assert (x.conj() == y).all(), (abc, lam)
+                res = spectral._residual(tri, column, lam, mu)
+                assert spectral._residual(tri, column, lam.conjugate(), mu.conjugate()) == res, (abc, lam)
+                pairs += 1
+        assert pairs >= 10
+
+    def test_residual_check_once_per_conjugate_pair(self, monkeypatch):
+        # real T: the exact mirror below the axis is skipped, a real value is
+        # checked in float arithmetic; complex T: every value is checked
+        tri, vals = _tridiagonal_eigvals(jacobi_coeffs(validate_params(-3.2, 0.8, 0.7), 64), 64)
+        lam = complex(next(v for v in vals if v.imag > 0))
+        real = float(next(v.real for v in vals if v.imag == 0))
+        seen = []
+        residual = spectral._residual
+
+        def spy(tri, column, at, mu):
+            seen.append(at)
+            return residual(tri, column, at, mu)
+
+        monkeypatch.setattr(spectral, "_residual", spy)
+        _check_eigenvalues(tri, [lam, lam.conjugate(), complex(real)])
+        assert seen == [lam, real] and type(seen[1]) is float
+        seen.clear()
+        ctri = tuple(x.astype(complex) for x in tri)
+        _check_eigenvalues(ctri, [lam, lam.conjugate(), complex(real)])
+        assert seen == [lam, lam.conjugate(), real] and type(seen[2]) is complex
+
+    @pytest.mark.parametrize("below", [False, True], ids=["partner_below", "partner_above"])
+    def test_residual_check_moved_partner(self, below):
+        # a partner that is not the exact conjugate is checked on its own
+        p = validate_params(-3.2, 0.8, 0.7)
+        tri, vals = _tridiagonal_eigvals(jacobi_coeffs(p, 128), 128)
+        lam = next(v for v in discrete_spectrum(p, 64).eigenvalues if v.imag > 0)
+        lam = lam.conjugate() if below else lam
+        _check_eigenvalues(tri, [lam, lam.conjugate()])
+        with pytest.raises(EigensolverFailure, match="residual"):
+            _check_eigenvalues(tri, [lam, lam.conjugate() + 1e-6])
 
 
 def _dense_confirm(vals2, candidates, tol):
@@ -913,6 +989,66 @@ JOST_GATE = seeded_grid(32, 60, True) + [
     for e in json.loads(POOL.read_text(encoding="utf-8"))
     if any(e[k][1] for k in "abc")
 ]
+
+
+def _jost_values_by_division(diag, sq, lam):
+    """``spectral._jost_values`` as it was before its renormalization
+    became a multiply: x and its neighbour divided by the real |x|."""
+    z = lam + 1.0 / lam
+    x, nxt = np.ones_like(lam), lam.copy()
+    log = len(diag) * np.log(np.abs(lam))
+    inv = 1.0 / np.concatenate(([1.0 + 0j], sq))
+    new = np.empty_like(lam)
+    for n in range(len(diag) - 1, -1, -1):
+        np.subtract(z, diag[n], out=new)
+        new *= x
+        new -= nxt
+        new *= inv[n]
+        x, nxt, new = new, x, nxt
+        if n % 8 == 0:
+            s = np.abs(x)
+            x /= s
+            nxt /= s
+            log += np.log(s)
+    return x * np.exp(1j * len(diag) * np.angle(lam)), log
+
+
+#: complex, hidden-real (real entries from a complex triple) and real triples
+JOST_SWEEP_TRIPLES = [
+    *seeded_grid(32, 4, True),
+    (0.5 + 1j, 1.5 + 1j, 2),
+    (3.11 + 0.75j, -1 + 0.75j, 2.11),
+    (-2.46 - 1.35j, 5.32 - 1.35j, 2.86),
+    (-3.7, 0.2, 1.1),
+    (-5.3, -2.6, 0.4),
+    (1.0, 0.2, 2.5),
+]
+
+
+class TestJostSweepBits:
+    """The renormalizing multiply by 1/s - 0i gives the bits of the
+    division by s that it replaced, signed zeros included (with 1/s + 0i a
+    real negative psi_{-1} at theta = 0 can read angle -pi for pi)."""
+
+    @pytest.mark.parametrize("M", [64, 256])
+    def test_sweep_matches_division(self, M):
+        for abc in JOST_SWEEP_TRIPLES:
+            diag, sq = spectral._leading_entries(jacobi_coeffs(validate_params(*abc), M + 1), M + 1)
+            rho = 1e-10 ** (1.0 / (4 * M))
+            for k in (256, 1024, 2048):
+                lam = rho * np.exp(1j * np.arange(2 * k) * (math.pi / k))
+                with np.errstate(all="ignore"):
+                    got = spectral._jost_values(diag, sq, lam)
+                    ref = _jost_values_by_division(diag, sq, lam)
+                for a, b in zip(got, ref):
+                    assert a.tobytes() == b.tobytes(), (abc, M, k)
+
+    def test_spectra_match_division(self, monkeypatch):
+        pool = [validate_params(*(complex(*e[k]) for k in "abc")) for e in json.loads(POOL.read_text())]
+        spectra = lambda: [repr(discrete_spectrum(p, N)) for p in pool for N in (64, 256)]
+        now = spectra()
+        monkeypatch.setattr(spectral, "_jost_values", _jost_values_by_division)
+        assert spectra() == now
 
 
 class TestJostCount:
