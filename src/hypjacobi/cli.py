@@ -181,6 +181,8 @@ def _validate_config(args) -> None:
     ranges = [("tol", TOL_RANGE), ("N", N_RANGE)]
     if args.subcommand == "classify":
         ranges += [("trials", TRIALS_RANGE), ("samples", SAMPLES_RANGE)]
+        if args.seed < 0:
+            raise ParameterError("seed must be a non-negative integer")
     for name, (lo, hi) in ranges:
         if not (lo <= getattr(args, name) <= hi):
             raise ParameterError(f"{name} must lie in [{lo}, {hi}]")
@@ -425,8 +427,11 @@ def _emit(args, doc, rows) -> None:
     else:
         payload = "\n".join(",".join(_csv_cell(c) for c in row) for row in rows) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ParameterError(f"cannot write output {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 

@@ -46,8 +46,8 @@ class HypParams:
 
     ``is_real`` is true iff all three imaginary parts are exactly zero;
     several real-case operations key off this flag rather than re-testing.
-    ``c1`` is the leading coefficient c_1 as ``cfrac.c_array`` forms it
-    (the scale of B); it is derived, so it enters neither repr nor equality.
+    ``c1`` is the leading coefficient c_1 as ``cfrac.c_array`` forms it;
+    it is derived, so it enters neither repr nor equality.
     """
 
     a: complex
@@ -60,6 +60,11 @@ class HypParams:
     def shifted(self, da: int = 0, db: int = 0, dc: int = 0) -> "HypParams":
         """Validated triple with integer-shifted parameters."""
         return validate_params(self.a + da, self.b + db, self.c + dc)
+
+    @property
+    def scale(self) -> complex:
+        """B's scale -1/(4 d_1), d_1 = -c_1: B = scale * (ratio - 1)."""
+        return -1.0 / (4.0 * -self.c1)
 
 
 @dataclass(frozen=True)
@@ -133,13 +138,13 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
         raise NonFiniteParameter(
             f"a leading fraction coefficient of (a,b,c) = ({a}, {b}, {c}) underflows to 0"
         )
-    # B's scale -1/(4 d_1), d_1 = -c_1, as b_function forms it
-    if c1 and cmath.isinf(-1.0 / (4.0 * -complex(c1))):
+    p = replace(p, c1=complex(c1))
+    if c1 and cmath.isinf(p.scale):
         raise NonFiniteParameter(
-            f"c_1 = {complex(c1)} of (a,b,c) = ({a}, {b}, {c}) is so small that "
+            f"c_1 = {p.c1} of (a,b,c) = ({a}, {b}, {c}) is so small that "
             "B's scale -1/(4 d_1) overflows"
         )
-    return replace(p, c1=complex(c1))
+    return p
 
 
 def _zero_indices(a: complex, b: complex, c: complex) -> tuple[int, ...]:

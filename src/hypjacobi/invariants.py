@@ -77,12 +77,11 @@ def run(p: HypParams, N: int = 256, tol: float = 1e-10) -> list[Check]:
     record("moment_match", ok, ", ".join(detail))
 
     worst = 0.0
-    d1 = -p.c1
     for n in (3, 8):
         for z in (5 + 2j, -3 + 1.5j):
             jn = cfrac.approximant(p, "j-fraction", n, z)
             s2n = cfrac.approximant(p, "s-fraction", 2 * n, (z - 2.0) / 4.0)
-            lifted = (-1.0 / (4.0 * d1)) * (s2n - 1.0)
+            lifted = p.scale * (s2n - 1.0)
             worst = max(worst, _rel(abs(jn - lifted), jn))
     record("even_part", worst <= 1e-10, f"max rel diff {worst:.3e}")
 

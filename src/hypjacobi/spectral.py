@@ -141,8 +141,8 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     """Evaluate B(a,b,c;z) off the band.
 
     ``method="cf"`` goes through the continued fraction at w = -4/(z-2),
-    scaled by -1/(4 d_1) with the c_1 = -d_1 that ``validate_params``
-    formed (``HypParams.c1``); ``method="resolvent"`` doubles the order of
+    scaled by -1/(4 d_1) (``HypParams.scale``, from the c_1 = -d_1 that
+    ``validate_params`` formed); ``method="resolvent"`` doubles the order of
     J_N from 64 until two values agree to ``tol``, orders up to 512 slicing
     one build and the rest another.  Each build is converted to Python
     numbers once, entry by entry as the order reaches it, and every order
@@ -186,7 +186,7 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
             # terminating (rational) triple, where the block is exact
             return m_function(p, z, t + 1)
         w = band_to_cut(z)
-        scale = -1.0 / (4.0 * -p.c1)  # B = scale * (ratio - 1)
+        scale = p.scale
         try:
             r = cf_ratio_eval(p, w, tol=tol)
         except NoConvergence as exc:
@@ -299,8 +299,9 @@ def _twisted_columns(diag, upper, lower):
 
     The column is column k of (T - mu)^{-1} up to scale, entry k equal to
     1.  T is read into Python lists, and its products upper_i lower_i
-    formed, once; each column then costs its two pivot recurrences, in
-    Python arithmetic: real for a real mu and a real T, complex otherwise.
+    formed, once; each column then costs one pivot recurrence run from each
+    end, in Python arithmetic: real for a real mu and a real T, complex
+    otherwise.
     Only the residual check uses it, so the check shares no code with the
     Newton refinement whose values it checks.
     p_i are the pivots of eliminating T - mu from the top row down, q_i
@@ -319,18 +320,18 @@ def _twisted_columns(diag, upper, lower):
     down = list(zip(d[-2::-1], prod[::-1]))
     up = list(zip(d[1:], prod))
 
+    def pivots(first, rows, mu) -> list:
+        # pivot_i = (d_i - mu) - b2_i / pivot_{i-1}, from the row ``first`` on
+        pivot = first - mu
+        out = [pivot]
+        for di, b2 in rows:
+            pivot = (di - mu) - b2 / pivot
+            out.append(pivot)
+        return out
+
     def column(mu) -> np.ndarray:
-        p = [d[0] - mu]
-        pivot = p[0]
-        for di, b2 in up:
-            pivot = (di - mu) - b2 / pivot
-            p.append(pivot)
-        q = [d[-1] - mu]
-        pivot = q[0]
-        for di, b2 in down:
-            pivot = (di - mu) - b2 / pivot
-            q.append(pivot)
-        p, q = np.array(p), np.array(q[::-1])
+        p = np.array(pivots(d[0], up, mu))
+        q = np.array(pivots(d[-1], down, mu)[::-1])
         k = int(np.argmin(np.abs(p + q - (diag - mu))))
         x = np.ones(len(d), dtype=p.dtype)
         x[:k] = np.cumprod((-upper[:k] / p[:k])[::-1])[::-1]
@@ -338,13 +339,6 @@ def _twisted_columns(diag, upper, lower):
         return x
 
     return column
-
-
-def _twisted_column(diag, upper, lower, mu: complex) -> np.ndarray:
-    """Column k of (T - mu)^{-1} up to scale, entry k equal to 1, for T =
-    diag + superdiag(upper) + subdiag(lower) (``_twisted_columns`` at one
-    mu)."""
-    return _twisted_columns(diag, upper, lower)(mu)
 
 
 def _residual(tri, column, lam, mu) -> float:
@@ -419,8 +413,11 @@ def _ladder(tri_at, orders, candidates, tol: float, count: int | None = None):
     for one shift as for many).  With a ``count`` candidates climb farthest
     from the band first and the ladder stops once ``count`` values are
     retained.  For a real T only the member of each conjugate pair in the
-    upper half plane climbs and the other mirrors it, and a later complex
-    T is read by its real part.  Values are checked
+    upper half plane climbs, and a later complex T is read by its real
+    part.  Each candidate below the axis is matched once, before the climb,
+    to its partner: the last climbing candidate of its conjugate value.  It
+    mirrors that partner (retained as the conjugate of its value) and is
+    discarded when the partner is not retained or there is none.  Values are checked
     (``_check_eigenvalues``) on the block of the order that retained them.
     Returns (retained, discarded), both in candidate order, and the
     highest order reached.
@@ -428,6 +425,9 @@ def _ladder(tri_at, orders, candidates, tol: float, count: int | None = None):
     tri = tri_at(orders[0])
     real = not np.iscomplexobj(tri[0])
     climbing = {i: lam for i, lam in enumerate(candidates) if not (real and lam.imag < 0)}
+    # each mirror's partner: the last climbing candidate of its conjugate value
+    last = {lam: i for i, lam in climbing.items()}
+    partner = {i: last.get(lam.conjugate()) for i, lam in enumerate(candidates) if i not in climbing}
     if count is not None:
         climbing = dict(sorted(climbing.items(), key=lambda item: -band_distance(item[1])))
     found: dict[int, complex] = {}
@@ -464,19 +464,11 @@ def _ladder(tri_at, orders, candidates, tol: float, count: int | None = None):
         climbing = carried
         reached = n
 
-    retained: list[complex] = []
-    discarded: list[complex] = []
-    index = {lam: i for i, lam in enumerate(candidates) if not (real and lam.imag < 0)}
-    for i, lam in enumerate(candidates):
-        if real and lam.imag < 0:
-            j = index.get(lam.conjugate())
-            mu = None if j not in found else found[j].conjugate()
-        else:
-            mu = found.get(i)
-        if mu is None:
-            discarded.append(lam)
-        else:
-            retained.append(mu)
+    for i, j in partner.items():
+        if j in found:
+            found[i] = found[j].conjugate()
+    retained = [found[i] for i in sorted(found)]
+    discarded = [lam for i, lam in enumerate(candidates) if i not in found]
     return retained, discarded, reached
 
 
@@ -485,7 +477,7 @@ def _check_eigenvalues(tri, vals) -> None:
 
     Each value gets one step of inverse iteration, one O(N) solve: the
     column of (T - mu)^{-1} picked by a twisted factorization
-    (``_twisted_column``).  A start vector fixed in advance fails when the
+    (``_twisted_columns``).  A start vector fixed in advance fails when the
     eigenvector is small there; e_0 misses eigenvectors localized at the
     end of a block, whose first entry is tiny though nonzero.  The twist
     reads the diagonal of (T - mu)^{-1} to choose e_k instead.  The shift
@@ -801,23 +793,15 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     # collapse near-coincident values into explicit multiplicities; a real
     # triple is solved in real arithmetic, so its non-real values come in
     # exact conjugate pairs, and a pair this close averages to a real value
-    retained.sort(key=lambda v: (v.real, v.imag))
-    merged: list[complex] = []
-    final: list[complex] = []
-    i = 0
-    while i < len(retained):
-        cluster = [retained[i]]
-        j = i + 1
-        while j < len(retained) and abs(retained[j] - cluster[-1]) <= MERGE_TOL:
-            cluster.append(retained[j])
-            j += 1
-        if len(cluster) > 1:
-            rep = sum(cluster) / len(cluster)
-            merged.append(rep)
-            final.extend([rep] * len(cluster))
+    clusters: list[list[complex]] = []
+    for v in sorted(retained, key=lambda v: (v.real, v.imag)):
+        if clusters and abs(v - clusters[-1][-1]) <= MERGE_TOL:
+            clusters[-1].append(v)
         else:
-            final.append(cluster[0])
-        i = j
+            clusters.append([v])
+    reps = [c[0] if len(c) == 1 else sum(c) / len(c) for c in clusters]
+    merged = [rep for rep, c in zip(reps, clusters) if len(c) > 1]
+    final = [rep for rep, c in zip(reps, clusters) for _ in c]
 
     dist_sum = float(sum(band_distance(v) for v in final))
     return SpectralResult(

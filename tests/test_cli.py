@@ -255,6 +255,20 @@ class TestExitCodes:
         assert r.stderr.count("\n") == 1 and r.stderr.startswith("error:")
         assert "Warning" not in r.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [["classify", "-a=-1.5", "-b", "0", "-c", "1", "--seed", "-1"],
+         ["eval", "-a", "1", "-b", "0", "-c", "1", "--z", "3", "--out", "{missing}"]],
+        ids=["seed", "out"],
+    )
+    def test_bad_argument_is_validation(self, args, tmp_path, cli_env):
+        # a negative --seed, or an --out whose directory does not exist
+        missing = str(tmp_path / "missing" / "x.json")
+        cmd = [sys.executable, "-m", "hypjacobi.cli", *(a.format(missing=missing) for a in args)]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.count("\n") == 1 and r.stderr.startswith("error:")
+
     @pytest.mark.parametrize("subcommand", ["eval", "spectrum", "classify", "coeffs", "check"])
     @pytest.mark.parametrize(
         "params", [["-a=-1.7e308", "-b", "0"], ["-a", "1", "-b=-1.7e308"]], ids=["c-a", "c-b"]

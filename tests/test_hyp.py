@@ -8,6 +8,7 @@ import pytest
 
 from hypjacobi import (
     CNonpositiveInteger,
+    DenominatorZero,
     NoConvergence,
     NonFiniteParameter,
     OutsideDisk,
@@ -87,6 +88,12 @@ class TestValidateParams:
         assert "c1" not in repr(p)
         assert p == replace(p, c1=p.c1 + 1) and hash(p) == hash(replace(p, c1=p.c1 + 1))
 
+    @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (2 + 1j, 0.5, 3), (-2, 0.5, 1.5)])
+    def test_scale_of_b(self, abc):
+        # B = scale * (ratio - 1), scale = -1/(4 d_1) with d_1 = -c_1
+        p = validate_params(*abc)
+        assert repr(p.scale) == repr(-1.0 / (4.0 * -p.c1))
+
 
 class TestSeries:
     def test_geometric(self):
@@ -165,6 +172,11 @@ class TestRatioSeries:
         # (1 + 1.5 z) / (1 + 0.25 z) at z = 0.5
         val = ratio_series(validate_params(-1, -1.5, 1), 0.5)
         assert abs(val - 1.75 / 1.125) < 1e-14
+
+    def test_vanishing_denominator(self):
+        # F(4, -1, 2; 0.5) = 1 - 4/2 * 0.5 = 0 exactly
+        with pytest.raises(DenominatorZero):
+            ratio_series(validate_params(4, -2, 1), 0.5)
 
 
 class TestContiguousResidual:
