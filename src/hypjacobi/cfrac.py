@@ -37,6 +37,7 @@ of a real triple (:func:`stabilization_index`).
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -293,19 +294,22 @@ def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> np.complex128:
     return t
 
 
-def settle(evaluate: Callable[[int], complex], n: int, n_max: int, tol: float, what: str):
-    """The one refinement loop: ``evaluate`` at n, 2n, ... up to n_max.
-
-    Returns (value, order, correction) for the first value within
-    ``tol * max(1, |value|)`` of the one before; else NoConvergence with
-    ``last_value`` and ``last_correction`` (inf below two evaluations).
+def settle(build: Callable, evaluate: Callable, n: int, n_max: int, tol: float, what: str):
+    """The one refinement loop: ``evaluate(made, n)`` at n, 2n, ... up to
+    n_max, ``made = build(min(8 * n, n_max))`` made again only when n
+    outgrows it.  Returns (value, order, correction) for the first value
+    within ``tol * max(1, |value|)`` of the one before; else NoConvergence
+    with ``last_value`` and ``last_correction`` (inf below two evaluations).
     ValueError for a NaN or +inf ``tol``; a negative one is never met.
     """
     if not tol < math.inf:
         raise ValueError(f"tolerance tol must be a number below inf, got {tol}")
-    prev, corr = None, math.inf
+    prev, corr, made, size = None, math.inf, None, 0
     while n <= n_max:
-        val = evaluate(n)
+        if n > size:
+            size = min(8 * n, n_max)
+            made = build(size)
+        val = evaluate(made, n)
         if prev is not None:
             corr = abs(val - prev)
             if corr <= tol * max(1.0, abs(val)):
@@ -320,30 +324,15 @@ def settle(evaluate: Callable[[int], complex], n: int, n_max: int, tol: float, w
     )
 
 
-def shared_build(build: Callable[[int], object], cap: int) -> Callable[[int], object]:
-    """The growth rule of every :func:`settle` loop, one build per three
-    doublings: order n reads the first n entries of ``build(min(8 * n, cap))``,
-    made again only when n outgrows it (a short build costs its call)."""
-    made, size = None, 0
-
-    def at(n: int):
-        nonlocal made, size
-        if n > size:
-            size = min(8 * n, cap)
-            made = build(size)
-        return made
-
-    return at
-
-
 def cf_ratio_eval(
     p: HypParams, z: complex, tol: float = 1e-13, max_depth: int = 1 << 17
 ) -> CFValue:
     """Evaluate the C-fraction for F(a,b,c;z)/F(a,b+1,c+1;z).
 
-    Backward recurrence, doubling the depth from 8 (:func:`settle`, one build
-    per three doublings) until two evaluations agree to ``tol * max(1, |value|)``.
-    Converges everywhere off the cut [1, inf) where the ratio is finite.
+    Backward recurrence, doubling the depth from 8 (:func:`settle`, one
+    complex128 ``c_array`` build per three doublings) until two evaluations
+    agree to ``tol * max(1, |value|)``.  Converges everywhere off the cut
+    [1, inf) where the ratio is finite.
 
     A terminating fraction (some c_j = 0) is rational: it is evaluated at
     its exact finite depth, anywhere in the plane, cut included.
@@ -351,7 +340,7 @@ def cf_ratio_eval(
     Raises
     ------
     NonFiniteParameter
-        A coefficient of a terminating fraction overflows.
+        z is not finite, or a coefficient of a terminating fraction overflows.
     OnCut
         z within guard distance of [1, inf) for a non-terminating fraction,
         measured in z or in 2 - 4/z (:func:`near_band`).
@@ -359,6 +348,8 @@ def cf_ratio_eval(
         max_depth reached without two agreeing evaluations.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise NonFiniteParameter(f"z = {z} is not finite")
     if z == 0:
         return CFValue(1.0 + 0.0j, 1, 0.0)
 
@@ -379,9 +370,9 @@ def cf_ratio_eval(
 
     if near_band(2.0 - 4.0 / z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
-    coeffs = shared_build(lambda n: c_array(p, n).astype(complex), max_depth)
     return CFValue(*settle(
-        lambda n: _backward_eval(coeffs(n), z, n), 8, max_depth, tol, f"continued fraction at z = {z}"
+        lambda n: c_array(p, n).astype(complex), lambda coeffs, n: _backward_eval(coeffs, z, n),
+        8, max_depth, tol, f"continued fraction at z = {z}",
     ))
 
 

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cfrac import (
-    dense_tridiagonal, jacobi_coeffs, require_nondegenerate, settle, shared_build,
-    stabilization_index, termination_index,
+    dense_tridiagonal, jacobi_coeffs, require_nondegenerate, settle, stabilization_index,
+    termination_index,
 )
 from .errors import (
     DegenerateSamples,
@@ -31,7 +31,7 @@ from .errors import (
     ScanExhausted,
 )
 from .hyp import HypParams
-from .spectral import b_function, resolvent_first
+from .spectral import _grown_m, b_function, resolvent_first
 
 #: bound on the stabilization index accepted by the sign signature
 SCAN_LIMIT = 1000
@@ -232,26 +232,25 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     The tail fraction from the stabilization index on has real diagonal and
     positive squares, hence is a classical Nevanlinna function; it is
     evaluated as the m-function of the tail operator (adaptively in the
-    truncation order, ``cfrac.settle``, the orders up to 512 slicing one
-    band build and the rest another), then pulled down through
+    truncation order, ``cfrac.settle``, each ``_real_bands`` build read by
+    one ``spectral._grown_m``, as B's resolvent route), then pulled down through
 
         phi_j = -eps_j / (z - a_j + eps_j btilde_j^2 phi_{j+1}).
     """
     z = complex(z)
     sig = sign_signature(p)
     n_stab = sig.N
+    tail = _grown_m(z)
 
     def tail_at(bands, n: int) -> complex:
-        diag, btilde = bands[0][n_stab:n], bands[1][n_stab : n - 1]
-        return resolvent_first(diag, btilde, btilde, z)
+        return tail(bands[0][n_stab:], bands[1][n_stab:], n)
 
     if sig.terminated_at is not None:
-        phi = tail_at(_real_bands(p, sig.terminated_at + 2), sig.terminated_at + 2)
+        phi = tail_at(_real_bands(p, sig.terminated_at + 2), sig.terminated_at + 2 - n_stab)
     else:
-        bands = shared_build(lambda m: _real_bands(p, n_stab + m + 1), 8192)
         phi = settle(
-            lambda m: tail_at(bands(m), n_stab + m + 1), max(64, 2 * n_stab + 2), 8192, tol,
-            f"tail m-function at z = {z}",
+            lambda m: _real_bands(p, n_stab + m + 1), lambda bands, m: tail_at(bands, m + 1),
+            max(64, 2 * n_stab + 2), 8192, tol, f"tail m-function at z = {z}",
         )[0]
     diag, btilde = _real_bands(p, n_stab + 1)
     for j in range(n_stab - 1, -1, -1):

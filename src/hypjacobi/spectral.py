@@ -39,7 +39,6 @@ from .cfrac import (
     near_band,
     require_nondegenerate,
     settle,
-    shared_build,
     termination_index,
 )
 from .errors import (
@@ -107,16 +106,14 @@ def build_truncated(p: HypParams, N: int) -> JacobiCoeffs:
 def resolvent_first(diag, upper, lower, z: complex) -> complex:
     """x_0 of (T - z) x = e_0, T = diag + superdiag(upper) + subdiag(lower).
 
-    x_0 is the J-fraction of T at z, evaluated backward by
-    :func:`cfrac.jfrac_backward`: x_0 = 1/u_0, where u_0 = -t_0 is the last
-    pivot of eliminating T - z from the bottom row up.  The same loop
-    bounds max_k |x_k|.  NearSingular if a pivot vanishes or max_k |x_k| is
-    not finite or exceeds GROWTH_LIMIT (z numerically indistinguishable
-    from an eigenvalue).
+    The general solve (:func:`_grown_m` reads symmetric builds, bit for bit
+    the same): the J-fraction of T at z by :func:`cfrac.jfrac_backward`,
+    whose loop also bounds max_k |x_k|.  NearSingular if a pivot vanishes or
+    max_k |x_k| is not finite or exceeds GROWTH_LIMIT (z numerically
+    indistinguishable from an eigenvalue); NonFiniteParameter there if z is
+    not finite.
     """
-    up = np.asarray(upper).tolist()
-    lo = up if lower is upper else np.asarray(lower).tolist()
-    numer = [u * v for u, v in zip(up, lo)]
+    numer = [u * v for u, v in zip(np.asarray(upper).tolist(), np.asarray(lower).tolist())]
     return _resolvent_x0(np.asarray(diag).tolist(), numer, np.abs(lower).tolist(), z)
 
 
@@ -128,13 +125,32 @@ def _resolvent_x0(diag: list, numer: list, lower_abs: list, z: complex) -> compl
         x0 = 1.0 / -out[0]
         if abs(x0) * out[1] <= GROWTH_LIMIT:
             return complex(x0)
+    if not cmath.isfinite(z):
+        raise NonFiniteParameter(f"z = {z} is not finite")
     raise NearSingular(f"resolvent solve blew up at z = {z} (order {len(diag)})")
+
+
+def _grown_m(z: complex):
+    """``m(diag, off, n)``: x_0 at z for the leading n rows of a symmetric
+    build, bit for bit ``resolvent_first(diag[:n], off[:n-1], off[:n-1], z)``.
+    Each entry becomes a Python number once, the first time an n reaches it,
+    so n must not decrease and a longer build must repeat a shorter one."""
+    diag, numer, lower_abs = [], [], []
+
+    def m(d, off, n: int) -> complex:
+        diag.extend(d[len(diag) : n].tolist())
+        off = off[len(numer) : n - 1]
+        numer.extend([u * u for u in off.tolist()])
+        lower_abs.extend(np.abs(off).tolist())
+        return _resolvent_x0(diag, numer, lower_abs, z)
+
+    return m
 
 
 def m_function(p: HypParams, z: complex, N: int) -> complex:
     """<(J_N - z)^{-1} e, e> by the backward J-fraction recurrence."""
     jc = build_truncated(p, N)
-    return resolvent_first(jc.diag, jc.offdiag, jc.offdiag, complex(z))
+    return _grown_m(complex(z))(jc.diag, jc.offdiag, len(jc.diag))
 
 
 def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12) -> complex:
@@ -143,12 +159,11 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     ``method="cf"`` goes through the continued fraction at w = -4/(z-2),
     scaled by -1/(4 d_1) (``HypParams.scale``, from the c_1 = -d_1 that
     ``validate_params`` formed); ``method="resolvent"`` doubles the order of
-    J_N from 64 until two values agree to ``tol``, orders up to 512 slicing
-    one build and the rest another.  Each build is converted to Python
-    numbers once, entry by entry as the order reaches it, and every order
-    reads a prefix of those lists.  The routes are algebraically identical;
-    their numerical agreement is one of the package's standing invariants.
-    Both return a Python ``complex``.
+    J_N from 64 until two values agree to ``tol`` (``cfrac.settle``: orders
+    up to 512 slice one build and the rest another, read by one
+    :func:`_grown_m`).  The routes are algebraically identical; their
+    numerical agreement is one of the package's standing invariants.  Both
+    return a Python ``complex``.
 
     Terminating triples give a rational B, so for them the band guard is
     waived and evaluation works anywhere off the (finitely many) poles.
@@ -181,11 +196,11 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
         )
 
     if method == "cf":
-        if z == 2.0:
-            # the Moebius variable is infinite there; only reachable for a
-            # terminating (rational) triple, where the block is exact
+        # the Moebius variable is infinite at z = 2 (or overflows next to it):
+        # only reachable for a terminating (rational) triple, whose block is exact
+        w = band_to_cut(z) if z != 2.0 else math.inf
+        if not cmath.isfinite(w):
             return m_function(p, z, t + 1)
-        w = band_to_cut(z)
         scale = p.scale
         try:
             r = cf_ratio_eval(p, w, tol=tol)
@@ -201,18 +216,11 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     if method == "resolvent":
         if t is not None:
             return m_function(p, z, t + 1)
-        coeffs = shared_build(lambda n: build_truncated(p, n), RESOLVENT_NMAX)
-        diag, numer, lower_abs = [], [], []  # resolvent_first's lists, grown
-
-        def m_at(n: int) -> complex:
-            jc = coeffs(n)
-            diag.extend(jc.diag[len(diag) : n].tolist())
-            off = jc.offdiag[len(numer) : n - 1]
-            numer.extend([u * u for u in off.tolist()])
-            lower_abs.extend(np.abs(off).tolist())
-            return _resolvent_x0(diag, numer, lower_abs, z)
-
-        return settle(m_at, RESOLVENT_N0, RESOLVENT_NMAX, tol, f"resolvent m-function at z = {z}")[0]
+        m = _grown_m(z)
+        return settle(
+            lambda n: build_truncated(p, n), lambda jc, n: m(jc.diag, jc.offdiag, n),
+            RESOLVENT_N0, RESOLVENT_NMAX, tol, f"resolvent m-function at z = {z}",
+        )[0]
 
     raise ValueError(f"unknown method: {method!r}")
 

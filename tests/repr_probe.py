@@ -1,4 +1,4 @@
-"""Bit-identity probe of the spectrum path and of B.
+"""Bit-identity probe of the spectrum path, of B and of every refinement loop.
 
     python tests/repr_probe.py
 
@@ -6,7 +6,12 @@ Runs ``discrete_spectrum`` at N = 8, 16, 64 and 256 and ``b_function`` by
 both routes at three points on a fixed set of triples, and prints the
 number of triples, of spectra and of typed errors, and one SHA-256 over
 the ``repr`` of every result (or the class and message of every error).
-Two checkouts give the same hash when their spectra and B values agree to
+Then the same for the other readers of ``cfrac.settle`` and the symmetric
+m-function: ``cf_ratio_eval`` at the four in-disk points of
+``invariants.run`` and at w = -4/(z-2) of the three points,
+``schur_reconstruct`` at 2.5+1.5i and 1.5+0.05i on each real triple, and
+``m_function`` at N = 100 at the three points; a count line and a second
+SHA-256.  Two checkouts give the same hashes when these values agree to
 the last bit.  Run both on one host with one BLAS thread (set here unless
 already set); the package is imported from this checkout's ``src``, and
 the grids from ``tests/test_invariants.py`` (so pytest must be installed).
@@ -29,11 +34,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from hypjacobi import HypJacobiError, validate_params  # noqa: E402
-from hypjacobi.spectral import b_function, discrete_spectrum  # noqa: E402
+from hypjacobi.cfrac import cf_ratio_eval  # noqa: E402
+from hypjacobi.classify import schur_reconstruct  # noqa: E402
+from hypjacobi.spectral import b_function, band_to_cut, discrete_spectrum, m_function  # noqa: E402
 from test_invariants import POOL, seeded_grid  # noqa: E402
 
 ORDERS = (8, 16, 64, 256)
 POINTS = (3.1 + 0.7j, -2.6 + 1.2j, 4.0 + 0j)
+DISK = (0.3 + 0.0j, -0.5 + 0.1j, 0.2 - 0.4j, 0.55 + 0.2j)
+SCHUR = (2.5 + 1.5j, 1.5 + 0.05j)
 
 #: triples whose spectra changed or were examined one by one in earlier
 #: changes of the spectrum path: late-complex entries, far zeros, a lost
@@ -84,12 +93,13 @@ def triples() -> list[tuple]:
 
 
 def main() -> None:
-    digest = hashlib.sha256()
     grid = triples()
-    spectra = errors = 0
+    counts = dict.fromkeys(("spectra", "b", "cf", "schur", "m_function"), 0)
+    digest, errors = None, 0
 
-    def record(tag, fn):
+    def record(kind, tag, fn):
         nonlocal errors
+        counts[kind] += 1
         try:
             text = repr(fn())
         except HypJacobiError as exc:
@@ -97,15 +107,27 @@ def main() -> None:
             text = f"{type(exc).__name__}: {exc}"
         digest.update(f"{tag} {text}\n".encode())
 
+    digest = hashlib.sha256()
     for abc in grid:
         p = validate_params(*abc)
         for n in ORDERS:
-            spectra += 1
-            record((abc, n), lambda: discrete_spectrum(p, N=n))
+            record("spectra", (abc, n), lambda: discrete_spectrum(p, N=n))
         for z in POINTS:
             for method in ("cf", "resolvent"):
-                record((abc, z, method), lambda: b_function(p, z, method=method))
-    print(f"triples {len(grid)} spectra {spectra} errors {errors}")
+                record("b", (abc, z, method), lambda: b_function(p, z, method=method))
+    print(f"triples {len(grid)} spectra {counts['spectra']} errors {errors}")
+    print(digest.hexdigest())
+
+    digest, errors = hashlib.sha256(), 0
+    for abc in grid:
+        p = validate_params(*abc)
+        for w in DISK + tuple(band_to_cut(z) for z in POINTS):
+            record("cf", (abc, w, "cf_ratio_eval"), lambda: cf_ratio_eval(p, w))
+        for z in SCHUR if p.is_real else ():
+            record("schur", (abc, z, "schur"), lambda: schur_reconstruct(p, z))
+        for z in POINTS:
+            record("m_function", (abc, z, "m_function"), lambda: m_function(p, z, 100))
+    print(" ".join(f"{k} {counts[k]}" for k in ("cf", "schur", "m_function")), f"errors {errors}")
     print(digest.hexdigest())
 
 

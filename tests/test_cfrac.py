@@ -5,6 +5,8 @@ import cmath
 import math
 import random
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +156,20 @@ class TestCFRatioEval:
         with pytest.raises(ValueError, match="tol"):
             cf_ratio_eval(validate_params(1.3, 0.4, 2.1), -1.5, tol=tol)
 
+    @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (-2, 0.4, 2.1)], ids=["open", "terminating"])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1, math.inf), complex(math.nan, 1)])
+    def test_non_finite_z_refused(self, abc, z):
+        # unchecked, the open fraction doubled to depth 131072 at NaN and
+        # raised NoConvergence, and refused inf as OnCut; the terminating one
+        # returned nan+nanj; each with a RuntimeWarning
+        p = validate_params(*abc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            with pytest.raises(NonFiniteParameter, match="not finite"):
+                cf_ratio_eval(p, z)
+            assert time.perf_counter() - start < 0.01
+
 
 class TestCFRatioBuilds:
     """cf_ratio_eval reads one c_array build per three doublings of the
@@ -249,7 +265,7 @@ class TestSettle:
             seen.append(n)
             return values[n]
 
-        val, order, corr = settle(evaluate, 8, 128, 1e-12, "test")
+        val, order, corr = settle(lambda n: None, lambda made, n: evaluate(n), 8, 128, 1e-12, "test")
         assert (val, order) == (0.5 + 1e-13, 32)
         assert corr == abs(values[32] - values[16])
         assert seen == [8, 16, 32]
@@ -262,15 +278,34 @@ class TestSettle:
             return float(n)
 
         with pytest.raises(NoConvergence) as err:
-            settle(evaluate, 3, 40, 1e-12, "test value")
+            settle(lambda n: None, lambda made, n: evaluate(n), 3, 40, 1e-12, "test value")
         assert seen == [3, 6, 12, 24]
         assert (err.value.last_value, err.value.last_correction) == (24.0, 12.0)
         assert "test value not settled by order 40" in str(err.value)
         assert "last relative correction 0.5" in str(err.value)
 
+    def test_one_build_per_three_doublings(self):
+        # orders 8..64 read a build of 64 entries, 128 one of 128 (the cap);
+        # every order is handed the latest build
+        builds, seen = [], []
+
+        def build(size):
+            builds.append([size])
+            return builds[-1]
+
+        def evaluate(made, n):
+            seen.append((n, made))
+            return float(n)
+
+        with pytest.raises(NoConvergence):
+            settle(build, evaluate, 8, 128, 1e-12, "test")
+        assert [b[0] for b in builds] == [64, 128]
+        assert [(n, made[0]) for n, made in seen] == [(8, 64), (16, 64), (32, 64), (64, 64), (128, 128)]
+        assert seen[3][1] is builds[0] and seen[4][1] is builds[1]
+
     def test_start_beyond_cap_evaluates_nothing(self):
         with pytest.raises(NoConvergence) as err:
-            settle(lambda n: pytest.fail("evaluated"), 16, 8, 1e-12, "test")
+            settle(lambda n: None, lambda made, n: pytest.fail("evaluated"), 16, 8, 1e-12, "test")
         assert err.value.last_value is None
         assert err.value.last_correction == math.inf
 
@@ -278,11 +313,11 @@ class TestSettle:
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_nan_or_inf_tol_refused(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            settle(lambda n: pytest.fail("evaluated"), 8, 64, tol, "test")
+            settle(lambda n: None, lambda made, n: pytest.fail("evaluated"), 8, 64, tol, "test")
 
     def test_minus_inf_tol_never_met(self):
         with pytest.raises(NoConvergence):
-            settle(lambda n: 1.0, 8, 64, -math.inf, "test")
+            settle(lambda n: None, lambda made, n: 1.0, 8, 64, -math.inf, "test")
 
 
 class TestJacobiCoeffs:

@@ -2,6 +2,7 @@
 quadrature and the G-symmetric model H."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypjacobi import (
     DegenerateSamples,
     NearPole,
     NoConvergence,
+    NonFiniteParameter,
     NotRealParams,
     NotStieltjes,
     ScanExhausted,
@@ -29,6 +31,7 @@ from hypjacobi import (
 )
 from hypjacobi import classify
 from hypjacobi.classify import _real_bands
+from hypjacobi.spectral import resolvent_first
 
 P101 = validate_params(1, 0, 1)
 PKAPPA = validate_params(-1.5, 0, 1)
@@ -262,6 +265,39 @@ class TestSchur:
         with monkeypatch.context() as m:
             self._spy(m, 8192 + n_stab + 1)
             assert repr(schur_reconstruct(PKAPPA, z)) == repr(ref)
+
+    def test_tail_orders_match_sliced_build(self, monkeypatch):
+        # every tail order reads the first rows of its build once; its value
+        # is resolvent_first on one large band build sliced there, bit for bit
+        z = 1.5 + 0.05j  # slow: tail orders beyond 512
+        n_stab = sign_signature(PKAPPA).N
+        seen = []
+        settle = classify.settle
+
+        def spy(build, evaluate, *args):
+            return settle(
+                build, lambda made, m: seen.append((m, evaluate(made, m))) or seen[-1][1], *args
+            )
+
+        monkeypatch.setattr(classify, "settle", spy)
+        schur_reconstruct(PKAPPA, z)
+        assert [m for m, _ in seen] == [64, 128, 256, 512, 1024, 2048, 4096, 8192][: len(seen)]
+        assert len(seen) >= 5
+        diag, btilde = _real_bands(PKAPPA, n_stab + 8193)
+        for m, got in seen:
+            off = btilde[n_stab : n_stab + m]
+            assert repr(got) == repr(resolvent_first(diag[n_stab : n_stab + m + 1], off, off, z)), m
+
+    @pytest.mark.parametrize("z", [math.nan, complex(2, math.nan)])
+    def test_nan_z_refused(self, z):
+        # was NearSingular ("resolvent solve blew up"), from the tail's or
+        # H's resolvent solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteParameter, match="not finite"):
+                schur_reconstruct(PKAPPA, z)
+            with pytest.raises(NonFiniteParameter, match="not finite"):
+                h_m_function(PKAPPA, z, 64)
 
     def test_chain_of_callables(self):
         # composing schur_step handles matches the direct reconstruction

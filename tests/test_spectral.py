@@ -131,6 +131,17 @@ class TestMFunction:
         with pytest.raises(NearSingular):
             m_function(PTERM1, 3.0 + 1e-13, 10)
 
+    @pytest.mark.parametrize("z", [math.nan, complex(1, math.nan)])
+    def test_nan_z_refused(self, z):
+        # was NearSingular ("resolvent solve blew up"); z = inf keeps its value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteParameter, match="not finite"):
+                m_function(P101, z, 100)
+            with pytest.raises(NonFiniteParameter, match="not finite"):
+                resolvent_first([0.5, 0.2], [1.0], [1.0], z)
+            assert m_function(P101, math.inf, 100) == -0j
+
 
 def _seeded_tridiagonal(rng, n, symmetric):
     """A J-like complex tridiagonal: small diagonal, off-diagonals near 1."""
@@ -304,6 +315,15 @@ class TestBFunction:
         scale = -1.0 / (4.0 * -c_coeff(p, 1))
         assert repr(b_function(p, -3.0, method="cf")) == repr(complex(scale * (r.value - 1.0)))
 
+    @pytest.mark.parametrize("z", [2.0, 2 + 1e-308j, 2 - 5e-324j])
+    def test_cf_next_to_two_reads_the_block(self, z):
+        # w = -4/(z-2) is infinite: the cf route returned nan+nanj with a
+        # RuntimeWarning next to z = 2; like at z = 2 it reads the exact block
+        p = validate_params(-2, 0.4, 2.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert repr(b_function(p, z, "cf")) == repr(b_function(p, z, "resolvent"))
+
     @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (2 + 1j, 0.5, 3), (-1.2 + 0.4j, 0.6, 1.1 + 0.3j)])
     def test_resolvent_orders_match_sliced_build(self, monkeypatch, abc):
         # each build is converted to lists once, as the orders reach it; the
@@ -313,8 +333,10 @@ class TestBFunction:
         seen = []
         settle = spectral.settle
 
-        def spy(evaluate, *args):
-            return settle(lambda n: seen.append((n, evaluate(n))) or seen[-1][1], *args)
+        def spy(build, evaluate, *args):
+            return settle(
+                build, lambda made, n: seen.append((n, evaluate(made, n))) or seen[-1][1], *args
+            )
 
         monkeypatch.setattr(spectral, "settle", spy)
         val = b_function(p, z, method="resolvent")
