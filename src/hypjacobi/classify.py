@@ -13,6 +13,7 @@ nonsymmetric model H with its indefinite G-form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -26,6 +27,7 @@ from .cfrac import (
 from .errors import (
     DegenerateSamples,
     NearPole,
+    NonFiniteParameter,
     NotRealParams,
     NotStieltjes,
     ScanExhausted,
@@ -236,8 +238,13 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     one ``spectral._grown_m``, as B's resolvent route), then pulled down through
 
         phi_j = -eps_j / (z - a_j + eps_j btilde_j^2 phi_{j+1}).
+
+    Returns a Python ``complex``, as ``b_function`` does, and refuses a z
+    that is not finite with NonFiniteParameter, as it does.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise NonFiniteParameter(f"z = {z} is not finite")
     sig = sign_signature(p)
     n_stab = sig.N
     tail = _grown_m(z)
@@ -256,7 +263,7 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     for j in range(n_stab - 1, -1, -1):
         step = schur_step(lambda _z, v=phi: v, sig.eps(j), diag[j], btilde[j])
         phi = step(z)
-    return phi
+    return complex(phi)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 import numpy as np
 
 from .cfrac import (
@@ -80,9 +81,9 @@ JOST_DOUBLINGS = 2
 #: N = 256 every count up to 14 was met, and from 16 on most were not)
 JOST_SEEDS_MAX = 12
 
-#: the trace-norm bound sums the explicit coefficient formulas out to at
-#: least this index before switching to the dominating series
-TAIL_HORIZON = 20000
+#: the trace-norm bound sums the coefficients out to at least this index
+#: (2N at the default N) before the closed-form tail of ``_tail_constants``
+TAIL_HORIZON = 512
 
 
 def band_to_cut(z: complex) -> complex:
@@ -243,7 +244,8 @@ class SpectralResult:
     64N and ``discarded`` the seeds not retained; otherwise the result is
     the one without a count.  A count of 0 solves nothing and reports 0
     for both orders.  For a terminating triple with a block shorter than N
-    both orders are the size of that block.
+    both orders are the size of that block.  ``trace_bound`` is
+    ``trace_norm_bound(p, 2N)``, from the same coefficient build.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -697,7 +699,7 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     Everything else lands in ``discarded``: truncations pollute the band
     vicinity and only agreement across orders separates genuine poles of B
     from that debris.  The coefficients are built once, to the horizon of
-    the trace-norm bound (at least 2N + 1 entries), and that build serves
+    the trace-norm bound (at least 2N + 1 and 513 entries), and that build serves
     every rung that it covers; a rung beyond it builds its own order.  Each
     build is a ``JacobiCoeffs``, float64 for a real triple.
 
@@ -823,40 +825,54 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     )
 
 
-def _tail_constants(p: HypParams) -> tuple[float, float, float, float]:
-    """Dominating-series data for the coefficient tails.
+def _tail_constants(p: HypParams) -> tuple[int | float, Callable[[int], float]]:
+    """The coefficient tails in closed form: (n_min, rest), ``rest(n)`` a
+    bound on the sum of |a_k| + 2|b_k - 1| over k >= n, for 2n + Re c > 0.
 
-    With t = 2n + c the exact partial-fraction forms
+    With t = 2n + c (n >= 1), alpha = 2a - c, beta = c - 2b, gamma =
+    2b + 2 - c, delta = c - 2a + 2, q = 2(a - b) - 1, A = alpha beta,
+    G = gamma delta - 2, R = A + G and S = A + 3G + 2q, exactly
 
-        a_n      = -2q/((t+1)(t+2)) - g1/(t(t+1)) - g2/((t+1)(t+2)),
-        b_n^2 - 1 = u + v + uv,   u,v the deviations of 4d_{2n+2}, 4d_{2n+3},
+        a_n       = -(P t + Q) / (t (t+1) (t+2)),        P = 2q + R,  Q = 2A,
+        b_n^2 - 1 = (W2 t^2 + W1 t + W0) / ((t+1) (t+2)^2 (t+3)),
 
-    give |a_n| <= C_A / s_n^2 and |b_n^2 - 1| <= C_B / s_n^2 with
-    s_n = 2n - |c| - 3, once n is large enough that s_n >= 1,
-    |t| <= 2 s_n and C_B / s_n^2 < 1 (the last also makes Re b_n^2 > 0, so
-    the principal root satisfies |b_n - 1| <= |b_n^2 - 1|).
+    W2 = R - q^2, W1 = 2R + S - 2q^2 - qA + qG, W0 = 2S + G(2q + A).  For
+    s = Re t >= s_0 = 2n_0 + Re c > 0, |t + k| >= s + k and |t| <= |t + k|
+    (k >= 0), so |a_n| <= (|P| + |Q|/s_0)/(s+1)^2 and |b_n^2 - 1| <= H/(s+1)^2,
+    H = |W2| + |W1|/s_0 + |W0|/s_0^2.  The principal root has Re b_n >= 0,
+    so |b_n + 1| >= max(1, 2 - |b_n - 1|) and 2|b_n - 1| <= 2H/(s+1)^2 /
+    max(1, 2 - H/(s_0+1)^2).  1/(s+1)^2 is convex in n, so its sum over
+    n >= n_0 is at most its integral from n_0 - 1/2, 1/(2 s_0).  Past n_min
+    the tail is in its asymptotic regime: s_n >= 3 and |W2|/s_n^2 +
+    |W1|/s_n^3 + |W0|/s_n^4 <= 1, about n >= |a| for large |a|.  That sum
+    is 1 at the fixed point of the decreasing map g(s) = (|W2| + |W1|/s +
+    |W0|/s^2)^(1/2), which is at least |W2|^(1/2), so one step of g from
+    max(3, |W2|^(1/2)) lands past it.  n_min is inf when they overflow.
     """
     a, b, c = p.a, p.b, p.c
     q = 2.0 * (a - b) - 1.0
-    g1 = 2.0 * a * c + 2.0 * b * c - 4.0 * a * b - c * c
-    g2 = (2.0 + 2.0 * b - c) * (2.0 + c - 2.0 * a) - 2.0
-    g3 = (2.0 + 2.0 * a - c) * (2.0 + c - 2.0 * b) - 6.0
-    r = abs(q)
-    ca = 2.0 * r + abs(g1) + abs(g2)
-    cb = 4.0 * r + abs(g2) + abs(g3) + (2.0 * r + abs(g2)) * (2.0 * r + abs(g3))
-    beta = abs(c) + 3.0
-    low = max(
-        (beta + 1.0) / 2.0,          # s_n >= 1
-        (3.0 * abs(c) + 6.0) / 2.0,  # |t| <= 2 s_n
-        (beta + math.sqrt(cb)) / 2.0,  # C_B / s_n^2 < 1
-    )
-    n_min = math.ceil(low) + 1 if math.isfinite(low) else math.inf
-    return ca, cb, n_min, beta
+    A = (2.0 * a - c) * (c - 2.0 * b)
+    G = (2.0 * b + 2.0 - c) * (c - 2.0 * a + 2.0) - 2.0
+    R, S = A + G, A + 3.0 * G + 2.0 * q
+    pa, qa = abs(2.0 * q + R), abs(2.0 * A)
+    w2, w0 = abs(R - q * q), abs(2.0 * S + G * (2.0 * q + A))
+    w1 = abs(2.0 * R + S - 2.0 * q * q - q * A + q * G)
+    lo = max(3.0, math.sqrt(w2))
+    high = math.sqrt(w2 + w1 / lo + w0 / (lo * lo))
+    n_min = max(1, math.ceil((max(3.0, high) - c.real) / 2.0)) if math.isfinite(high) else math.inf
+
+    def rest(n: int) -> float:
+        s = 2.0 * n + c.real
+        h = w2 + w1 / s + w0 / (s * s)
+        return (pa + qa / s + 2.0 * h / max(1.0, 2.0 - h / ((s + 1.0) * (s + 1.0)))) / (2.0 * s)
+
+    return n_min, rest
 
 
 def _trace_horizon(p: HypParams, K: int) -> tuple[int, float]:
     """The index n below which :func:`trace_norm_bound` sums the
-    coefficients, and its bound on the rest.  HorizonTooDeep, before any
+    coefficients, max(K, TAIL_HORIZON, n_min), and the closed-form bound
+    on the rest (``_tail_constants``).  HorizonTooDeep, before any
     coefficient is built, if n would exceed ``cfrac.TERMINATION_CAP``."""
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -865,15 +881,14 @@ def _trace_horizon(p: HypParams, K: int) -> tuple[int, float]:
     t = termination_index(p)
     if t is not None:
         return t + 1, 2.0
-    ca, cb, n_min, beta = _tail_constants(p)
+    n_min, rest = _tail_constants(p)
     n = max(K, TAIL_HORIZON, n_min)
     if not n <= TERMINATION_CAP:
         raise HorizonTooDeep(
             f"the trace-norm bound for (a,b,c) = ({p.a}, {p.b}, {p.c}) needs "
             f"coefficients out to index {n:.3g}, beyond {TERMINATION_CAP}"
         )
-    # sum_{k >= n} 1/(2k - beta)^2 <= 1/(2 (2(n - 1) - beta))
-    return n, (ca + 2.0 * cb) / (2.0 * (2.0 * (n - 1.0) - beta))
+    return n, rest(n)
 
 
 def _trace_sum(coeffs: JacobiCoeffs, n: int, rest: float) -> float:
@@ -899,15 +914,14 @@ def trace_norm_bound(p: HypParams, K: int) -> float:
     Each diagonal entry contributes |a_k| and each symmetric off-diagonal
     pair at most 2|b_k - 1| to the trace norm.  The bound sums the
     coefficients k < n and adds what lies beyond.  For a non-terminating
-    triple n = max(K, TAIL_HORIZON, ...) and the rest is capped by the
-    dominating series C/k^2 of ``_tail_constants`` via integral comparison,
-    so the bound is a true upper bound for every K and essentially
-    constant once K is moderate.  For a terminating triple the sum over
-    the block is exact, and the broken bond b_t = 0 against the free
-    matrix still costs 2|b_t - 1| = 2.
+    triple n = max(K, TAIL_HORIZON, n_min) and the rest is the sharp
+    closed-form C/s_k^2 tail of ``_tail_constants``, so the bound is a true
+    upper bound for every K and essentially constant once K is moderate.
+    For a terminating triple the sum over the block is exact, and the
+    broken bond b_t = 0 against the free matrix still costs 2|b_t - 1| = 2.
 
     HorizonTooDeep, before any coefficient is built, if n would exceed
-    ``cfrac.TERMINATION_CAP`` (n_min is about 4|a| for moderate b and c).
+    ``cfrac.TERMINATION_CAP`` (n_min is about |a| for large |a|).
     """
     n, rest = _trace_horizon(p, K)
     return _trace_sum(jacobi_coeffs(p, n + 1), n, rest)

@@ -11,8 +11,10 @@ m-function: ``cf_ratio_eval`` at the four in-disk points of
 ``invariants.run`` and at w = -4/(z-2) of the three points,
 ``schur_reconstruct`` at 2.5+1.5i and 1.5+0.05i on each real triple, and
 ``m_function`` at N = 100 at the three points; a count line and a second
-SHA-256.  Two checkouts give the same hashes when these values agree to
-the last bit.  Run both on one host with one BLAS thread (set here unless
+SHA-256.  Last, a third SHA-256 over the same spectra with ``trace_bound``
+left out, which stays put when only the trace-norm bound moves.  Two
+checkouts give the same hashes when these values agree to the last bit.
+Run both on one host with one BLAS thread (set here unless
 already set); the package is imported from this checkout's ``src``, and
 the grids from ``tests/test_invariants.py`` (so pytest must be installed).
 The triples: the 27 of ``perfbench/spectrum_pool.json``,
@@ -26,6 +28,7 @@ import hashlib
 import os
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -36,7 +39,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from hypjacobi import HypJacobiError, validate_params  # noqa: E402
 from hypjacobi.cfrac import cf_ratio_eval  # noqa: E402
 from hypjacobi.classify import schur_reconstruct  # noqa: E402
-from hypjacobi.spectral import b_function, band_to_cut, discrete_spectrum, m_function  # noqa: E402
+from hypjacobi.spectral import (  # noqa: E402
+    SpectralResult, b_function, band_to_cut, discrete_spectrum, m_function,
+)
 from test_invariants import POOL, seeded_grid  # noqa: E402
 
 ORDERS = (8, 16, 64, 256)
@@ -98,20 +103,26 @@ def main() -> None:
     digest, errors = None, 0
 
     def record(kind, tag, fn):
+        # the result, or the typed error in its place, and its text
         nonlocal errors
         counts[kind] += 1
         try:
-            text = repr(fn())
+            out = fn()
+            text = repr(out)
         except HypJacobiError as exc:
             errors += 1
-            text = f"{type(exc).__name__}: {exc}"
+            out, text = exc, f"{type(exc).__name__}: {exc}"
         digest.update(f"{tag} {text}\n".encode())
+        return out, text
 
-    digest = hashlib.sha256()
+    digest, no_bound = hashlib.sha256(), hashlib.sha256()
     for abc in grid:
         p = validate_params(*abc)
         for n in ORDERS:
-            record("spectra", (abc, n), lambda: discrete_spectrum(p, N=n))
+            out, text = record("spectra", (abc, n), lambda: discrete_spectrum(p, N=n))
+            if isinstance(out, SpectralResult):
+                text = repr(replace(out, trace_bound=None))
+            no_bound.update(f"{(abc, n)} {text}\n".encode())
         for z in POINTS:
             for method in ("cf", "resolvent"):
                 record("b", (abc, z, method), lambda: b_function(p, z, method=method))
@@ -129,6 +140,8 @@ def main() -> None:
             record("m_function", (abc, z, "m_function"), lambda: m_function(p, z, 100))
     print(" ".join(f"{k} {counts[k]}" for k in ("cf", "schur", "m_function")), f"errors {errors}")
     print(digest.hexdigest())
+    print(f"spectra {counts['spectra']} without trace_bound")
+    print(no_bound.hexdigest())
 
 
 if __name__ == "__main__":

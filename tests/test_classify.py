@@ -299,6 +299,25 @@ class TestSchur:
             with pytest.raises(NonFiniteParameter, match="not finite"):
                 h_m_function(PKAPPA, z, 64)
 
+    @pytest.mark.parametrize(
+        "z", [math.inf, -math.inf, complex(math.inf, 1), complex(0, -math.inf)]
+    )
+    @pytest.mark.parametrize("p", [PKAPPA, P101], ids=["schur-chain", "tail-only"])
+    def test_infinite_z_refused(self, p, z):
+        # the same refusal as b_function's; was np.complex128(0j) on PKAPPA
+        with pytest.raises(NonFiniteParameter, match="not finite"):
+            b_function(p, z)
+        with pytest.raises(NonFiniteParameter, match="not finite"):
+            schur_reconstruct(p, z)
+
+    @pytest.mark.parametrize("p", [PKAPPA, P101, PTERM2], ids=["schur-chain", "tail-only", "terminating"])
+    def test_returns_python_complex(self, p):
+        # as b_function on both routes; the Schur chain used to return a
+        # numpy.complex128 (the chain mixes in the float64 a_j)
+        for z in (2.5 + 1.5j, 1.5 + 0.7j):
+            got = schur_reconstruct(p, z)
+            assert type(got) is complex and type(b_function(p, z)) is complex
+
     def test_chain_of_callables(self):
         # composing schur_step handles matches the direct reconstruction
         sig = sign_signature(PKAPPA)

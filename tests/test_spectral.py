@@ -4,17 +4,21 @@ trace-norm bound, the distance-sum inequality and the zero map."""
 import cmath
 import json
 import math
+import random
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from repr_probe import hidden_real_grid
+from test_extreme_inputs import extreme_triples
 from test_invariants import seeded_grid
 
 from hypjacobi import (
     EigensolverFailure,
     HorizonTooDeep,
+    HypJacobiError,
     NearSingular,
     NoConvergence,
     NonFiniteParameter,
@@ -1405,11 +1409,11 @@ class TestOneBuild:
         return sizes
 
     def test_count_zero_builds_once(self, monkeypatch):
-        # count 0 at N = 1024: one build, to the 20001 entries of the
+        # count 0 at N = 1024: one build, to the 2N + 1 entries of the
         # trace-norm horizon, and none to order 64N
         sizes = self._spy(monkeypatch)
         discrete_spectrum(validate_params(1.96 + 0.3j, 1.91, 2.41), 1024)
-        assert sizes == [spectral.TAIL_HORIZON + 1] == [20001]
+        assert sizes == [2 * 1024 + 1] == [2049]
 
     @pytest.mark.parametrize(
         "N, cases",
@@ -1429,7 +1433,7 @@ class TestOneBuild:
                 sizes = self._spy(m, 64 * N + 1)
                 big = discrete_spectrum(p, N)
             # the spy saw, and enlarged, the one horizon build
-            assert sizes[0] == spectral.TAIL_HORIZON + 1, abc
+            assert sizes[0] == max(2 * N, spectral.TAIL_HORIZON) + 1, abc
             for name in SpectralResult.__dataclass_fields__:
                 assert repr(getattr(res, name)) == repr(getattr(big, name)), (abc, name)
 
@@ -1525,6 +1529,157 @@ class TestTraceNormBound:
         assert spectral._trace_sum(jc, n, rest).hex() == ref.hex()
         assert trace_norm_bound(p, K).hex() == ref.hex()
         assert discrete_spectrum(p, 64).trace_bound.hex() == trace_norm_bound(p, 128).hex()
+
+
+def _old_tail(p):
+    """The tail of the earlier trace-norm bound, kept here as an oracle:
+    n_min and the rest beyond n (n >= n_min) of the dominating series
+    C/s_n^2, s_n = 2n - |c| - 3, its constants read off partial-fraction
+    forms of a_n and b_n^2 - 1 = u + v + uv."""
+    a, b, c = p.a, p.b, p.c
+    q = 2.0 * (a - b) - 1.0
+    g1 = 2.0 * a * c + 2.0 * b * c - 4.0 * a * b - c * c
+    g2 = (2.0 + 2.0 * b - c) * (2.0 + c - 2.0 * a) - 2.0
+    g3 = (2.0 + 2.0 * a - c) * (2.0 + c - 2.0 * b) - 6.0
+    r = abs(q)
+    ca = 2.0 * r + abs(g1) + abs(g2)
+    cb = 4.0 * r + abs(g2) + abs(g3) + (2.0 * r + abs(g2)) * (2.0 * r + abs(g3))
+    beta = abs(c) + 3.0
+    low = max((beta + 1.0) / 2.0, (3.0 * abs(c) + 6.0) / 2.0, (beta + math.sqrt(cb)) / 2.0)
+    n_min = math.ceil(low) + 1 if math.isfinite(low) else math.inf
+    return n_min, lambda n: (ca + 2.0 * cb) / (2.0 * (2.0 * (n - 1.0) - beta))
+
+
+def _old_bound(p, K):
+    """The earlier trace-norm bound: the sum out to max(K, 20000, n_min),
+    then the dominating series."""
+    n_min, rest = _old_tail(p)
+    n = max(K, 20000, n_min)
+    return spectral._trace_sum(jacobi_coeffs(p, n + 1), n, rest(n))
+
+
+def _closed_forms(p):
+    """P, Q and W2, W1, W0 of the closed forms of ``spectral._tail_constants``."""
+    a, b, c = p.a, p.b, p.c
+    q = 2 * (a - b) - 1
+    A, G = (2 * a - c) * (c - 2 * b), (2 * b + 2 - c) * (c - 2 * a + 2) - 2
+    R, S = A + G, A + 3 * G + 2 * q
+    w = (R - q * q, 2 * R + S - 2 * q * q - q * A + q * G, 2 * S + G * (2 * q + A))
+    return 2 * q + R, 2 * A, w
+
+
+def _c_nonpositive_draw(seed, n):
+    """a ~ U[-7, 4], b ~ U[-4, 4], c ~ U[-4.5, -1] rounded to 2 decimals,
+    no nonpositive-integer parameter: real triples with c + 1 <= 0."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        abc = tuple(round(rng.uniform(lo, hi), 2) for lo, hi in ((-7, 4), (-4, 4), (-4.5, -1)))
+        if not any(float(x).is_integer() and x <= 0 for x in abc):
+            out.append(abc)
+    return out
+
+
+#: the 27 pool triples and the grids of the repr probe
+BOUND_GRIDS = {
+    "pool": [tuple(complex(*e[k]) for k in "abc")
+             for e in json.loads(POOL.read_text(encoding="utf-8"))],
+    "seed-21": seeded_grid(21, 60, False),
+    "seed-32": seeded_grid(32, 60, True),
+    "hidden-real": hidden_real_grid(),
+}
+
+#: real, complex and c + 1 <= 0 triples, and a few with |a| in the hundreds
+CERTIFIED = (
+    seeded_grid(21, 4, False) + seeded_grid(32, 4, True) + _c_nonpositive_draw(5, 4)
+    + [(-250.5, 3.1, 20.2), (310.7, -2.2, 1.3), (-183.5, 2.4 - 0.9j, -3.6 - 1j), (120.3 + 40j, 0.5, -9.2)]
+)
+
+
+class TestSharpTail:
+    """The closed-form tail of the trace-norm bound: exact coefficient
+    forms, a rigorous rest, never above the earlier bound."""
+
+    @pytest.mark.parametrize("abc", CERTIFIED[::3], ids=str)
+    def test_closed_forms(self, abc):
+        p = validate_params(*abc)
+        P, Q, (w2, w1, w0) = _closed_forms(p)
+        jc = jacobi_coeffs(p, 4096)
+        t = 2.0 * np.arange(1, 4095) + p.c
+        a_n = -(P * t + Q) / (t * (t + 1) * (t + 2))
+        dev = (w2 * t * t + w1 * t + w0) / ((t + 1) * (t + 2) ** 2 * (t + 3))
+        # a_n and b_n^2 carry the cancellation of 2 - 4d - 4d and 16 d d
+        assert np.all(np.abs(jc.diag[1:-1] - a_n) <= 1e-7 * np.abs(a_n))
+        assert np.all(np.abs(jc.offdiag_sq[1:] - (1.0 + dev)) <= 1e-12 * np.abs(jc.offdiag_sq[1:]))
+
+    @pytest.mark.parametrize("abc", CERTIFIED, ids=str)
+    def test_rigour_certificate(self, abc):
+        # the rest from n0 is at least the exact sum to M = 2^20 plus a
+        # rigorous bound on what lies beyond M: the smaller of the earlier
+        # dominating series there and the plain closed-form bound (|b - 1|
+        # <= |b^2 - 1|, sum of 1/s^2 <= 1/(2(s_M - 2))).  The earlier series
+        # overstates what lies beyond M about fiftyfold on (-4.4, -3.97,
+        # 1.23), more than the slack of the sharp rest at n0 = 512
+        p = validate_params(*abc)
+        big = 1 << 20
+        jc = jacobi_coeffs(p, big + 1)
+        terms = np.abs(jc.diag[:big]) + 2.0 * np.abs(jc.offdiag[:big] - 1.0)
+        n_old, old_rest = _old_tail(p)
+        P, Q, w = _closed_forms(p)
+        s = 2.0 * big + p.c.real
+        h = sum(abs(x) / s**k for k, x in enumerate(w))
+        plain = (abs(P) + abs(Q) / s + 2.0 * h) / (2.0 * (s - 2.0))
+        assert n_old <= big
+        beyond = min(old_rest(big), plain)
+        n_min, rest = spectral._tail_constants(p)
+        assert n_min <= n_old
+        for n0 in (16, 64, 512):
+            assert 2 * n0 + p.c.real > 0
+            exact = float(np.sum(terms[n0:]))
+            assert rest(n0) >= exact + beyond, (n0, rest(n0), exact, beyond)
+
+    @pytest.mark.parametrize("grid", BOUND_GRIDS)
+    def test_never_looser(self, grid):
+        # the bound at N = 8, 64, 256 and 1024 is at most the earlier one,
+        # which sums to 20000 at each of them; the Lieb-Thirring verdict is
+        # the same under both (checked here up to N = 256)
+        for abc in BOUND_GRIDS[grid]:
+            p = validate_params(*abc)
+            if termination_index(p) is not None:
+                continue
+            old = _old_bound(p, 2)
+            for N in (8, 64, 256, 1024):
+                assert trace_norm_bound(p, 2 * N) <= old, (abc, N)
+            for N in (8, 64, 256):
+                res = discrete_spectrum(p, N)
+                assert res.holds == (res.distance_sum <= old + 1e-9), (abc, N)
+
+    def test_n_min_not_above_old(self):
+        # nor does the horizon refuse an extreme triple that the earlier
+        # one accepted
+        seen = 0
+        for abc in [abc for g in BOUND_GRIDS.values() for abc in g] + extreme_triples(1, 600):
+            try:
+                p = validate_params(*abc)
+                if termination_index(p) is not None:
+                    continue
+            except HypJacobiError:
+                continue
+            assert spectral._tail_constants(p)[0] <= _old_tail(p)[0], abc
+            seen += 1
+        assert seen > 300
+
+    def test_horizon_about_abs_a(self, monkeypatch):
+        # n_min is about |a| (it was about 4|a|)
+        sizes = []
+        build = spectral.jacobi_coeffs
+        monkeypatch.setattr(spectral, "jacobi_coeffs", lambda p, n: sizes.append(n) or build(p, n))
+        assert np.isfinite(trace_norm_bound(validate_params(2e5, 0.5, 1.5), 64))
+        assert sizes and max(sizes) <= 2.1e5 + 1
+
+    def test_large_a_below_cap(self):
+        # refused with HorizonTooDeep before (its horizon was 1.98e6)
+        assert np.isfinite(trace_norm_bound(validate_params(5e5 + 1j, 0.5, 1.5), 16))
 
 
 class TestLiebThirring:
