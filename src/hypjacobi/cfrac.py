@@ -94,6 +94,20 @@ def c_array(p: HypParams, n: int) -> np.ndarray:
     return out
 
 
+def finite_c_array(p: HypParams, n: int) -> np.ndarray:
+    """:func:`c_array`, or NonFiniteParameter (without a numpy warning) if
+    an entry overflows.  ``validate_params`` screens only c_1..c_3 of a
+    non-terminating triple."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = c_array(p, n)
+    if not np.isfinite(out).all():
+        raise NonFiniteParameter(
+            f"the C-fraction coefficients of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
+            "are not finite (overflow)"
+        )
+    return out
+
+
 def c_coeff(p: HypParams, j: int) -> complex:
     """The j-th C-fraction coefficient, j >= 1."""
     if j < 1:
@@ -359,13 +373,7 @@ def cf_ratio_eval(
         if depth == 0:
             return CFValue(1.0 + 0.0j, 1, 0.0)
         # validate_params screens no coefficient of a terminating triple
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = c_array(p, depth)
-        if not np.isfinite(coeffs).all():
-            raise NonFiniteParameter(
-                f"the C-fraction coefficients of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
-                "are not finite (overflow)"
-            )
+        coeffs = finite_c_array(p, depth)
         return CFValue(_backward_eval(coeffs.astype(complex), z, depth), depth, 0.0)
 
     if near_band(2.0 - 4.0 / z):

@@ -6,13 +6,21 @@ serialized with 17 significant digits and complex numbers appear as
 {"re": ..., "im": ...}, so identical configurations (seed included)
 produce byte-identical output.
 
-Exit codes: 0 success, 2 validation error (a ``ParameterError``), 3
-numerical failure or any other exception, reported on one stderr line.
+Each subcommand takes exactly the flags its ``_run_*`` reads, so a flag
+it would ignore is refused as a bad flag.  The range of ``--tol``,
+``--N``, ``--trials``, ``--samples`` and ``--seed`` is checked as the
+flag is parsed.
+
+Exit codes: 0 success, 2 validation error (a ``ParameterError``, or a
+bad flag or value that argparse refuses with its usage), 3 numerical
+failure or any other exception.  Everything but argparse's refusal is
+reported on one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -23,11 +31,6 @@ from .errors import HypJacobiError, NumericsError, ParameterError
 from .hyp import HypParams, validate_params
 
 SCHEMA_VERSION = 1
-
-TOL_RANGE = (1e-14, 1e-2)
-N_RANGE = (8, 8192)
-TRIALS_RANGE = (1, 10000)
-SAMPLES_RANGE = (1, 256)
 
 _VALUE_FLAGS = ("-a", "-b", "-c", "--z")
 
@@ -97,16 +100,20 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_common(sp: argparse.ArgumentParser, with_params: bool = True) -> None:
-    if with_params:
-        sp.add_argument("-a", type=_parse_complex, required=True, metavar="RE[,IM]")
-        sp.add_argument("-b", type=_parse_complex, required=True, metavar="RE[,IM]")
-        sp.add_argument("-c", type=_parse_complex, required=True, metavar="RE[,IM]")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--N", type=int, default=256, dest="N")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out", default=None, metavar="PATH")
+def _ranged(kind, lo, hi, rule: str):
+    """Converter for a flag of type ``kind`` that raises ParameterError(rule)
+    outside [lo, hi], so that the rule runs as the flag is parsed.  It
+    carries the name of ``kind``, so a value that is not one keeps
+    argparse's wording ("invalid int value: 'x'")."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:
+            raise ParameterError(rule)
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,74 +125,52 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("eval", help="B(a,b,c;z) by continued fraction and by resolvent")
-    _add_common(sp)
-    sp.add_argument("--z", type=_parse_complex, required=True, metavar="RE[,IM]")
-
-    sp = sub.add_parser(
-        "coeffs",
-        help="tables of c_j, d_j and the J-fraction entries a_n, b_n^2 "
-        "(CSV columns: kind,index,re,im)",
-    )
-    _add_common(sp)
-
-    sp = sub.add_parser(
-        "spectrum",
-        help="stable eigenvalues outside [-2,2] "
-        "(CSV columns: index,eig_re,eig_im,band_distance,distance_sum,trace_bound,holds)",
-    )
-    _add_common(sp)
-
-    sp = sub.add_parser(
-        "zeros",
-        help="hypergeometric zeros in the cut plane (CSV columns: index,re,im)",
-    )
-    _add_common(sp)
-    sp.add_argument("--which", choices=("denominator", "numerator"), default="denominator")
-
-    sp = sub.add_parser(
-        "classify",
-        help="sign signature, kappa and the sampled kernel certificate "
-        "(CSV columns: N,kappa,kappa_bound_ok,max_negatives_seen)",
-    )
-    _add_common(sp)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--samples", type=int, default=6)
-
-    sp = sub.add_parser(
-        "measure",
-        help="Gauss quadrature of the Stieltjes measure (CSV columns: index,node,weight)",
-    )
-    _add_common(sp)
-
-    sp = sub.add_parser(
-        "check",
-        help="run the invariant suite on one triple (CSV columns: name,passed,detail)",
-    )
-    _add_common(sp)
-
-    sp = sub.add_parser(
-        "sweep",
-        help="run a manifest of triples, one summary record each; manifest lines "
-        "are 'a b c' with '#' comments (CSV columns: a_re,a_im,b_re,b_im,c_re,c_im,"
-        "status,n_eigenvalues,distance_sum,trace_bound,holds,kappa)",
-    )
-    _add_common(sp, with_params=False)
-    sp.add_argument("--manifest", required=True, metavar="PATH")
-
+    value = dict(type=_parse_complex, required=True, metavar="RE[,IM]")
+    flags = {
+        "-a": value,
+        "-b": value,
+        "-c": value,
+        "--z": value,
+        "--tol": dict(type=_ranged(float, 1e-14, 1e-2, "tol must lie in [1e-14, 0.01]"),
+                      default=1e-10),
+        "--N": dict(type=_ranged(int, 8, 8192, "N must lie in [8, 8192]"), default=256),
+        "--which": dict(choices=("denominator", "numerator"), default="denominator"),
+        "--trials": dict(type=_ranged(int, 1, 10000, "trials must lie in [1, 10000]"),
+                         default=200),
+        "--samples": dict(type=_ranged(int, 1, 256, "samples must lie in [1, 256]"), default=6),
+        "--seed": dict(type=_ranged(int, 0, math.inf, "seed must be a non-negative integer"),
+                       default=42),
+        "--manifest": dict(required=True, metavar="PATH"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--out": dict(default=None, metavar="PATH"),
+    }
+    abc = ("-a", "-b", "-c")
+    # each subcommand takes exactly the flags its _run_* reads
+    for name, help_text, own in (
+        ("eval", "B(a,b,c;z) by continued fraction and by resolvent",
+         (*abc, "--z", "--tol")),
+        ("coeffs", "tables of c_j, d_j and the J-fraction entries a_n, b_n^2 "
+         "(CSV columns: kind,index,re,im)", (*abc, "--N")),
+        ("spectrum", "stable eigenvalues outside [-2,2] (CSV columns: index,eig_re,"
+         "eig_im,band_distance,distance_sum,trace_bound,holds)", (*abc, "--tol", "--N")),
+        ("zeros", "hypergeometric zeros in the cut plane (CSV columns: index,re,im)",
+         (*abc, "--tol", "--N", "--which")),
+        ("classify", "sign signature, kappa and the sampled kernel certificate "
+         "(CSV columns: N,kappa,kappa_bound_ok,max_negatives_seen)",
+         (*abc, "--trials", "--samples", "--seed")),
+        ("measure", "Gauss quadrature of the Stieltjes measure (CSV columns: "
+         "index,node,weight)", (*abc, "--N")),
+        ("check", "run the invariant suite on one triple (CSV columns: name,passed,detail)",
+         (*abc, "--tol", "--N")),
+        ("sweep", "run a manifest of triples, one summary record each; manifest lines "
+         "are 'a b c' with '#' comments (CSV columns: a_re,a_im,b_re,b_im,c_re,c_im,"
+         "status,n_eigenvalues,distance_sum,trace_bound,holds,kappa)",
+         ("--manifest", "--tol", "--N")),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        for flag in (*own, "--format", "--out"):
+            sp.add_argument(flag, **flags[flag])
     return ap
-
-
-def _validate_config(args) -> None:
-    ranges = [("tol", TOL_RANGE), ("N", N_RANGE)]
-    if args.subcommand == "classify":
-        ranges += [("trials", TRIALS_RANGE), ("samples", SAMPLES_RANGE)]
-        if args.seed < 0:
-            raise ParameterError("seed must be a non-negative integer")
-    for name, (lo, hi) in ranges:
-        if not (lo <= getattr(args, name) <= hi):
-            raise ParameterError(f"{name} must lie in [{lo}, {hi}]")
 
 
 def _params(args) -> HypParams:
@@ -233,8 +218,8 @@ def _run_eval(args):
 def _run_coeffs(args):
     p = _params(args)
     n = args.N
-    cs = cfrac.c_array(p, 2 * n)
     coeffs = cfrac.jacobi_coeffs(p, n)
+    cs = cfrac.finite_c_array(p, 2 * n)
     doc = _head(args, p)
     doc.update(
         {
@@ -439,11 +424,8 @@ def _emit(args, doc, rows) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_merge_value_flags(list(argv)))
-
     try:
-        _validate_config(args)
+        args = _build_parser().parse_args(_merge_value_flags(list(argv)))
         # looked up at call time, so that a patched _run_* is the one run
         doc, rows = globals()["_run_" + args.subcommand](args)
         _emit(args, doc, rows)

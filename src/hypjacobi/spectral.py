@@ -31,7 +31,6 @@ from .cfrac import (
     BAND_EVAL_GUARD,
     TERMINATION_CAP,
     JacobiCoeffs,
-    _principal_roots,
     band_distance,
     cf_ratio_eval,
     dense_tridiagonal,
@@ -893,19 +892,10 @@ def _trace_horizon(p: HypParams, K: int) -> tuple[int, float]:
 
 def _trace_sum(coeffs: JacobiCoeffs, n: int, rest: float) -> float:
     """|a_k| summed over k < n, plus 2|b_k - 1| over the bonds k < n,
-    plus ``rest``, from a build of at least n + 1 entries.  For a complex
-    triple b_k is ``coeffs.offdiag``.  For a real one it is the float root
-    of b_k^2, and only a negative square (there are a few, all below
-    ``stabilization_index``) takes the principal complex root, whose
-    |b_k - 1| is that of ``coeffs.offdiag`` to the last bit."""
-    diag, sq = coeffs.diag[:n], coeffs.offdiag_sq[:n]
-    if np.iscomplexobj(sq):
-        dev = np.abs(coeffs.offdiag[:n] - 1.0)
-    else:
-        neg = sq < 0.0
-        dev = np.abs(np.sqrt(np.where(neg, 0.0, sq)) - 1.0)
-        dev[neg] = np.abs(_principal_roots(sq[neg]) - 1.0)
-    return float(np.sum(np.abs(diag)) + 2.0 * np.sum(dev) + rest)
+    plus ``rest``, from a build of at least n + 1 entries; b_k is
+    ``coeffs.offdiag``."""
+    dev = np.abs(coeffs.offdiag[:n] - 1.0)
+    return float(np.sum(np.abs(coeffs.diag[:n])) + 2.0 * np.sum(dev) + rest)
 
 
 def trace_norm_bound(p: HypParams, K: int) -> float:

@@ -1,5 +1,6 @@
 """Command line interface: payload shapes, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -312,6 +313,19 @@ class TestExitCodes:
         assert code == 2
         assert "must lie in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "abc",
+        [["-a=-1", "-b=-1e301", "-c", "1e-8", "--N", "8"], ["-a", "1e200", "-b=-1e200", "-c", "1"]],
+        ids=["c1-overflows", "terminates-too-deep"],
+    )
+    def test_coeffs_refusal_is_one_line(self, abc, cli_env):
+        # c_1 = 1e309 lies outside the terminated J block, and the other
+        # triple's coefficients overflow before its termination is refused
+        cmd = [sys.executable, "-m", "hypjacobi.cli", "coeffs", *abc]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.count("\n") == 1 and r.stderr.startswith("error:"), r.stderr
+
     def test_classify_range_ends_accepted(self, tmp_path):
         code, text = run_cli(
             ["classify", "-a", "-1.5", "-b", "0", "-c", "1", "--trials", "1", "--samples", "256"],
@@ -319,6 +333,91 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(text)["kappa"] == 1
+
+
+#: the option strings of each subcommand: exactly the flags its _run_* reads
+SUBCOMMAND_FLAGS = {
+    "eval": {"-a", "-b", "-c", "--z", "--tol"},
+    "coeffs": {"-a", "-b", "-c", "--N"},
+    "spectrum": {"-a", "-b", "-c", "--tol", "--N"},
+    "zeros": {"-a", "-b", "-c", "--tol", "--N", "--which"},
+    "classify": {"-a", "-b", "-c", "--trials", "--samples", "--seed"},
+    "measure": {"-a", "-b", "-c", "--N"},
+    "check": {"-a", "-b", "-c", "--tol", "--N"},
+    "sweep": {"--manifest", "--tol", "--N"},
+}
+
+#: a valid invocation of each subcommand, with every value in range
+VALID = {
+    "eval": ["-a", "1", "-b", "0", "-c", "1", "--z", "4"],
+    "coeffs": ["-a", "1", "-b", "0", "-c", "1"],
+    "spectrum": ["-a", "1", "-b", "0", "-c", "1"],
+    "zeros": ["-a", "1", "-b", "0", "-c", "1"],
+    "classify": ["-a=-1.5", "-b", "0", "-c", "1", "--trials", "5"],
+    "measure": ["-a", "1", "-b", "0", "-c", "1"],
+    "check": ["-a", "1", "-b", "0", "-c", "1"],
+    "sweep": ["--manifest", "{manifest}"],
+}
+
+
+def _valid(subcommand, tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("1 0 1\n")
+    return [subcommand, *(a.format(manifest=manifest) for a in VALID[subcommand])]
+
+
+class TestFlags:
+    def test_option_strings_per_subcommand(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(SUBCOMMAND_FLAGS)
+        for name, sp in sub.choices.items():
+            options = {s for a in sp._actions for s in a.option_strings}
+            assert options == SUBCOMMAND_FLAGS[name] | {"-h", "--help", "--format", "--out"}, name
+        # settable values over all subcommands, -h not counted
+        assert sum(not isinstance(a, argparse._HelpAction)
+                   for sp in sub.choices.values() for a in sp._actions) == 54
+
+    @pytest.mark.parametrize(
+        "subcommand, flag",
+        [("eval", "--N"), ("eval", "--seed"), ("coeffs", "--tol"), ("coeffs", "--seed"),
+         ("classify", "--tol"), ("classify", "--N"), ("measure", "--tol"),
+         ("measure", "--seed"), ("spectrum", "--seed"), ("zeros", "--seed"),
+         ("check", "--seed"), ("sweep", "--seed")],
+    )
+    def test_unread_flag_is_refused(self, subcommand, flag, tmp_path, capsys):
+        # a value the old blanket flags accepted and then ignored
+        value = {"--tol": "1e-6", "--N": "16", "--seed": "7"}[flag]
+        out = tmp_path / "payload.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([*_valid(subcommand, tmp_path), flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists() and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "subcommand, flag, value, rule",
+        [("spectrum", "--tol", "9.9e-15", "tol must lie in [1e-14, 0.01]"),
+         ("eval", "--tol", "0.0101", "tol must lie in [1e-14, 0.01]"),
+         ("check", "--tol", "nan", "tol must lie in [1e-14, 0.01]"),
+         ("coeffs", "--N", "7", "N must lie in [8, 8192]"),
+         ("sweep", "--N", "8193", "N must lie in [8, 8192]"),
+         ("classify", "--trials", "0", "trials must lie in [1, 10000]"),
+         ("classify", "--trials", "10001", "trials must lie in [1, 10000]"),
+         ("classify", "--samples", "0", "samples must lie in [1, 256]"),
+         ("classify", "--samples", "257", "samples must lie in [1, 256]"),
+         ("classify", "--seed", "-1", "seed must be a non-negative integer")],
+    )
+    def test_range_rule_while_parsing(self, subcommand, flag, value, rule, tmp_path, capsys):
+        code, text = run_cli([*_valid(subcommand, tmp_path), flag, value], tmp_path)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {rule}\n"
+
+    @pytest.mark.parametrize("flag, kind", [("--N", "int"), ("--tol", "float")])
+    def test_not_a_number_keeps_argparse_wording(self, flag, kind, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*_valid("spectrum", tmp_path), flag, "x"])
+        assert exc.value.code == 2
+        assert f"invalid {kind} value: 'x'" in capsys.readouterr().err
 
 
 # ``eval -a -100000 -b 0 -c 1 --z 4`` as printed before termination was
@@ -440,14 +539,14 @@ print(json.dumps(report))
 class TestSciPyOffPath:
     def test_no_subcommand_loads_scipy(self, cli_env, tmp_path):
         # the library needs numpy alone, even where SciPy is installed
-        abc = ["-a", "1", "-b", "0", "-c", "1", "--N", "16"]
+        abc = ["-a", "1", "-b", "0", "-c", "1"]
         runs = [
             ["eval", *abc, "--z", "5,2"],
-            ["spectrum", *abc],
+            ["spectrum", *abc, "--N", "16"],
             ["classify", *abc, "--trials", "5"],
-            ["coeffs", *abc],
-            ["measure", *abc],
-            ["check", *abc],
+            ["coeffs", *abc, "--N", "16"],
+            ["measure", *abc, "--N", "16"],
+            ["check", *abc, "--N", "16"],
         ]
         cmd = [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out"), json.dumps(runs)]
         r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)

@@ -129,8 +129,9 @@ CLI_TRIPLES = [abc for abc in extreme_triples(1, 600) if _accepted(abc)][:6]
 
 
 @pytest.mark.parametrize("abc", CLI_TRIPLES, ids=[f"seed1-{i}" for i in range(6)])
-@pytest.mark.parametrize("args", [["eval", "--z", "3.1,0.7"], ["spectrum", "--N", "32"]],
-                         ids=["eval", "spectrum"])
+@pytest.mark.parametrize("args", [["eval", "--z", "3.1,0.7"], ["spectrum", "--N", "32"],
+                                  ["coeffs", "--N", "32"]],
+                         ids=["eval", "spectrum", "coeffs"])
 def test_cli_ends_in_exit_code(abc, args, cli_env):
     flags = [f"-{k}={_cli_arg(x)}" for k, x in zip("abc", abc)]
     cmd = [sys.executable, "-m", "hypjacobi.cli", *args, *flags]
