@@ -308,21 +308,79 @@ def _backward_eval(coeffs: np.ndarray, z: complex, depth: int) -> np.complex128:
     return t
 
 
-def settle(build: Callable, evaluate: Callable, n: int, n_max: int, tol: float, what: str):
+def convergence_order(p: HypParams, z: complex, tol: float) -> float:
+    """The order n of J from which the m-function of J_n at z is expected
+    within ``tol`` of its limit, from z and the triple alone: the
+    prediction that sizes the first build of a :func:`settle` loop.
+
+    Past the transient the entries are close to those of the free matrix,
+    and the truncation error falls like K |lam|^(2n), lam + 1/lam = z with
+    |lam| < 1 (Jones and Thron, Math. Comp. 28, 1974).  z lies on the
+    ellipse with foci -2 and 2 and semi-major axis 1/|lam| + |lam|, so
+    ln(1/|lam|) = acosh((|z - 2| + |z + 2|) / 4), without a complex root.
+    The prefactor K is large next to a pole of B and is taken as 1000, so
+    the error falls below tol from n* = ln(1000/tol) / (2 ln(1/|lam|)) on.
+    The transient is taken as the largest of |a|, |b|, |c|: the entries
+    are rational in t = 2n + c with numerators quadratic in the parameters,
+    and the index from which the closed-form tail certifies their
+    asymptotic regime (n_min of ``spectral._tail_constants``) is of that
+    size for large parameters, 252 for (-250.5, 3.1, 20.2); computing n_min
+    itself would cost a call about what the smaller build saves on a real
+    triple.  The order is n*, or the transient when that is longer, up to
+    8 n*: many triples with large parameters settle long before it, and
+    the first build for 8 n* (below 32 n*) is no larger than the one
+    :func:`settle` makes when n* alone falls short (16 times a first build
+    of at least 2 n*).  inf for z on the band [-2, 2] or a tol that is not
+    positive and finite (:func:`settle` refuses NaN and inf).
+    """
+    if not 0.0 < tol < math.inf:
+        return math.inf
+    z = complex(z)
+    # moduli by hypot: inf, where abs of a complex raises OverflowError
+    # (a huge z, or a parameter whose parts are finite but |x| is not)
+    foci = math.hypot(z.real - 2.0, z.imag) + math.hypot(z.real + 2.0, z.imag)
+    rate = math.acosh(max(1.0, foci / 4.0))
+    free = max(0.0, math.log(1e3 / tol)) / (2.0 * rate) if rate else math.inf
+    transient = max(math.hypot(x.real, x.imag) for x in (p.a, p.b, p.c))
+    return max(free, min(transient, 8.0 * free))
+
+
+def settle(
+    build: Callable, evaluate: Callable, n: int, n_max: int, tol: float, what: str, reach: float
+):
     """The one refinement loop: ``evaluate(made, n)`` at n, 2n, ... up to
-    n_max, ``made = build(min(8 * n, n_max))`` made again only when n
-    outgrows it.  Returns (value, order, correction) for the first value
-    within ``tol * max(1, |value|)`` of the one before; else NoConvergence
-    with ``last_value`` and ``last_correction`` (inf below two evaluations).
+    n_max.  Returns (value, order, correction) for the first value within
+    ``tol * max(1, |value|)`` of the one before; else NoConvergence with
+    ``last_value`` and ``last_correction`` (inf below two evaluations).
     ValueError for a NaN or +inf ``tol``; a negative one is never met.
+
+    ``made = build(size)`` holds the first ``size`` entries; its first size
+    is where the loop is expected to stop: the first order of the sequence
+    from 2n on that is at least 2 ``reach`` (the order from which the
+    caller expects values within tol, :func:`convergence_order` in the
+    caller's units), so that the order before it is within tol too; at
+    most n_max.  An order that outgrows the build builds min(8 * order,
+    n_max).  No entry depends on the size of its build, so neither does a
+    value.  A build that raises NonFiniteParameter for an entry past the
+    order being read is made again at that order, and each later order
+    builds just the entries it reads: only an entry that is read decides
+    the verdict.
     """
     if not tol < math.inf:
         raise ValueError(f"tolerance tol must be a number below inf, got {tol}")
-    prev, corr, made, size = None, math.inf, None, 0
+    first = 2 * n
+    while first < 2.0 * reach and first < n_max:
+        first *= 2
+    prev, corr, made, size, ahead = None, math.inf, None, 0, True
     while n <= n_max:
         if n > size:
-            size = min(8 * n, n_max)
-            made = build(size)
+            size = min(8 * n if size else first, n_max) if ahead else n
+            try:
+                made = build(size)
+            except NonFiniteParameter:
+                if size == n:
+                    raise
+                ahead, size, made = False, n, build(n)
         val = evaluate(made, n)
         if prev is not None:
             corr = abs(val - prev)
@@ -343,10 +401,11 @@ def cf_ratio_eval(
 ) -> CFValue:
     """Evaluate the C-fraction for F(a,b,c;z)/F(a,b+1,c+1;z).
 
-    Backward recurrence, doubling the depth from 8 (:func:`settle`, one
-    complex128 ``c_array`` build per three doublings) until two evaluations
-    agree to ``tol * max(1, |value|)``.  Converges everywhere off the cut
-    [1, inf) where the ratio is finite.
+    Backward recurrence, doubling the depth from 8 (:func:`settle`) until
+    two evaluations agree to ``tol * max(1, |value|)``.  Converges
+    everywhere off the cut [1, inf) where the ratio is finite.  The depth is
+    twice the order of J: the loop's reach is twice the
+    :func:`convergence_order` at 2 - 4/z.
 
     A terminating fraction (some c_j = 0) is rational: it is evaluated at
     its exact finite depth, anywhere in the plane, cut included.
@@ -376,11 +435,13 @@ def cf_ratio_eval(
         coeffs = finite_c_array(p, depth)
         return CFValue(_backward_eval(coeffs.astype(complex), z, depth), depth, 0.0)
 
-    if near_band(2.0 - 4.0 / z):
+    band_z = 2.0 - 4.0 / z
+    if near_band(band_z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
     return CFValue(*settle(
         lambda n: c_array(p, n).astype(complex), lambda coeffs, n: _backward_eval(coeffs, z, n),
         8, max_depth, tol, f"continued fraction at z = {z}",
+        2.0 * convergence_order(p, band_z, tol),
     ))
 
 

@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cfrac import (
-    dense_tridiagonal, jacobi_coeffs, require_nondegenerate, settle, stabilization_index,
-    termination_index,
+    convergence_order, dense_tridiagonal, jacobi_coeffs, require_nondegenerate, settle,
+    stabilization_index, termination_index,
 )
 from .errors import (
     DegenerateSamples,
@@ -235,7 +235,8 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     positive squares, hence is a classical Nevanlinna function; it is
     evaluated as the m-function of the tail operator (adaptively in the
     truncation order, ``cfrac.settle``, each ``_real_bands`` build read by
-    one ``spectral._grown_m``, as B's resolvent route), then pulled down through
+    one ``spectral._grown_m``, as B's resolvent route, its reach
+    ``cfrac.convergence_order`` of J at z), then pulled down through
 
         phi_j = -eps_j / (z - a_j + eps_j btilde_j^2 phi_{j+1}).
 
@@ -258,6 +259,7 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
         phi = settle(
             lambda m: _real_bands(p, n_stab + m + 1), lambda bands, m: tail_at(bands, m + 1),
             max(64, 2 * n_stab + 2), 8192, tol, f"tail m-function at z = {z}",
+            convergence_order(p, z, tol),
         )[0]
     diag, btilde = _real_bands(p, n_stab + 1)
     for j in range(n_stab - 1, -1, -1):

@@ -33,6 +33,7 @@ from .cfrac import (
     JacobiCoeffs,
     band_distance,
     cf_ratio_eval,
+    convergence_order,
     dense_tridiagonal,
     jacobi_coeffs,
     jfrac_backward,
@@ -159,9 +160,9 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     ``method="cf"`` goes through the continued fraction at w = -4/(z-2),
     scaled by -1/(4 d_1) (``HypParams.scale``, from the c_1 = -d_1 that
     ``validate_params`` formed); ``method="resolvent"`` doubles the order of
-    J_N from 64 until two values agree to ``tol`` (``cfrac.settle``: orders
-    up to 512 slice one build and the rest another, read by one
-    :func:`_grown_m`).  The routes are algebraically identical; their
+    J_N from 64 until two values agree to ``tol`` (``cfrac.settle``, read by
+    one :func:`_grown_m`, its reach ``cfrac.convergence_order`` at z).  The
+    routes are algebraically identical; their
     numerical agreement is one of the package's standing invariants.  Both
     return a Python ``complex``.
 
@@ -170,9 +171,12 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
 
     Raises
     ------
+    ValueError
+        ``method`` is neither ``"cf"`` nor ``"resolvent"``, whatever z is.
     NonFiniteParameter
         z has a NaN or infinite real or imaginary part, or the coefficients
-        of a terminating fraction overflow (both routes).
+        of a terminating fraction overflow (both routes), or, for the
+        resolvent, an entry of J that an order reads.
     OnBand
         z within guard distance of [-2, 2] for a non-terminating triple,
         measured in z or in w = -4/(z-2) (``cfrac.near_band``), for both
@@ -184,6 +188,8 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
         RESOLVENT_NMAX.  ``last_value`` and ``last_correction`` refer to B
         by both routes.
     """
+    if method not in ("cf", "resolvent"):
+        raise ValueError(f"unknown method: {method!r}")
     z = complex(z)
     if not cmath.isfinite(z):
         raise NonFiniteParameter(f"z = {z} is not finite")
@@ -213,16 +219,14 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
         # the product in numpy scalars, as r.value is one; then a Python complex
         return complex(scale * (r.value - 1.0))
 
-    if method == "resolvent":
-        if t is not None:
-            return m_function(p, z, t + 1)
-        m = _grown_m(z)
-        return settle(
-            lambda n: build_truncated(p, n), lambda jc, n: m(jc.diag, jc.offdiag, n),
-            RESOLVENT_N0, RESOLVENT_NMAX, tol, f"resolvent m-function at z = {z}",
-        )[0]
-
-    raise ValueError(f"unknown method: {method!r}")
+    if t is not None:
+        return m_function(p, z, t + 1)
+    m = _grown_m(z)
+    return settle(
+        lambda n: build_truncated(p, n), lambda jc, n: m(jc.diag, jc.offdiag, n),
+        RESOLVENT_N0, RESOLVENT_NMAX, tol, f"resolvent m-function at z = {z}",
+        convergence_order(p, z, tol),
+    )[0]
 
 
 @dataclass(frozen=True)

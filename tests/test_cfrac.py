@@ -36,11 +36,13 @@ from hypjacobi.cfrac import (
     TERMINATION_CAP,
     c_array,
     cfrac_termination_index,
+    convergence_order,
     near_band,
     settle,
     stabilization_index,
 )
 from hypjacobi.hyp import is_nonpositive_integer
+from test_extreme_inputs import settle_building
 
 P101 = validate_params(1, 0, 1)
 PTERM1 = validate_params(-1, -1.5, 1)   # terminates at b_0^2 = 0
@@ -171,11 +173,63 @@ class TestCFRatioEval:
             assert time.perf_counter() - start < 0.01
 
 
+class TestConvergenceOrder:
+    """The predicted order max(n*, min(m, 8 n*)), n* = ln(1000/tol) /
+    (2 ln(1/|lam|)) for z = lam + 1/lam, m = max(|a|, |b|, |c|)."""
+
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.8, 0.95, 0.999])
+    def test_rate_of_lam(self, r):
+        # m = 2.1 lies below n* for every r here (n* = 14.3 at r = 0.3)
+        p = validate_params(1.3, 0.4, 2.1)
+        for angle in (0.0, 0.7, 2.0, math.pi):
+            lam = cmath.rect(r, angle)
+            free = math.log(1e3 / 1e-12) / (-2.0 * math.log(r))
+            got = convergence_order(p, lam + 1.0 / lam, 1e-12)
+            assert abs(got - free) <= 1e-9 * free, (r, angle)
+
+    @pytest.mark.parametrize(
+        "abc, m", [((-25.5, 3.1, 2.2), 25.5), ((0.5, 20 - 15j, 1.5), 25.0), ((1.0, 0.5, 7 + 24j), 25.0)]
+    )
+    def test_transient_counts_up_to_eight_n_star(self, abc, m):
+        # the largest parameter, a, b or c, between n* and 8 n*; beyond 8 n*
+        # the prediction is 8 n*
+        z = 3.0 + 1.0j
+        lam = z / 2 - cmath.sqrt(z * z / 4 - 1)
+        free = math.log(1e3 / 1e-10) / (-2.0 * math.log(abs(lam)))
+        assert free < m < 8 * free
+        assert convergence_order(validate_params(*abc), z, 1e-10) == m
+        far = validate_params(2e5, 0.5, 1.5)
+        assert convergence_order(far, z, 1e-10) == pytest.approx(8 * free, rel=1e-12)
+
+    def test_edges(self):
+        p = validate_params(1.3, 0.4, 2.1)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            assert convergence_order(p, 3.0, tol) == math.inf
+        for z in (0.0, 2.0, -2.0, 1.5):
+            assert convergence_order(p, z, 1e-12) == math.inf
+        assert convergence_order(p, 3.0, 1e4) == 0.0
+        # far from the band the first two orders settle; |z| overflows: 0
+        assert 0.0 < convergence_order(p, 1e300 + 1e300j, 1e-12) < 1.0
+        assert convergence_order(p, complex(1.7e308, 1.7e308), 1e-12) == 0.0
+
+    def test_modulus_beyond_float_range(self):
+        # finite parts, |a| > DBL_MAX: the transient is inf, not an
+        # OverflowError, and the order falls back to 8 n*
+        huge = validate_params(1.3e308 + 1.3e308j, -1 + 1e-311j, -1.5)
+        small = validate_params(1.3, 0.4, 2.1)
+        for z in (3.0, -2.6 + 1.2j, 50j):
+            assert convergence_order(huge, z, 1e-12) == 8.0 * convergence_order(small, z, 1e-12)
+
+
 class TestCFRatioBuilds:
-    """cf_ratio_eval reads one c_array build per three doublings of the
-    depth, of min(8 * depth, max_depth) entries."""
+    """cf_ratio_eval makes its first c_array build where it expects to stop:
+    twice the depth 2 ``convergence_order`` of J at 2 - 4/w, rounded up to
+    the depths 16, 32, ...; a depth beyond it builds min(8 * depth,
+    max_depth), one build per three doublings."""
 
     P = validate_params(1.3, 0.4, 2.1)
+    #: a complex triple whose first build falls short on both routes
+    MISS = (validate_params(2.85 + 1.06j, 1.24 + 1.37j, -2.64 - 1.71j), -1.14 + 0.54j)
 
     @staticmethod
     def _spy(monkeypatch):
@@ -190,7 +244,7 @@ class TestCFRatioBuilds:
         return sizes
 
     @pytest.mark.parametrize(
-        "r, depth, builds", [(0.5, 128, [64, 1024]), (0.95, 2048, [64, 1024, 16384])]
+        "r, depth, builds", [(0.5, 128, [128]), (0.95, 2048, [2048]), (0.8, 256, [512])]
     )
     def test_build_sizes(self, monkeypatch, r, depth, builds):
         lam = cmath.rect(r, 2.0)
@@ -199,11 +253,35 @@ class TestCFRatioBuilds:
         out = cf_ratio_eval(self.P, w, tol=1e-12)
         assert (out.depth_used, sizes) == (depth, builds)
 
+    def test_short_prediction_grows_eightfold(self, monkeypatch):
+        p, z = self.MISS
+        assert 64 < 2 * convergence_order(p, z, 1e-12) <= 128
+        sizes = self._spy(monkeypatch)
+        assert cf_ratio_eval(p, -4.0 / (z - 2.0), tol=1e-12).depth_used == 512
+        assert sizes == [256, 4096]
+
     def test_build_capped_at_max_depth(self, monkeypatch):
+        # a negative tol is never met: the prediction is inf, one build
         sizes = self._spy(monkeypatch)
         with pytest.raises(NoConvergence):
             cf_ratio_eval(self.P, -2 + 1j, tol=-1.0, max_depth=300)
-        assert sizes == [64, 300]
+        assert sizes == [300]
+
+    @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (2 + 1j, 0.5, 3), (-1.2 + 0.4j, 0.6, 1.1 + 0.3j)])
+    def test_build_length_changes_nothing(self, monkeypatch, abc):
+        # every build at the cap, or every depth reading a build of its own
+        # length: cf_ratio_eval and B by the fraction, bit for bit
+        p = validate_params(*abc)
+        for r in (0.5, 0.8, 0.95):
+            lam = cmath.rect(r, 2.0)
+            z = lam + 1.0 / lam
+            w = -4.0 / (z - 2.0)
+            ref = (repr(cf_ratio_eval(p, w, tol=1e-12)), repr(b_function(p, z, method="cf")))
+            for first in ("cap", "read"):
+                with monkeypatch.context() as m:
+                    m.setattr(cfrac, "settle", settle_building(first))
+                    got = (repr(cf_ratio_eval(p, w, tol=1e-12)), repr(b_function(p, z, method="cf")))
+                assert got == ref, (abc, r, first)
 
     @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (1.3 + 0.5j, 0.4, 2.1), (-2, 0.5, 1.5)])
     def test_b_function_builds_no_scale(self, monkeypatch, abc):
@@ -213,7 +291,7 @@ class TestCFRatioBuilds:
         assert p.c1 == c_coeff(p, 1)
         sizes = self._spy(monkeypatch)
         b_function(p, cmath.rect(0.5, 2.0) + 1.0 / cmath.rect(0.5, 2.0), method="cf")
-        assert sizes == ([64, 1024] if not p.zeros else [4])  # terminating: c_5 = 0
+        assert sizes == ([128] if not p.zeros else [4])  # terminating: c_5 = 0
 
 
 def _indexed_backward_eval(coeffs, z, depth):
@@ -265,7 +343,7 @@ class TestSettle:
             seen.append(n)
             return values[n]
 
-        val, order, corr = settle(lambda n: None, lambda made, n: evaluate(n), 8, 128, 1e-12, "test")
+        val, order, corr = settle(lambda n: None, lambda made, n: evaluate(n), 8, 128, 1e-12, "test", 0)
         assert (val, order) == (0.5 + 1e-13, 32)
         assert corr == abs(values[32] - values[16])
         assert seen == [8, 16, 32]
@@ -278,34 +356,57 @@ class TestSettle:
             return float(n)
 
         with pytest.raises(NoConvergence) as err:
-            settle(lambda n: None, lambda made, n: evaluate(n), 3, 40, 1e-12, "test value")
+            settle(lambda n: None, lambda made, n: evaluate(n), 3, 40, 1e-12, "test value", 0)
         assert seen == [3, 6, 12, 24]
         assert (err.value.last_value, err.value.last_correction) == (24.0, 12.0)
         assert "test value not settled by order 40" in str(err.value)
         assert "last relative correction 0.5" in str(err.value)
 
     def test_one_build_per_three_doublings(self):
-        # orders 8..64 read a build of 64 entries, 128 one of 128 (the cap);
-        # every order is handed the latest build
-        builds, seen = [], []
+        # the first build reaches the first order from 2n on that is at least
+        # 2 reach, at most n_max; an order beyond it builds min(8n, n_max),
+        # one build per three doublings; every order is handed the latest build
+        for reach, sizes in [(20, [64, 1024]), (0, [16, 256, 1024]), (300, [1024]), (math.inf, [1024])]:
+            builds, seen = [], []
+
+            def build(size):
+                builds.append([size])
+                return builds[-1]
+
+            def evaluate(made, n):
+                seen.append((n, made))
+                return float(n)
+
+            with pytest.raises(NoConvergence):
+                settle(build, evaluate, 8, 1024, 1e-12, "test", reach)
+            assert [b[0] for b in builds] == sizes, reach
+            assert [n for n, _ in seen] == [8 << k for k in range(8)]
+            for n, made in seen:
+                assert made is next(b for b in builds if b[0] >= n), (reach, n)
+
+    def test_overflow_past_read_order_not_raised(self):
+        # a build that overflows past the order being read is made again at
+        # that order and later orders build just what they read, so only an
+        # entry that is read raises
+        builds = []
 
         def build(size):
-            builds.append([size])
-            return builds[-1]
+            builds.append(size)
+            if size > 40:
+                raise NonFiniteParameter("overflow at entry 41")
+            return size
 
-        def evaluate(made, n):
-            seen.append((n, made))
-            return float(n)
-
-        with pytest.raises(NoConvergence):
-            settle(build, evaluate, 8, 128, 1e-12, "test")
-        assert [b[0] for b in builds] == [64, 128]
-        assert [(n, made[0]) for n, made in seen] == [(8, 64), (16, 64), (32, 64), (64, 64), (128, 128)]
-        assert seen[3][1] is builds[0] and seen[4][1] is builds[1]
+        values = {8: 1.0, 16: 0.5, 32: 0.5}
+        assert settle(build, lambda made, n: values[n], 8, 128, 1e-12, "test", math.inf)[:2] == (0.5, 32)
+        assert builds == [128, 8, 16, 32]
+        builds.clear()
+        with pytest.raises(NonFiniteParameter, match="entry 41"):
+            settle(build, lambda made, n: float(n), 8, 128, 1e-12, "test", math.inf)
+        assert builds == [128, 8, 16, 32, 64]
 
     def test_start_beyond_cap_evaluates_nothing(self):
         with pytest.raises(NoConvergence) as err:
-            settle(lambda n: None, lambda made, n: pytest.fail("evaluated"), 16, 8, 1e-12, "test")
+            settle(lambda n: None, lambda made, n: pytest.fail("evaluated"), 16, 8, 1e-12, "test", 0)
         assert err.value.last_value is None
         assert err.value.last_correction == math.inf
 
@@ -313,11 +414,11 @@ class TestSettle:
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_nan_or_inf_tol_refused(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            settle(lambda n: None, lambda made, n: pytest.fail("evaluated"), 8, 64, tol, "test")
+            settle(lambda n: None, lambda made, n: pytest.fail("evaluated"), 8, 64, tol, "test", 0)
 
     def test_minus_inf_tol_never_met(self):
         with pytest.raises(NoConvergence):
-            settle(lambda n: None, lambda made, n: 1.0, 8, 64, -math.inf, "test")
+            settle(lambda n: None, lambda made, n: 1.0, 8, 64, -math.inf, "test", 0)
 
 
 class TestJacobiCoeffs:

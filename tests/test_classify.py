@@ -251,10 +251,12 @@ class TestSchur:
         monkeypatch.setattr(classify, "_real_bands", spy)
         return sizes
 
-    @pytest.mark.parametrize("z, tail", [(2.5 + 1.5j, [513]), (1.5 + 0.05j, [513, 8193])])
+    @pytest.mark.parametrize("z, tail", [(2.5 + 1.5j, [129]), (1.5 + 0.05j, [1025])])
     def test_tail_builds_per_three_doublings(self, monkeypatch, z, tail):
-        # tail orders 64..512 slice one build, 1024..8192 another; the
-        # chain below the stabilization index N reads N + 1 entries
+        # the first build reaches the tail order where the loop stops, twice
+        # the predicted order (16.7 and 457.4) rounded up to 128 and 1024
+        # (a tail order m reads N + m + 1 entries); the chain below the
+        # stabilization index N reads N + 1 entries
         n_stab = sign_signature(PKAPPA).N
         assert n_stab == 1
         ref = schur_reconstruct(PKAPPA, z)

@@ -9,6 +9,12 @@ goes through B by the C-fraction at 3.1+0.7i, B by the resolvent at
 -2.6+1.2i and ``discrete_spectrum`` at N = 32, with warnings as errors and
 a time bound per call; each call must return a finite value or raise a
 ``HypJacobiError``.  A few triples also go through the CLI as processes.
+
+A second family reaches far past validation: 120 triples with |a| from
+1e60 to 1e140 and c = -2m + delta, 1 <= m <= 3000 and 2e-9 <= |delta| <=
+1e-6, whose J entries can overflow next to index m, beyond the first
+builds.  Both routes of B must give the same value or the same typed error
+whatever the length of their first coefficient build.
 """
 
 import cmath
@@ -22,7 +28,7 @@ import warnings
 
 import pytest
 
-from hypjacobi import HypJacobiError, b_function, discrete_spectrum, validate_params
+from hypjacobi import HypJacobiError, b_function, cfrac, discrete_spectrum, spectral, validate_params
 
 #: seconds that one library call may take
 CALL_SECONDS = 5
@@ -109,6 +115,79 @@ def test_value_or_typed_error(seed, n):
     assert not faults, faults
     # every route returned values, so the triples reach past validation
     assert all(values.values()), values
+
+
+def large_a_triples(seed: int, n: int) -> list[tuple[complex, complex, complex]]:
+    """|a| = 10^U(60, 140) off the real axis (a real a this large is an
+    integer, and a negative one terminates beyond the cap), b = U(-5, 5) or,
+    every second triple, a second such parameter, c = -2m + delta with m =
+    1..3000 and |delta| = 10^U(log10 2e-9, -6) of either sign."""
+    rng = random.Random(seed)
+
+    def huge() -> complex:
+        angle = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 3.1)
+        return cmath.rect(10.0 ** rng.uniform(60, 140), angle)
+
+    out = []
+    for k in range(n):
+        a, m = huge(), rng.randint(1, 3000)
+        delta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(math.log10(2e-9), -6)
+        b = huge() if k % 2 else complex(rng.uniform(-5, 5))
+        out.append((a, b, complex(-2.0 * m + delta)))
+    return out
+
+
+def settle_building(first: str):
+    """``cfrac.settle`` with other build lengths: ``"cap"`` makes the first
+    build at the cap, ``"read"`` gives every order a build of exactly its
+    own length."""
+    settle = cfrac.settle
+
+    def spy(build, evaluate, n, n_max, tol, what, reach):
+        if first == "cap":
+            return settle(build, evaluate, n, n_max, tol, what, math.inf)
+        # settle's own builds are empty: each order builds what it reads
+        return settle(
+            lambda size: None, lambda made, k: evaluate(build(k), k), n, n_max, tol, what, reach
+        )
+
+    return spy
+
+
+def _outcome(call) -> tuple[str, str]:
+    """("value", repr of the value), or the type and message of a typed
+    error; a raw error, a warning or the time bound fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            with time_bound(CALL_SECONDS):
+                return "value", repr(call())
+        except HypJacobiError as exc:
+            return type(exc).__name__, str(exc)
+
+
+def test_large_a_verdicts_do_not_depend_on_build_length(monkeypatch):
+    kinds, accepted = set(), 0
+    for abc in large_a_triples(31, 120):
+        try:
+            p = validate_params(*abc)
+        except HypJacobiError:
+            continue
+        accepted += 1
+        for name in ("cf", "resolvent"):
+            call = ROUTES[name][0]
+            got = _outcome(lambda: call(p))
+            for first in ("cap", "read"):
+                with monkeypatch.context() as m:
+                    for mod in (cfrac, spectral):
+                        m.setattr(mod, "settle", settle_building(first))
+                    assert _outcome(lambda: call(p)) == got, (abc, name, first)
+            kinds.add((name, got[0]))
+    # the family reaches values and typed errors on both routes: B's value,
+    # NoConvergence of the fraction, an overflowing entry of J
+    assert accepted > 60, accepted
+    assert {("cf", "value"), ("cf", "NoConvergence"), ("resolvent", "value"),
+            ("resolvent", "NonFiniteParameter")} <= kinds, kinds
 
 
 def _accepted(abc) -> bool:

@@ -223,6 +223,22 @@ class TestBFunction:
             with pytest.raises(NonFiniteParameter, match="scale"):
                 validate_params(*abc)
 
+    @pytest.mark.parametrize("z", [3.0, -2.6 + 1.2j, 50j])
+    def test_modulus_beyond_float_range_refused_by_resolvent(self, z):
+        # a's parts are finite and c_1..c_3 too, but |a| > DBL_MAX, where
+        # Python's abs of a complex raises OverflowError; J overflows at once
+        p = validate_params(1.3e308 + 1.3e308j, -1 + 1e-311j, -1.5)
+        with pytest.raises(NonFiniteParameter, match="not finite"):
+            b_function(p, z, method="resolvent")
+
+    @pytest.mark.parametrize("z", [3.0, 0.5, math.nan, complex(2, math.inf), 1e-12j])
+    @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (-2, 0, 1)])
+    def test_unknown_method_checked_first(self, abc, z):
+        # OnBand at 0.5 and NonFiniteParameter at NaN were raised before the
+        # method was read
+        with pytest.raises(ValueError, match=r"^unknown method: 'bogus'$"):
+            b_function(validate_params(*abc), z, "bogus")
+
     def test_closed_form_both_methods(self):
         for method in ("cf", "resolvent"):
             val = b_function(P101, 4.0, method=method, tol=1e-13)
@@ -1336,9 +1352,10 @@ class TestJostCount:
 
 
 class TestResolventBuild:
-    """The resolvent route of B reads one build per three doublings of its
-    order: orders n up to 512 slice one build of 512 entries, orders 1024
-    to 4096 one of RESOLVENT_NMAX."""
+    """The resolvent route of B makes its first build where it expects to
+    stop: twice ``cfrac.convergence_order`` at z, rounded up to the orders
+    128, 256, ..., RESOLVENT_NMAX; an order beyond it builds min(8n,
+    RESOLVENT_NMAX), one build per three doublings."""
 
     P = validate_params(1.3, 0.4, 2.1)
 
@@ -1367,15 +1384,20 @@ class TestResolventBuild:
         monkeypatch.setattr(spectral, "settle", spy_settle)
         return sizes, orders
 
-    @pytest.mark.parametrize("r, order, builds", [(0.5, 128, [512]), (0.95, 1024, [512, 4096])])
+    @pytest.mark.parametrize(
+        "r, order, builds",
+        [(0.5, 128, [128]), (0.95, 1024, [1024]), (0.8, 128, [256]), (None, 256, [128, 2048])],
+    )
     def test_builds_per_three_doublings(self, monkeypatch, r, order, builds):
-        z = self._z(r)
+        # r = None: a complex triple whose prediction (54.6) falls short
+        p, z = (self.P, self._z(r)) if r else (
+            validate_params(2.85 + 1.06j, 1.24 + 1.37j, -2.64 - 1.71j), -1.14 + 0.54j)
         with monkeypatch.context() as m:
             sizes, orders = self._spy(m)
-            got = b_function(self.P, z, "resolvent")
+            got = b_function(p, z, "resolvent")
         assert (orders, sizes) == ([order], builds)
         # the value of the order where the loop settled, bit for bit
-        assert repr(got) == repr(m_function(self.P, z, order))
+        assert repr(got) == repr(m_function(p, z, order))
 
     @pytest.mark.parametrize(
         "abc", [(1.3, 0.4, 2.1), (-1.2 + 0.4j, 0.6, 1.1 + 0.3j), (2 + 1j, 0.5, 3), (-5.3, -2.6, 0.4)]
