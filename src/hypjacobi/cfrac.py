@@ -69,6 +69,10 @@ TINY = 1e-280
 #: its exact evaluation would take work proportional to the index
 TERMINATION_CAP = 1 << 20
 
+#: depth cap of :func:`cf_ratio_eval`; a depth is twice an order of J, whose
+#: cap on the resolvent route is ``spectral.RESOLVENT_NMAX``
+CF_MAX_DEPTH = 1 << 17
+
 
 def c_array(p: HypParams, n: int) -> np.ndarray:
     """C-fraction coefficients c_1..c_n as one array.
@@ -396,9 +400,7 @@ def settle(
     )
 
 
-def cf_ratio_eval(
-    p: HypParams, z: complex, tol: float = 1e-13, max_depth: int = 1 << 17
-) -> CFValue:
+def cf_ratio_eval(p: HypParams, z: complex, tol: float = 1e-13) -> CFValue:
     """Evaluate the C-fraction for F(a,b,c;z)/F(a,b+1,c+1;z).
 
     Backward recurrence, doubling the depth from 8 (:func:`settle`) until
@@ -413,12 +415,12 @@ def cf_ratio_eval(
     Raises
     ------
     NonFiniteParameter
-        z is not finite, or a coefficient of a terminating fraction overflows.
+        z is not finite, or a coefficient that an evaluation reads overflows.
     OnCut
         z within guard distance of [1, inf) for a non-terminating fraction,
         measured in z or in 2 - 4/z (:func:`near_band`).
     NoConvergence
-        max_depth reached without two agreeing evaluations.
+        Depth CF_MAX_DEPTH reached without two agreeing evaluations.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -439,8 +441,9 @@ def cf_ratio_eval(
     if near_band(band_z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
     return CFValue(*settle(
-        lambda n: c_array(p, n).astype(complex), lambda coeffs, n: _backward_eval(coeffs, z, n),
-        8, max_depth, tol, f"continued fraction at z = {z}",
+        lambda n: finite_c_array(p, n).astype(complex),
+        lambda coeffs, n: _backward_eval(coeffs, z, n),
+        8, CF_MAX_DEPTH, tol, f"continued fraction at z = {z}",
         2.0 * convergence_order(p, band_z, tol),
     ))
 

@@ -137,14 +137,12 @@ def sign_signature(p: HypParams) -> SignSignature:
     )
 
 
-def negative_squares(
-    samples: Sequence[tuple[complex, complex]], tol: float = KERNEL_TOL
-) -> int:
+def negative_squares(samples: Sequence[tuple[complex, complex]]) -> int:
     """Negative eigenvalue count of the sampled Nevanlinna kernel.
 
     Builds the Hermitian matrix K_ij = (phi_i - conj(phi_j))/(z_i - conj(z_j))
-    over the given (z_i, phi(z_i)) pairs and counts eigenvalues below -tol.
-    Off the real axis the diagonal needs no limiting formula.
+    over the given (z_i, phi(z_i)) pairs and counts eigenvalues below
+    -KERNEL_TOL.  Off the real axis the diagonal needs no limiting formula.
     """
     if not samples:
         raise DegenerateSamples("need at least one sample point")
@@ -152,14 +150,14 @@ def negative_squares(
     phi = np.asarray([complex(s[1]) for s in samples])
     if np.any(np.abs(z.imag) < 1e-12):
         raise DegenerateSamples("sample points must stay off the real axis")
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            if abs(z[i] - z[j]) < 1e-12:
-                raise DegenerateSamples(f"coincident sample points at {z[i]}")
+    # the first coincident pair i < j in row-major order names z[i]
+    close = np.nonzero(np.triu(np.abs(z[:, None] - z[None, :]) < 1e-12, 1))[0]
+    if close.size:
+        raise DegenerateSamples(f"coincident sample points at {z[close[0]]}")
     kern = (phi[:, None] - phi[None, :].conj()) / (z[:, None] - z[None, :].conj())
     kern = (kern + kern.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(kern)
-    return int(np.sum(eigs < -tol))
+    return int(np.sum(eigs < -KERNEL_TOL))
 
 
 class KappaCertificate(NamedTuple):
@@ -174,7 +172,6 @@ def kappa_certificate(
     trials: int = 200,
     sample_size: int = 6,
     seed: int = 42,
-    tol: float = KERNEL_TOL,
 ) -> KappaCertificate:
     """Randomized check that the kernel of eps_0 B never exceeds kappa.
 
@@ -195,7 +192,7 @@ def kappa_certificate(
         rng = np.random.default_rng([seed, t])
         zs = rng.uniform(*SAMPLE_RE, sample_size) + 1j * rng.uniform(*SAMPLE_IM, sample_size)
         vals = [(z, eps0 * b_function(p, z, method="cf", tol=1e-12)) for z in zs]
-        counts.append(negative_squares(vals, tol=tol))
+        counts.append(negative_squares(vals))
     return KappaCertificate(
         kappa_bound_ok=all(c <= sig.kappa for c in counts),
         max_negatives_seen=max(counts),
@@ -228,7 +225,7 @@ def schur_step(
     return phi
 
 
-def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
+def schur_reconstruct(p: HypParams, z: complex) -> complex:
     """Rebuild eps_0 B(z) by the N-step backward Schur chain.
 
     The tail fraction from the stabilization index on has real diagonal and
@@ -240,6 +237,7 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
 
         phi_j = -eps_j / (z - a_j + eps_j btilde_j^2 phi_{j+1}).
 
+    The tail is settled to 1e-12 by order 8192, else NoConvergence.
     Returns a Python ``complex``, as ``b_function`` does, and refuses a z
     that is not finite with NonFiniteParameter, as it does.
     """
@@ -258,8 +256,8 @@ def schur_reconstruct(p: HypParams, z: complex, tol: float = 1e-12) -> complex:
     else:
         phi = settle(
             lambda m: _real_bands(p, n_stab + m + 1), lambda bands, m: tail_at(bands, m + 1),
-            max(64, 2 * n_stab + 2), 8192, tol, f"tail m-function at z = {z}",
-            convergence_order(p, z, tol),
+            max(64, 2 * n_stab + 2), 8192, 1e-12, f"tail m-function at z = {z}",
+            convergence_order(p, z, 1e-12),
         )[0]
     diag, btilde = _real_bands(p, n_stab + 1)
     for j in range(n_stab - 1, -1, -1):

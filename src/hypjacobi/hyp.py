@@ -92,7 +92,7 @@ def is_nonpositive_integer(x: complex) -> bool:
     return x.imag == 0.0 and x.real == int(x.real) and x.real <= 0.0
 
 
-def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) -> HypParams:
+def validate_params(a: complex, b: complex, c: complex) -> HypParams:
     """Validate a parameter triple and record its zero indices (``zeros``).
 
     Raises
@@ -108,16 +108,16 @@ def validate_params(a: complex, b: complex, c: complex, eps_c: float = EPS_C) ->
         divide B's scale by zero or cut J off at a spurious b_0^2 = 0); or
         if c_1 is so small that B's scale -1/(4 d_1), d_1 = -c_1, overflows.
     CNonpositiveInteger
-        If c lies within ``eps_c`` of {0, -1, -2, ...}.  The series (and
+        If c lies within EPS_C of {0, -1, -2, ...}.  The series (and
         every continued-fraction coefficient denominator) degenerates there.
     """
     a, b, c = complex(a), complex(b), complex(c)
     for name, x in (("a", a), ("b", b), ("c", c), ("c - a", c - a), ("c - b", c - b)):
         if not cmath.isfinite(x):
             raise NonFiniteParameter(f"{name} = {x} is not finite")
-    if _dist_to_nonpositive_integers(c) <= eps_c:
+    if _dist_to_nonpositive_integers(c) <= EPS_C:
         raise CNonpositiveInteger(
-            f"c = {c} is within {eps_c} of a nonpositive integer"
+            f"c = {c} is within {EPS_C} of a nonpositive integer"
         )
     zeros = _zero_indices(a, b, c)
     is_real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
@@ -162,10 +162,11 @@ def _zero_indices(a: complex, b: complex, c: complex) -> tuple[int, ...]:
     return tuple(sorted(js - {0}))
 
 
-def hyp2f1_series(
-    p: HypParams, z: complex, tol: float = 1e-14, max_terms: int = 10000
-) -> SeriesValue:
+def hyp2f1_series(p: HypParams, z: complex) -> SeriesValue:
     """Sum F(a,b,c;z) by the defining series.
+
+    The sum stops once the next term magnitude drops below
+    ``1e-14 * max(1, |partial sum|)``, within a budget of 10000 terms.
 
     Parameters
     ----------
@@ -174,11 +175,6 @@ def hyp2f1_series(
     z : complex
         Point with |z| < 1 - DISK_MARGIN, or anywhere if the series
         terminates.
-    tol : float
-        Stop once the next term magnitude drops below
-        ``tol * max(1, |partial sum|)``.
-    max_terms : int
-        Iteration budget.
 
     Returns
     -------
@@ -208,14 +204,14 @@ def hyp2f1_series(
     total = term
     n = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while n < max_terms:
+        while n < 10000:
             term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * zz
             n += 1
             if term == 0:
                 return SeriesValue(complex(total), n, 0.0)
             if not np.isfinite(term):
                 break
-            if abs(term) <= tol * max(1.0, abs(total)):
+            if abs(term) <= 1e-14 * max(1.0, abs(total)):
                 return SeriesValue(complex(total), n, float(abs(term)))
             total += term
         last = float(abs(term))
@@ -226,21 +222,21 @@ def hyp2f1_series(
         )
 
 
-def ratio_series(p: HypParams, z: complex, tol: float = 1e-14) -> complex:
+def ratio_series(p: HypParams, z: complex) -> complex:
     """F(a,b,c;z) / F(a,b+1,c+1;z) by direct series division.
 
     The in-disk oracle for the continued fraction: both series converge for
     |z| < 1 and nothing else enters.
     """
     q = p.shifted(db=1, dc=1)
-    num = hyp2f1_series(p, z, tol=tol)
-    den = hyp2f1_series(q, z, tol=tol)
+    num = hyp2f1_series(p, z)
+    den = hyp2f1_series(q, z)
     if abs(den.value) < UNDERFLOW_GUARD:
         raise DenominatorZero(f"|F(a,b+1,c+1;{z})| < {UNDERFLOW_GUARD}")
     return num.value / den.value
 
 
-def contiguous_residual(p: HypParams, z: complex, tol: float = 1e-14) -> float:
+def contiguous_residual(p: HypParams, z: complex) -> float:
     """Residual of the contiguous relation linking (b,c) -> (b+1,c+1).
 
     Returns |F(a,b,c;z) - F(a,b+1,c+1;z) + a(c-b)/(c(c+1)) z F(a+1,b+1,c+2;z)|,
@@ -248,8 +244,8 @@ def contiguous_residual(p: HypParams, z: complex, tol: float = 1e-14) -> float:
     self-test of the series code, since the same relation generates the
     continued-fraction coefficients.
     """
-    f0 = hyp2f1_series(p, z, tol=tol).value
-    f1 = hyp2f1_series(p.shifted(db=1, dc=1), z, tol=tol).value
-    f2 = hyp2f1_series(p.shifted(da=1, db=1, dc=2), z, tol=tol).value
+    f0 = hyp2f1_series(p, z).value
+    f1 = hyp2f1_series(p.shifted(db=1, dc=1), z).value
+    f2 = hyp2f1_series(p.shifted(da=1, db=1, dc=2), z).value
     coeff = p.a * (p.c - p.b) / (p.c * (p.c + 1))
     return abs(f0 - f1 + coeff * z * f2)

@@ -175,18 +175,19 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
         ``method`` is neither ``"cf"`` nor ``"resolvent"``, whatever z is.
     NonFiniteParameter
         z has a NaN or infinite real or imaginary part, or the coefficients
-        of a terminating fraction overflow (both routes), or, for the
-        resolvent, an entry of J that an order reads.
+        of a terminating fraction overflow (both routes), or an entry that
+        the route reads: a C-fraction coefficient that a depth reads, an
+        entry of J that an order of the resolvent reads.
     OnBand
         z within guard distance of [-2, 2] for a non-terminating triple,
         measured in z or in w = -4/(z-2) (``cfrac.near_band``), for both
         methods.
     NoConvergence
-        The chosen route would not settle: the continued fraction by its
-        depth cap (z at or next to a pole, or a parameter so large that the
-        fraction has not begun to converge), the resolvent by order
-        RESOLVENT_NMAX.  ``last_value`` and ``last_correction`` refer to B
-        by both routes.
+        The chosen route would not settle: the continued fraction by depth
+        ``cfrac.CF_MAX_DEPTH`` (z at or next to a pole, or a parameter so
+        large that the fraction has not begun to converge), the resolvent
+        by order RESOLVENT_NMAX.  ``last_value`` and ``last_correction``
+        refer to B by both routes.
     """
     if method not in ("cf", "resolvent"):
         raise ValueError(f"unknown method: {method!r}")

@@ -144,9 +144,10 @@ class TestCFRatioEval:
         out = cf_ratio_eval(PTERM2, 4.0)
         assert abs(out.value - 1.0 / (1 - 4 + 16 / 3)) < 1e-14
 
-    def test_no_convergence_reports_state(self):
+    def test_no_convergence_reports_state(self, monkeypatch):
+        monkeypatch.setattr(cfrac, "CF_MAX_DEPTH", 8)
         with pytest.raises(NoConvergence) as err:
-            cf_ratio_eval(validate_params(1.3, -0.2, 2.2), -2 + 1j, tol=1e-15, max_depth=8)
+            cf_ratio_eval(validate_params(1.3, -0.2, 2.2), -2 + 1j, tol=1e-15)
         assert err.value.last_value is not None
         # depth 8 is a single evaluation: no correction was ever measured
         assert err.value.last_correction == math.inf
@@ -225,7 +226,7 @@ class TestCFRatioBuilds:
     """cf_ratio_eval makes its first c_array build where it expects to stop:
     twice the depth 2 ``convergence_order`` of J at 2 - 4/w, rounded up to
     the depths 16, 32, ...; a depth beyond it builds min(8 * depth,
-    max_depth), one build per three doublings."""
+    CF_MAX_DEPTH), one build per three doublings."""
 
     P = validate_params(1.3, 0.4, 2.1)
     #: a complex triple whose first build falls short on both routes
@@ -263,8 +264,9 @@ class TestCFRatioBuilds:
     def test_build_capped_at_max_depth(self, monkeypatch):
         # a negative tol is never met: the prediction is inf, one build
         sizes = self._spy(monkeypatch)
+        monkeypatch.setattr(cfrac, "CF_MAX_DEPTH", 300)
         with pytest.raises(NoConvergence):
-            cf_ratio_eval(self.P, -2 + 1j, tol=-1.0, max_depth=300)
+            cf_ratio_eval(self.P, -2 + 1j, tol=-1.0)
         assert sizes == [300]
 
     @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (2 + 1j, 0.5, 3), (-1.2 + 0.4j, 0.6, 1.1 + 0.3j)])

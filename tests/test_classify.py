@@ -2,6 +2,7 @@
 quadrature and the G-symmetric model H."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -151,6 +152,17 @@ class TestNegativeSquares:
         with pytest.raises(DegenerateSamples):
             negative_squares([])
 
+    @pytest.mark.parametrize("pairs", [[(17, 200)], [(10, 11), (3, 250)]])
+    def test_coincident_pair_among_many(self, pairs):
+        # the error names z[i] of the first pair i < j in row-major order
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-4, 4, 256) + 1j * rng.uniform(0.3, 3, 256)
+        for i, j in pairs:
+            z[j] = z[i] + 1e-13
+        first = z[min(pairs)[0]]
+        with pytest.raises(DegenerateSamples, match=re.escape(f"coincident sample points at {first}")):
+            negative_squares([(x, -1.0 / x) for x in z])
+
 
 class TestKappaCertificate:
     def test_stieltjes_all_zero(self):
@@ -227,16 +239,12 @@ class TestSchur:
         assert abs(got - ref) < 1e-12
 
     def test_reconstruct_no_convergence_reports_state(self):
-        # a negative tol is never met: every tail order up to the cap runs
-        with pytest.raises(NoConvergence) as err:
-            schur_reconstruct(PKAPPA, 2.5 + 1.5j, tol=-1.0)
-        assert err.value.last_value is not None
-        assert 0.0 <= err.value.last_correction < 1e-10
-
-    @pytest.mark.parametrize("tol", [math.inf, math.nan])
-    def test_reconstruct_nan_or_inf_tol_refused(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            schur_reconstruct(PKAPPA, 2.5 + 1.5j, tol=tol)
+        # next to the band the tail settles to 1e-12 far beyond order 8192
+        with pytest.raises(NoConvergence, match="by order 8192") as err:
+            schur_reconstruct(PKAPPA, 0.5 + 1e-4j)
+        last = err.value.last_value
+        assert last is not None
+        assert 1e-12 * max(1.0, abs(last)) < err.value.last_correction < math.inf
 
     @staticmethod
     def _spy(monkeypatch, floor=0):

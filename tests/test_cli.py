@@ -244,12 +244,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "abc",
         [["-a", "5e-324", "-b=-1.92", "-c", "1"],
-         ["-a=-1", "-b=-1.6770215441802886e263", "-c", "5.4577398424171344e107"]],
-        ids=["scale", "terminating"],
+         ["-a=-1", "-b=-1.6770215441802886e263", "-c", "5.4577398424171344e107"],
+         ["-a", "1.3e308,1.3e308", "-b=-1,1e-311", "-c=-1.5"]],
+        ids=["scale", "terminating", "c5-overflows"],
     )
     def test_overflowing_fraction_is_validation(self, abc, cli_env):
         # B's scale -1/(4 d_1) overflows, or a terminating C-fraction's
-        # coefficients do: one line, no numpy warning
+        # coefficients do, or a non-terminating one's past c_3 (which
+        # validation screens): one line, no numpy warning
         cmd = [sys.executable, "-m", "hypjacobi.cli", "eval", *abc, "--z", "3.1,0.7"]
         r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
         assert r.returncode == 2 and r.stdout == ""

@@ -13,6 +13,7 @@ from hypjacobi import (
     NonFiniteParameter,
     OutsideDisk,
     contiguous_residual,
+    hyp,
     hyp2f1_series,
     ratio_series,
     validate_params,
@@ -59,10 +60,12 @@ class TestValidateParams:
     def test_positive_integer_c_fine(self):
         assert validate_params(0.5, 0.5, 3).is_real
 
-    def test_custom_guard(self):
-        with pytest.raises(CNonpositiveInteger):
-            validate_params(1, 1, -1 + 1e-4, eps_c=1e-3)
-        validate_params(1, 1, -1 + 1e-4, eps_c=1e-6)
+    def test_custom_guard(self, monkeypatch):
+        monkeypatch.setattr(hyp, "EPS_C", 1e-3)
+        with pytest.raises(CNonpositiveInteger, match="within 0.001"):
+            validate_params(1, 1, -1 + 1e-4)
+        monkeypatch.setattr(hyp, "EPS_C", 1e-6)
+        validate_params(1, 1, -1 + 1e-4)
 
     @pytest.mark.parametrize(
         "abc",
@@ -121,8 +124,8 @@ class TestSeries:
 
     def test_converged_contract(self):
         p = validate_params(2.2, -0.7, 1.9)
-        out = hyp2f1_series(p, 0.6, tol=1e-10)
-        assert out.truncation_estimate <= 1e-10 * max(1.0, abs(out.value))
+        out = hyp2f1_series(p, 0.6)
+        assert out.truncation_estimate <= 1e-14 * max(1.0, abs(out.value))
 
     def test_terminating_polynomial(self):
         # a = -3: cubic polynomial, any z allowed
@@ -138,8 +141,9 @@ class TestSeries:
             hyp2f1_series(validate_params(1, 1, 2), 0.9995)
 
     def test_no_convergence_budget(self):
-        with pytest.raises(NoConvergence):
-            hyp2f1_series(validate_params(0.5, 0.5, 0.5), 0.99, max_terms=5)
+        # inside the disk margin, yet term 10000 is still above 1e-14
+        with pytest.raises(NoConvergence, match="term 10000 "):
+            hyp2f1_series(validate_params(0.5, 0.5, 0.5), 0.998)
 
     def test_non_finite_term_stops_at_once(self):
         # terms near |a z|^n / n! overflow extended precision long before

@@ -231,6 +231,17 @@ class TestBFunction:
         with pytest.raises(NonFiniteParameter, match="not finite"):
             b_function(p, z, method="resolvent")
 
+    @pytest.mark.parametrize("z", [3.0, 3.1 + 0.7j, -2.6 + 1.2j, 50j])
+    def test_modulus_beyond_float_range_refused_by_cf(self, z):
+        # the fraction's builds overflow from c_5 on: refused at the first
+        # order that reads one, not a numpy warning or NoConvergence at the
+        # depth cap
+        p = validate_params(1.3e308 + 1.3e308j, -1 + 1e-311j, -1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteParameter, match="C-fraction coefficients"):
+                b_function(p, z, method="cf")
+
     @pytest.mark.parametrize("z", [3.0, 0.5, math.nan, complex(2, math.inf), 1e-12j])
     @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (-2, 0, 1)])
     def test_unknown_method_checked_first(self, abc, z):
