@@ -99,17 +99,105 @@ def c_array(p: HypParams, n: int) -> np.ndarray:
 
 
 def finite_c_array(p: HypParams, n: int) -> np.ndarray:
-    """:func:`c_array`, or NonFiniteParameter (without a numpy warning) if
-    an entry overflows.  ``validate_params`` screens only c_1..c_3 of a
-    non-terminating triple."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = c_array(p, n)
-    if not np.isfinite(out).all():
+    """c_1..c_n as :func:`c_array` forms them, read from the triple's
+    coefficient store (:func:`_stored`) as a read-only view, or
+    NonFiniteParameter (without a numpy warning) if one of them overflows.
+    ``validate_params`` screens only c_1..c_3 of a non-terminating
+    triple."""
+    return _screened_c(p, n).c[:n]
+
+
+def _screened_c(p: HypParams, n: int) -> "_Build":
+    """The stored build holding c_1..c_n, or NonFiniteParameter if one of
+    them is not finite."""
+    made = _stored(p, n)
+    if made.c_finite < n:
         raise NonFiniteParameter(
             f"the C-fraction coefficients of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
             "are not finite (overflow)"
         )
-    return out
+    return made
+
+
+def _leading_finite(x: np.ndarray) -> int:
+    """The number of entries of ``x`` before its first non-finite one."""
+    finite = np.isfinite(x)
+    return len(x) if finite.all() else int(finite.argmin())
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for x in arrays:
+        x.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class _Build:
+    """One coefficient build of a triple, the record that its store
+    (``HypParams._store.build``) keeps: c_1..c_S from :func:`c_array`,
+    read-only, and ``c_finite``, the number of its leading finite c_j (the
+    C-fraction's overflow screen, run once per build, so that a request
+    raises only if it reads a non-finite entry).  What is read from the
+    c_j is made on first use and kept with them, read-only: ``cz``, their
+    complex128 copy for the C-fraction's recurrence; ``jacobi``, the
+    ``diag`` and ``offdiag_sq`` of J of order S // 2 as
+    :func:`jacobi_coeffs` describes and the largest order whose block of J
+    is finite (J's screen); ``offdiag``, the principal roots b_n of the
+    squares within that order.  No entry depends on S, so a shorter
+    request reads a prefix, bit for bit a build of its own length."""
+
+    c: np.ndarray
+    c_finite: int
+
+    @cached_property
+    def cz(self) -> np.ndarray:
+        if np.iscomplexobj(self.c):
+            return self.c
+        cz = self.c.astype(complex)
+        _read_only(cz)
+        return cz
+
+    @cached_property
+    def jacobi(self) -> tuple[np.ndarray, np.ndarray, int]:
+        n = len(self.c) // 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = -self.c[: 2 * n]  # d[j - 1] = d_j, j = 1..2n
+            diag = np.empty(n, dtype=d.dtype)
+            if n:
+                diag[0] = 2.0 - 4.0 * d[1]
+            diag[1:] = 2.0 - 4.0 * d[2::2] - 4.0 * d[3::2]
+            offdiag_sq = 16.0 * d[1 : 2 * n - 2 : 2] * d[2 : 2 * n - 1 : 2]
+        _read_only(diag, offdiag_sq)
+        return diag, offdiag_sq, min(_leading_finite(diag), _leading_finite(offdiag_sq) + 1)
+
+    @cached_property
+    def offdiag(self) -> np.ndarray:
+        # only the squares that a screened block can hold, all finite
+        _, offdiag_sq, j_finite = self.jacobi
+        roots = _principal_roots(offdiag_sq[: max(j_finite - 1, 0)])
+        _read_only(roots)
+        return roots
+
+
+def _stored(p: HypParams, size: int) -> _Build:
+    """The triple's build of at least ``size`` coefficients c_j: the one
+    its store holds, or, when that is shorter, a build of exactly ``size``
+    that replaces it whole.  The store lives with ``p``; nothing is ever
+    extended in place, so a concurrent reader holds either record.  There
+    is no lock: threads that build at once each keep their own complete
+    record, the last one stored stays, and a longer build lost that way
+    costs a later request its rebuild, never a different value."""
+    store = p._store
+    made = store.build
+    if made is not None and len(made.c) >= size:
+        return made
+    # entries may overflow (a terminating triple is not screened by
+    # validate_params, a non-terminating one only in c_1..c_3): the screen
+    # records where, and only a request that reads such an entry raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c_array(p, size)
+    _read_only(c)
+    made = store.build = _Build(c, _leading_finite(c))
+    return made
 
 
 def c_coeff(p: HypParams, j: int) -> complex:
@@ -186,8 +274,9 @@ class CoeffStream:
     """Lazily extended, cached sequence of C-fraction coefficients.
 
     Each extension is one :func:`c_array` call, serialized by a lock so a
-    stream may be shared between threads.  The library itself reads
-    :func:`c_array` directly.
+    stream may be shared between threads.  The library itself reads the
+    triple's coefficient store (:func:`finite_c_array`,
+    :func:`jacobi_coeffs`) instead.
     """
 
     def __init__(self, params: HypParams):
@@ -261,9 +350,9 @@ class JacobiCoeffs:
     @cached_property
     def offdiag(self) -> np.ndarray:
         """The principal roots b_n of ``offdiag_sq`` as complex128, a negative
-        real square getting the positive imaginary root; taken on first
-        access and kept."""
-        return _principal_roots(self.offdiag_sq)
+        real square getting the positive imaginary root; read from the
+        triple's coefficient store on first access and kept."""
+        return _stored(self.params, 2 * len(self.diag)).offdiag[: len(self.offdiag_sq)]
 
     def matrix(self) -> np.ndarray:
         """The block as a dense complex128 matrix, b_n on both off-diagonals."""
@@ -364,11 +453,13 @@ def settle(
     caller expects values within tol, :func:`convergence_order` in the
     caller's units), so that the order before it is within tol too; at
     most n_max.  An order that outgrows the build builds min(8 * order,
-    n_max).  No entry depends on the size of its build, so neither does a
-    value.  A build that raises NonFiniteParameter for an entry past the
-    order being read is made again at that order, and each later order
-    builds just the entries it reads: only an entry that is read decides
-    the verdict.
+    n_max).  Every caller's build reads the triple's coefficient store, so
+    a size that an earlier call reached is a view of that build, made
+    anew only when longer.  No entry depends on the size of its build, so
+    neither does a value.  A build that raises NonFiniteParameter for an
+    entry past the order being read is requested again at that order, and
+    each later order requests just the entries it reads: only an entry
+    that is read decides the verdict.
     """
     if not tol < math.inf:
         raise ValueError(f"tolerance tol must be a number below inf, got {tol}")
@@ -434,14 +525,13 @@ def cf_ratio_eval(p: HypParams, z: complex, tol: float = 1e-13) -> CFValue:
         if depth == 0:
             return CFValue(1.0 + 0.0j, 1, 0.0)
         # validate_params screens no coefficient of a terminating triple
-        coeffs = finite_c_array(p, depth)
-        return CFValue(_backward_eval(coeffs.astype(complex), z, depth), depth, 0.0)
+        return CFValue(_backward_eval(_screened_c(p, depth).cz, z, depth), depth, 0.0)
 
     band_z = 2.0 - 4.0 / z
     if near_band(band_z):
         raise OnCut(f"z = {z} lies within {CUT_GUARD} of the cut [1, inf)")
     return CFValue(*settle(
-        lambda n: finite_c_array(p, n).astype(complex),
+        lambda n: _screened_c(p, n).cz[:n],
         lambda coeffs, n: _backward_eval(coeffs, z, n),
         8, CF_MAX_DEPTH, tol, f"continued fraction at z = {z}",
         2.0 * convergence_order(p, band_z, tol),
@@ -470,7 +560,12 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     the same results).  If some b_n^2 vanishes exactly (a linear factor of
     d_{2n+2} or d_{2n+3} hits zero) the fraction terminates:
     ``terminated_at = n`` and the arrays stop with a_n as the last diagonal
-    entry.  NonFiniteParameter if an entry overflows.
+    entry.  NonFiniteParameter if an entry of the block overflows.
+
+    The arrays are read-only views of the triple's coefficient store
+    (:func:`_stored`): a block within the longest build made so far costs
+    a slice, a longer one builds c_1..c_2n once and keeps it.  A caller
+    that writes into a block makes its own copy.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -480,19 +575,17 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     n = n_max if terminated_at is None else terminated_at + 1
     # validate_params screens only c_1..c_3 and b_0^2 of a non-terminating
     # triple (a later entry overflows where c + m is small, and a terminating
-    # one must still reach TerminationTooDeep), so every entry is screened here
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = -c_array(p, 2 * n)  # d[j - 1] = d_j, j = 1..2n
-        diag = np.empty(n, dtype=d.dtype)
-        diag[0] = 2.0 - 4.0 * d[1]
-        diag[1:] = 2.0 - 4.0 * d[2::2] - 4.0 * d[3::2]
-        offdiag_sq = 16.0 * d[1 : 2 * n - 2 : 2] * d[2 : 2 * n - 1 : 2]
-    if not (np.isfinite(diag).all() and np.isfinite(offdiag_sq).all()):
+    # one must still reach TerminationTooDeep); the stored build screened
+    # every entry, and a block that holds a non-finite one is refused here
+    diag, offdiag_sq, j_finite = _stored(p, 2 * n).jacobi
+    if j_finite < n:
         raise NonFiniteParameter(
             f"the J-fraction entries of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
             "are not finite (overflow)"
         )
-    return JacobiCoeffs(params=p, diag=diag, offdiag_sq=offdiag_sq, terminated_at=terminated_at)
+    return JacobiCoeffs(
+        params=p, diag=diag[:n], offdiag_sq=offdiag_sq[: n - 1], terminated_at=terminated_at
+    )
 
 
 def _cfrac_approximant(p: HypParams, n: int, z: complex) -> complex:

@@ -88,7 +88,8 @@ class SignSignature:
 
 def _real_bands(p: HypParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal a_j and roots btilde_j = sqrt(|b_j^2|) of a real triple,
-    from ``jacobi_coeffs(p, n)``, whose arrays are float64 for it."""
+    from ``jacobi_coeffs(p, n)``, whose arrays are float64 for it; the
+    diagonal is its read-only view of the triple's coefficient store."""
     coeffs = jacobi_coeffs(p, n)
     return coeffs.diag, np.sqrt(np.abs(coeffs.offdiag_sq))
 

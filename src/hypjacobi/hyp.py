@@ -40,6 +40,20 @@ DISK_MARGIN = 1e-3
 UNDERFLOW_GUARD = 1e-280
 
 
+class _CoeffStore:
+    """What is derived from one triple and kept with it, each None until
+    first needed: ``build``, the longest coefficient build made so far
+    (``cfrac._Build``), and ``tail``, the closed-form tail constants of
+    ``spectral._tail_constants``.  A longer build replaces ``build`` whole
+    and no record is changed in place, so a concurrent reader holds either
+    the old record or the new one."""
+
+    __slots__ = ("build", "tail")
+
+    def __init__(self):
+        self.build = self.tail = None
+
+
 @dataclass(frozen=True)
 class HypParams:
     """Validated parameter triple (a, b, c).
@@ -47,7 +61,9 @@ class HypParams:
     ``is_real`` is true iff all three imaginary parts are exactly zero;
     several real-case operations key off this flag rather than re-testing.
     ``c1`` is the leading coefficient c_1 as ``cfrac.c_array`` forms it;
-    it is derived, so it enters neither repr nor equality.
+    it is derived, so it enters neither repr nor equality, and nor does
+    ``_store``, the triple's coefficient store (:class:`_CoeffStore`),
+    which lives and dies with this object.
     """
 
     a: complex
@@ -56,6 +72,9 @@ class HypParams:
     is_real: bool
     zeros: tuple[int, ...]  # every j >= 1 with c_j = 0, see _zero_indices
     c1: complex = field(repr=False, compare=False)
+    _store: _CoeffStore = field(
+        default_factory=_CoeffStore, init=False, repr=False, compare=False
+    )
 
     def shifted(self, da: int = 0, db: int = 0, dc: int = 0) -> "HypParams":
         """Validated triple with integer-shifted parameters."""

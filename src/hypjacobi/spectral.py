@@ -134,8 +134,11 @@ def _resolvent_x0(diag: list, numer: list, lower_abs: list, z: complex) -> compl
 def _grown_m(z: complex):
     """``m(diag, off, n)``: x_0 at z for the leading n rows of a symmetric
     build, bit for bit ``resolvent_first(diag[:n], off[:n-1], off[:n-1], z)``.
-    Each entry becomes a Python number once, the first time an n reaches it,
-    so n must not decrease and a longer build must repeat a shorter one."""
+    Each entry becomes a Python number once per evaluator, the first time
+    an n reaches it, so n must not decrease and a longer build must repeat
+    a shorter one.  The lists live with the evaluator, not with the
+    triple's coefficient store: as Python objects they take two to three
+    times the memory of the stored arrays they are read from."""
     diag, numer, lower_abs = [], [], []
 
     def m(d, off, n: int) -> complex:
@@ -161,8 +164,10 @@ def b_function(p: HypParams, z: complex, method: str = "cf", tol: float = 1e-12)
     scaled by -1/(4 d_1) (``HypParams.scale``, from the c_1 = -d_1 that
     ``validate_params`` formed); ``method="resolvent"`` doubles the order of
     J_N from 64 until two values agree to ``tol`` (``cfrac.settle``, read by
-    one :func:`_grown_m`, its reach ``cfrac.convergence_order`` at z).  The
-    routes are algebraically identical; their
+    one :func:`_grown_m`, its reach ``cfrac.convergence_order`` at z).  Both
+    routes read the triple's coefficient store, so a second call on the
+    same ``HypParams`` builds nothing that an earlier one built, and
+    returns the same bits.  The routes are algebraically identical; their
     numerical agreement is one of the package's standing invariants.  Both
     return a Python ``complex``.
 
@@ -702,10 +707,12 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     outside BAND_GUARD and apart from the values already retained.
     Everything else lands in ``discarded``: truncations pollute the band
     vicinity and only agreement across orders separates genuine poles of B
-    from that debris.  The coefficients are built once, to the horizon of
-    the trace-norm bound (at least 2N + 1 and 513 entries), and that build serves
-    every rung that it covers; a rung beyond it builds its own order.  Each
-    build is a ``JacobiCoeffs``, float64 for a real triple.
+    from that debris.  The coefficients are read from the triple's
+    coefficient store: one build to the horizon of the trace-norm bound (at
+    least 2N + 1 and 513 entries) serves every rung that it covers, a rung
+    beyond it builds its order once, and a later call reads what an
+    earlier one built.  Each block is a ``JacobiCoeffs``, float64 for a
+    real triple.
 
     When ``klein_count`` knows how many zeros F(a, b+1, c+1; .) has (a real
     triple with c+1 > 0), that count decides when the spectrum is complete.
@@ -876,8 +883,9 @@ def _tail_constants(p: HypParams) -> tuple[int | float, Callable[[int], float]]:
 def _trace_horizon(p: HypParams, K: int) -> tuple[int, float]:
     """The index n below which :func:`trace_norm_bound` sums the
     coefficients, max(K, TAIL_HORIZON, n_min), and the closed-form bound
-    on the rest (``_tail_constants``).  HorizonTooDeep, before any
-    coefficient is built, if n would exceed ``cfrac.TERMINATION_CAP``."""
+    on the rest (``_tail_constants``, formed once per triple and kept in
+    its coefficient store).  HorizonTooDeep, before any coefficient is
+    built, if n would exceed ``cfrac.TERMINATION_CAP``."""
     if K < 1:
         raise ValueError("K must be >= 1")
     require_nondegenerate(p)
@@ -885,7 +893,10 @@ def _trace_horizon(p: HypParams, K: int) -> tuple[int, float]:
     t = termination_index(p)
     if t is not None:
         return t + 1, 2.0
-    n_min, rest = _tail_constants(p)
+    store = p._store
+    if store.tail is None:
+        store.tail = _tail_constants(p)
+    n_min, rest = store.tail
     n = max(K, TAIL_HORIZON, n_min)
     if not n <= TERMINATION_CAP:
         raise HorizonTooDeep(

@@ -14,6 +14,9 @@ m-function: ``cf_ratio_eval`` at the four in-disk points of
 SHA-256.  Last, a third SHA-256 over the same spectra with ``trace_bound``
 left out, which stays put when only the trace-norm bound moves.  Two
 checkouts give the same hashes when these values agree to the last bit.
+Then the whole grid runs a second time on the same ``HypParams`` objects,
+whose coefficient stores the first pass filled; the probe exits 1 unless
+that warm pass gives the same three hashes.
 Run both on one host with one BLAS thread (set here unless
 already set); the package is imported from this checkout's ``src``, and
 the grids from ``tests/test_invariants.py`` (so pytest must be installed).
@@ -97,8 +100,10 @@ def triples() -> list[tuple]:
     return out + hidden_real_grid() + NAMED
 
 
-def main() -> None:
-    grid = triples()
+def run(spectrum_params, loop_params) -> list[str]:
+    """The probe's output lines: spectra and B on ``spectrum_params``, the
+    other refinement loops and the m-function on ``loop_params`` (one
+    ``HypParams`` per triple of the grid, each)."""
     counts = dict.fromkeys(("spectra", "b", "cf", "schur", "m_function"), 0)
     digest, errors = None, 0
 
@@ -115,9 +120,9 @@ def main() -> None:
         digest.update(f"{tag} {text}\n".encode())
         return out, text
 
+    lines = []
     digest, no_bound = hashlib.sha256(), hashlib.sha256()
-    for abc in grid:
-        p = validate_params(*abc)
+    for abc, p in spectrum_params:
         for n in ORDERS:
             out, text = record("spectra", (abc, n), lambda: discrete_spectrum(p, N=n))
             if isinstance(out, SpectralResult):
@@ -126,23 +131,39 @@ def main() -> None:
         for z in POINTS:
             for method in ("cf", "resolvent"):
                 record("b", (abc, z, method), lambda: b_function(p, z, method=method))
-    print(f"triples {len(grid)} spectra {counts['spectra']} errors {errors}")
-    print(digest.hexdigest())
+    lines.append(f"triples {len(spectrum_params)} spectra {counts['spectra']} errors {errors}")
+    lines.append(digest.hexdigest())
 
     digest, errors = hashlib.sha256(), 0
-    for abc in grid:
-        p = validate_params(*abc)
+    for abc, p in loop_params:
         for w in DISK + tuple(band_to_cut(z) for z in POINTS):
             record("cf", (abc, w, "cf_ratio_eval"), lambda: cf_ratio_eval(p, w))
         for z in SCHUR if p.is_real else ():
             record("schur", (abc, z, "schur"), lambda: schur_reconstruct(p, z))
         for z in POINTS:
             record("m_function", (abc, z, "m_function"), lambda: m_function(p, z, 100))
-    print(" ".join(f"{k} {counts[k]}" for k in ("cf", "schur", "m_function")), f"errors {errors}")
-    print(digest.hexdigest())
-    print(f"spectra {counts['spectra']} without trace_bound")
-    print(no_bound.hexdigest())
+    loops = " ".join(f"{k} {counts[k]}" for k in ("cf", "schur", "m_function"))
+    lines.append(f"{loops} errors {errors}")
+    lines.append(digest.hexdigest())
+    lines.append(f"spectra {counts['spectra']} without trace_bound")
+    lines.append(no_bound.hexdigest())
+    return lines
+
+
+def main() -> int:
+    grid = triples()
+    objects = [[(abc, validate_params(*abc)) for abc in grid] for _ in range(2)]
+    cold = run(*objects)
+    print("\n".join(cold))
+    # the same objects again: every coefficient is read from their stores
+    warm = run(*objects)
+    if warm != cold:
+        print("warm pass differs:")
+        print("\n".join(warm))
+        return 1
+    print("warm pass: the same three hashes")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

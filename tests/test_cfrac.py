@@ -226,11 +226,12 @@ class TestCFRatioBuilds:
     """cf_ratio_eval makes its first c_array build where it expects to stop:
     twice the depth 2 ``convergence_order`` of J at 2 - 4/w, rounded up to
     the depths 16, 32, ...; a depth beyond it builds min(8 * depth,
-    CF_MAX_DEPTH), one build per three doublings."""
+    CF_MAX_DEPTH), one build per three doublings.  Each case validates its
+    own triple, so that its builds start from an empty coefficient store."""
 
-    P = validate_params(1.3, 0.4, 2.1)
+    ABC = (1.3, 0.4, 2.1)
     #: a complex triple whose first build falls short on both routes
-    MISS = (validate_params(2.85 + 1.06j, 1.24 + 1.37j, -2.64 - 1.71j), -1.14 + 0.54j)
+    MISS = ((2.85 + 1.06j, 1.24 + 1.37j, -2.64 - 1.71j), -1.14 + 0.54j)
 
     @staticmethod
     def _spy(monkeypatch):
@@ -250,12 +251,14 @@ class TestCFRatioBuilds:
     def test_build_sizes(self, monkeypatch, r, depth, builds):
         lam = cmath.rect(r, 2.0)
         w = -4.0 / (lam + 1.0 / lam - 2.0)
+        p = validate_params(*self.ABC)
         sizes = self._spy(monkeypatch)
-        out = cf_ratio_eval(self.P, w, tol=1e-12)
+        out = cf_ratio_eval(p, w, tol=1e-12)
         assert (out.depth_used, sizes) == (depth, builds)
 
     def test_short_prediction_grows_eightfold(self, monkeypatch):
-        p, z = self.MISS
+        abc, z = self.MISS
+        p = validate_params(*abc)
         assert 64 < 2 * convergence_order(p, z, 1e-12) <= 128
         sizes = self._spy(monkeypatch)
         assert cf_ratio_eval(p, -4.0 / (z - 2.0), tol=1e-12).depth_used == 512
@@ -263,23 +266,26 @@ class TestCFRatioBuilds:
 
     def test_build_capped_at_max_depth(self, monkeypatch):
         # a negative tol is never met: the prediction is inf, one build
+        p = validate_params(*self.ABC)
         sizes = self._spy(monkeypatch)
         monkeypatch.setattr(cfrac, "CF_MAX_DEPTH", 300)
         with pytest.raises(NoConvergence):
-            cf_ratio_eval(self.P, -2 + 1j, tol=-1.0)
+            cf_ratio_eval(p, -2 + 1j, tol=-1.0)
         assert sizes == [300]
 
     @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (2 + 1j, 0.5, 3), (-1.2 + 0.4j, 0.6, 1.1 + 0.3j)])
     def test_build_length_changes_nothing(self, monkeypatch, abc):
         # every build at the cap, or every depth reading a build of its own
-        # length: cf_ratio_eval and B by the fraction, bit for bit
-        p = validate_params(*abc)
+        # length: cf_ratio_eval and B by the fraction, bit for bit; each
+        # mode on a triple of its own, whose coefficient store starts empty
         for r in (0.5, 0.8, 0.95):
             lam = cmath.rect(r, 2.0)
             z = lam + 1.0 / lam
             w = -4.0 / (z - 2.0)
+            p = validate_params(*abc)
             ref = (repr(cf_ratio_eval(p, w, tol=1e-12)), repr(b_function(p, z, method="cf")))
             for first in ("cap", "read"):
+                p = validate_params(*abc)
                 with monkeypatch.context() as m:
                     m.setattr(cfrac, "settle", settle_building(first))
                     got = (repr(cf_ratio_eval(p, w, tol=1e-12)), repr(b_function(p, z, method="cf")))

@@ -264,17 +264,18 @@ class TestSchur:
         # the first build reaches the tail order where the loop stops, twice
         # the predicted order (16.7 and 457.4) rounded up to 128 and 1024
         # (a tail order m reads N + m + 1 entries); the chain below the
-        # stabilization index N reads N + 1 entries
+        # stabilization index N reads N + 1 entries; each build mode on a
+        # triple of its own, whose coefficient store starts empty
         n_stab = sign_signature(PKAPPA).N
         assert n_stab == 1
-        ref = schur_reconstruct(PKAPPA, z)
+        ref = schur_reconstruct(validate_params(-1.5, 0, 1), z)
         with monkeypatch.context() as m:
             sizes = self._spy(m)
-            assert repr(schur_reconstruct(PKAPPA, z)) == repr(ref)
+            assert repr(schur_reconstruct(validate_params(-1.5, 0, 1), z)) == repr(ref)
         assert sizes == [n_stab + k for k in tail] + [n_stab + 1]
         with monkeypatch.context() as m:
             self._spy(m, 8192 + n_stab + 1)
-            assert repr(schur_reconstruct(PKAPPA, z)) == repr(ref)
+            assert repr(schur_reconstruct(validate_params(-1.5, 0, 1), z)) == repr(ref)
 
     def test_tail_orders_match_sliced_build(self, monkeypatch):
         # every tail order reads the first rows of its build once; its value
@@ -290,10 +291,12 @@ class TestSchur:
             )
 
         monkeypatch.setattr(classify, "settle", spy)
-        schur_reconstruct(PKAPPA, z)
+        # the loop and the large build each on a triple of its own, whose
+        # coefficient store starts empty
+        schur_reconstruct(validate_params(-1.5, 0, 1), z)
         assert [m for m, _ in seen] == [64, 128, 256, 512, 1024, 2048, 4096, 8192][: len(seen)]
         assert len(seen) >= 5
-        diag, btilde = _real_bands(PKAPPA, n_stab + 8193)
+        diag, btilde = _real_bands(validate_params(-1.5, 0, 1), n_stab + 8193)
         for m, got in seen:
             off = btilde[n_stab : n_stab + m]
             assert repr(got) == repr(resolvent_first(diag[n_stab : n_stab + m + 1], off, off, z)), m

@@ -1414,13 +1414,14 @@ class TestResolventBuild:
         "abc", [(1.3, 0.4, 2.1), (-1.2 + 0.4j, 0.6, 1.1 + 0.3j), (2 + 1j, 0.5, 3), (-5.3, -2.6, 0.4)]
     )
     def test_larger_build_changes_nothing(self, monkeypatch, abc):
-        p = validate_params(*abc)
+        # each build mode on a triple of its own, whose coefficient store
+        # starts empty
         for r in (0.5, 0.8, 0.95):
             z = self._z(r)
-            ref = b_function(p, z, "resolvent")
+            ref = b_function(validate_params(*abc), z, "resolvent")
             with monkeypatch.context() as m:
                 self._spy(m, spectral.RESOLVENT_NMAX)
-                assert repr(b_function(p, z, "resolvent")) == repr(ref), (abc, r)
+                assert repr(b_function(validate_params(*abc), z, "resolvent")) == repr(ref), (abc, r)
 
 
 class TestOneBuild:
