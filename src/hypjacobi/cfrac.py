@@ -73,6 +73,11 @@ TERMINATION_CAP = 1 << 20
 #: cap on the resolvent route is ``spectral.RESOLVENT_NMAX``
 CF_MAX_DEPTH = 1 << 17
 
+#: the shortest build of a triple's coefficient store: the resolvent route's
+#: first block (order 2 * ``spectral.RESOLVENT_N0`` = 128) reads 256 c_j, so a
+#: shorter first build by the C-fraction would be built again for it
+BUILD_FLOOR = 256
+
 
 def c_array(p: HypParams, n: int) -> np.ndarray:
     """C-fraction coefficients c_1..c_n as one array.
@@ -142,8 +147,9 @@ class _Build:
     ``diag`` and ``offdiag_sq`` of J of order S // 2 as
     :func:`jacobi_coeffs` describes and the largest order whose block of J
     is finite (J's screen); ``offdiag``, the principal roots b_n of the
-    squares within that order.  No entry depends on S, so a shorter
-    request reads a prefix, bit for bit a build of its own length."""
+    squares within that order, from which :func:`jacobi_coeffs` slices
+    each block's roots.  No entry depends on S, so a shorter request reads
+    a prefix, bit for bit a build of its own length."""
 
     c: np.ndarray
     c_finite: int
@@ -180,12 +186,14 @@ class _Build:
 
 def _stored(p: HypParams, size: int) -> _Build:
     """The triple's build of at least ``size`` coefficients c_j: the one
-    its store holds, or, when that is shorter, a build of exactly ``size``
-    that replaces it whole.  The store lives with ``p``; nothing is ever
-    extended in place, so a concurrent reader holds either record.  There
-    is no lock: threads that build at once each keep their own complete
-    record, the last one stored stays, and a longer build lost that way
-    costs a later request its rebuild, never a different value."""
+    its store holds, or, when that is shorter, a build of ``size`` (at
+    least BUILD_FLOOR) that replaces it whole.  This is the one place that
+    decides the length of a build: every reader asks for just the entries
+    it reads.  The store lives with ``p``; nothing is ever extended in
+    place, so a concurrent reader holds either record.  There is no lock:
+    threads that build at once each keep their own complete record, the
+    last one stored stays, and a longer build lost that way costs a later
+    request its rebuild, never a different value."""
     store = p._store
     made = store.build
     if made is not None and len(made.c) >= size:
@@ -194,7 +202,7 @@ def _stored(p: HypParams, size: int) -> _Build:
     # validate_params, a non-terminating one only in c_1..c_3): the screen
     # records where, and only a request that reads such an entry raises
     with np.errstate(over="ignore", invalid="ignore"):
-        c = c_array(p, size)
+        c = c_array(p, max(size, BUILD_FLOOR))
     _read_only(c)
     made = store.build = _Build(c, _leading_finite(c))
     return made
@@ -336,23 +344,18 @@ class JacobiCoeffs:
     :func:`c_array`, complex128 otherwise), and their principal roots b_n.
 
     J is complex symmetric (equal sub- and superdiagonal b_n), not
-    Hermitian unless the triple is real with positive b_n^2.
+    Hermitian unless the triple is real with positive b_n^2.  ``offdiag``
+    holds the principal roots b_n of ``offdiag_sq`` as complex128, a
+    negative real square getting the positive imaginary root.
     ``terminated_at`` is the first n with b_n^2 exactly zero, or None; the
     arrays are truncated there (``diag`` keeps n+1 entries, ``offdiag_sq``
     and ``offdiag`` keep n), since the operator decouples.
     """
 
-    params: HypParams
     diag: np.ndarray
     offdiag_sq: np.ndarray
+    offdiag: np.ndarray
     terminated_at: Optional[int]
-
-    @cached_property
-    def offdiag(self) -> np.ndarray:
-        """The principal roots b_n of ``offdiag_sq`` as complex128, a negative
-        real square getting the positive imaginary root; read from the
-        triple's coefficient store on first access and kept."""
-        return _stored(self.params, 2 * len(self.diag)).offdiag[: len(self.offdiag_sq)]
 
     def matrix(self) -> np.ndarray:
         """The block as a dense complex128 matrix, b_n on both off-diagonals."""
@@ -420,11 +423,11 @@ def convergence_order(p: HypParams, z: complex, tol: float) -> float:
     size for large parameters, 252 for (-250.5, 3.1, 20.2); computing n_min
     itself would cost a call about what the smaller build saves on a real
     triple.  The order is n*, or the transient when that is longer, up to
-    8 n*: many triples with large parameters settle long before it, and
-    the first build for 8 n* (below 32 n*) is no larger than the one
-    :func:`settle` makes when n* alone falls short (16 times a first build
-    of at least 2 n*).  inf for z on the band [-2, 2] or a tol that is not
-    positive and finite (:func:`settle` refuses NaN and inf).
+    8 n*: many triples with large parameters settle long before it, so a
+    transient that the loop does not need may cost at most a first build
+    below 32 n*, 16 times the one that n* alone sizes (at least 2 n*).
+    inf for z on the band [-2, 2] or a tol that is not positive and finite
+    (:func:`settle` refuses NaN and inf).
     """
     if not 0.0 < tol < math.inf:
         return math.inf
@@ -452,13 +455,13 @@ def settle(
     from 2n on that is at least 2 ``reach`` (the order from which the
     caller expects values within tol, :func:`convergence_order` in the
     caller's units), so that the order before it is within tol too; at
-    most n_max.  An order that outgrows the build builds min(8 * order,
-    n_max).  Every caller's build reads the triple's coefficient store, so
-    a size that an earlier call reached is a view of that build, made
-    anew only when longer.  No entry depends on the size of its build, so
-    neither does a value.  A build that raises NonFiniteParameter for an
-    entry past the order being read is requested again at that order, and
-    each later order requests just the entries it reads: only an entry
+    most n_max.  An order that outgrows the build requests just the
+    entries it reads.  Every caller's build reads the triple's coefficient
+    store, which decides how long a build is (``_stored``), so a size that
+    an earlier call reached is a view of that build, made anew only when
+    longer.  No entry depends on the size of its build, so neither does a
+    value.  A first build that raises NonFiniteParameter for an entry past
+    the order being read is requested again at that order: only an entry
     that is read decides the verdict.
     """
     if not tol < math.inf:
@@ -466,16 +469,16 @@ def settle(
     first = 2 * n
     while first < 2.0 * reach and first < n_max:
         first *= 2
-    prev, corr, made, size, ahead = None, math.inf, None, 0, True
+    prev, corr, made, size = None, math.inf, None, 0
     while n <= n_max:
         if n > size:
-            size = min(8 * n if size else first, n_max) if ahead else n
+            size = n if size else min(first, n_max)
             try:
                 made = build(size)
             except NonFiniteParameter:
                 if size == n:
                     raise
-                ahead, size, made = False, n, build(n)
+                size, made = n, build(n)
         val = evaluate(made, n)
         if prev is not None:
             corr = abs(val - prev)
@@ -562,7 +565,7 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     ``terminated_at = n`` and the arrays stop with a_n as the last diagonal
     entry.  NonFiniteParameter if an entry of the block overflows.
 
-    The arrays are read-only views of the triple's coefficient store
+    The three arrays are read-only views of the triple's coefficient store
     (:func:`_stored`): a block within the longest build made so far costs
     a slice, a longer one builds c_1..c_2n once and keeps it.  A caller
     that writes into a block makes its own copy.
@@ -577,15 +580,14 @@ def jacobi_coeffs(p: HypParams, n_max: int) -> JacobiCoeffs:
     # triple (a later entry overflows where c + m is small, and a terminating
     # one must still reach TerminationTooDeep); the stored build screened
     # every entry, and a block that holds a non-finite one is refused here
-    diag, offdiag_sq, j_finite = _stored(p, 2 * n).jacobi
+    made = _stored(p, 2 * n)
+    diag, offdiag_sq, j_finite = made.jacobi
     if j_finite < n:
         raise NonFiniteParameter(
             f"the J-fraction entries of (a,b,c) = ({p.a}, {p.b}, {p.c}) "
             "are not finite (overflow)"
         )
-    return JacobiCoeffs(
-        params=p, diag=diag[:n], offdiag_sq=offdiag_sq[: n - 1], terminated_at=terminated_at
-    )
+    return JacobiCoeffs(diag[:n], offdiag_sq[: n - 1], made.offdiag[: n - 1], terminated_at)
 
 
 def _cfrac_approximant(p: HypParams, n: int, z: complex) -> complex:

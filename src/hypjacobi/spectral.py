@@ -254,7 +254,7 @@ class SpectralResult:
     the one without a count.  A count of 0 solves nothing and reports 0
     for both orders.  For a terminating triple with a block shorter than N
     both orders are the size of that block.  ``trace_bound`` is
-    ``trace_norm_bound(p, 2N)``, from the same coefficient build.
+    ``trace_norm_bound(p, 2N)``, bit for bit.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -707,12 +707,13 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     outside BAND_GUARD and apart from the values already retained.
     Everything else lands in ``discarded``: truncations pollute the band
     vicinity and only agreement across orders separates genuine poles of B
-    from that debris.  The coefficients are read from the triple's
-    coefficient store: one build to the horizon of the trace-norm bound (at
-    least 2N + 1 and 513 entries) serves every rung that it covers, a rung
-    beyond it builds its order once, and a later call reads what an
-    earlier one built.  Each block is a ``JacobiCoeffs``, float64 for a
-    real triple.
+    from that debris.  Each block (the exact one, the seed, the Jost
+    entries, each rung) is ``jacobi_coeffs(p, n)`` of just its order, a
+    ``JacobiCoeffs``, float64 for a real triple, and the bound is
+    ``trace_norm_bound(p, 2N)``.  They all read the triple's coefficient
+    store: the bound's build to its horizon (at least 2N + 1 and 513
+    entries) serves every block that it covers, a longer block builds once
+    at its order, and a later call reads what an earlier one built.
 
     When ``klein_count`` knows how many zeros F(a, b+1, c+1; .) has (a real
     triple with c+1 > 0), that count decides when the spectrum is complete.
@@ -730,9 +731,9 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
 
     A complex non-terminating triple is counted and located by
     ``_jost_zeros``: the eigenvalues z = lam + 1/lam of J_N glued to the
-    free tail with |lam| < rho = tol^(1/(4N)), read from the first N + 1
-    entries of the coefficient build.  A value confirmed by order 2N has a
-    truncation error of about |lam|^(2N), so one outside rho is not
+    free tail with |lam| < rho = tol^(1/(4N)), read from the N + 1
+    entries of ``jacobi_coeffs(p, N + 1)``.  A value confirmed by order 2N
+    has a truncation error of about |lam|^(2N), so one outside rho is not
     retained unless its prefactor is above 1/tol.  A count of 0 solves
     nothing.  A count 0 < k <= JOST_SEEDS_MAX takes the k zeros of the
     Jost function as the candidates, with no eigensolve, and ladders them
@@ -768,22 +769,17 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
     count = klein_count(p)
     # a complex non-terminating triple is counted and located by the Jost function
     jost = count is None and not (p.is_real or p.zeros)
-    n_sum, rest = _trace_horizon(p, 2 * N)
-    coeffs = jacobi_coeffs(p, n_sum + 1)
-    bound = _trace_sum(coeffs, n_sum, rest)
-    exact = coeffs.terminated_at is not None and coeffs.terminated_at < N - 1
+    bound = trace_norm_bound(p, 2 * N)
+    coeffs = jacobi_coeffs(p, N)
     seeds: tuple[complex, ...] = ()
     if jost:
-        count, seeds = _jost_zeros(coeffs, N, tol ** (1.0 / (4 * N)))
+        count, seeds = _jost_zeros(jacobi_coeffs(p, N + 1), N, tol ** (1.0 / (4 * N)))
 
     def tri_at(n):
-        # a rung beyond the build builds its own order (a terminated build
-        # already holds its whole block)
-        beyond = n > len(coeffs.diag) and coeffs.terminated_at is None
-        return _tridiagonal(jacobi_coeffs(p, n) if beyond else coeffs, n)
+        return _tridiagonal(jacobi_coeffs(p, n), n)
 
-    if exact:
-        # the order-N build would already have stopped at the exact block
+    if coeffs.terminated_at is not None:
+        # the exact block, shorter than N
         tri, vals = _tridiagonal_eigvals(coeffs, N)
         retained = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
         _check_eigenvalues(tri, retained)
@@ -802,7 +798,7 @@ def discrete_spectrum(p: HypParams, N: int = 256, tol: float = 1e-10) -> Spectra
         else:
             for n_used, candidates, stop in tries:
                 if candidates is None:
-                    _, vals = _tridiagonal_eigvals(coeffs, n_used)
+                    _, vals = _tridiagonal_eigvals(jacobi_coeffs(p, n_used), n_used)
                     candidates = [complex(v) for v in vals if band_distance(v) > BAND_GUARD]
                 # 2s, 4s, ... up to 64N with a count, the one rung 2N without
                 last = (64 if stop else 2) * N

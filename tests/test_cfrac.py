@@ -225,8 +225,8 @@ class TestConvergenceOrder:
 class TestCFRatioBuilds:
     """cf_ratio_eval makes its first c_array build where it expects to stop:
     twice the depth 2 ``convergence_order`` of J at 2 - 4/w, rounded up to
-    the depths 16, 32, ...; a depth beyond it builds min(8 * depth,
-    CF_MAX_DEPTH), one build per three doublings.  Each case validates its
+    the depths 16, 32, ..., and the store builds at least BUILD_FLOOR; a
+    depth beyond it requests just its own entries.  Each case validates its
     own triple, so that its builds start from an empty coefficient store."""
 
     ABC = (1.3, 0.4, 2.1)
@@ -246,7 +246,7 @@ class TestCFRatioBuilds:
         return sizes
 
     @pytest.mark.parametrize(
-        "r, depth, builds", [(0.5, 128, [128]), (0.95, 2048, [2048]), (0.8, 256, [512])]
+        "r, depth, builds", [(0.5, 128, [256]), (0.95, 2048, [2048]), (0.8, 256, [512])]
     )
     def test_build_sizes(self, monkeypatch, r, depth, builds):
         lam = cmath.rect(r, 2.0)
@@ -257,12 +257,14 @@ class TestCFRatioBuilds:
         assert (out.depth_used, sizes) == (depth, builds)
 
     def test_short_prediction_grows_eightfold(self, monkeypatch):
+        # the prediction falls short: the depth beyond the first build
+        # requests itself
         abc, z = self.MISS
         p = validate_params(*abc)
         assert 64 < 2 * convergence_order(p, z, 1e-12) <= 128
         sizes = self._spy(monkeypatch)
         assert cf_ratio_eval(p, -4.0 / (z - 2.0), tol=1e-12).depth_used == 512
-        assert sizes == [256, 4096]
+        assert sizes == [256, 512]
 
     def test_build_capped_at_max_depth(self, monkeypatch):
         # a negative tol is never met: the prediction is inf, one build
@@ -294,12 +296,15 @@ class TestCFRatioBuilds:
     @pytest.mark.parametrize("abc", [(1.3, 0.4, 2.1), (1.3 + 0.5j, 0.4, 2.1), (-2, 0.5, 1.5)])
     def test_b_function_builds_no_scale(self, monkeypatch, abc):
         # B's scale reads the c_1 of validate_params (HypParams.c1), the
-        # same bits as a build of its own: the fraction's builds are all
+        # same bits as a build of its own: the fraction's builds are all,
+        # the first at least BUILD_FLOOR
         p = validate_params(*abc)
         assert p.c1 == c_coeff(p, 1)
         sizes = self._spy(monkeypatch)
         b_function(p, cmath.rect(0.5, 2.0) + 1.0 / cmath.rect(0.5, 2.0), method="cf")
-        assert sizes == ([128] if not p.zeros else [4])  # terminating: c_5 = 0
+        # the requests (128 by the prediction, 4 for the terminating triple,
+        # whose c_5 = 0) are below the floor
+        assert sizes == [cfrac.BUILD_FLOOR] == [256]
 
 
 def _indexed_backward_eval(coeffs, z, depth):
@@ -370,11 +375,16 @@ class TestSettle:
         assert "test value not settled by order 40" in str(err.value)
         assert "last relative correction 0.5" in str(err.value)
 
-    def test_one_build_per_three_doublings(self):
+    def test_first_build_at_prediction_then_each_order_its_own(self):
         # the first build reaches the first order from 2n on that is at least
-        # 2 reach, at most n_max; an order beyond it builds min(8n, n_max),
-        # one build per three doublings; every order is handed the latest build
-        for reach, sizes in [(20, [64, 1024]), (0, [16, 256, 1024]), (300, [1024]), (math.inf, [1024])]:
+        # 2 reach, at most n_max; each order beyond it requests itself; every
+        # order is handed the latest build
+        for reach, sizes in [
+            (20, [64, 128, 256, 512, 1024]),
+            (0, [16, 32, 64, 128, 256, 512, 1024]),
+            (300, [1024]),
+            (math.inf, [1024]),
+        ]:
             builds, seen = [], []
 
             def build(size):

@@ -39,7 +39,7 @@ from hypjacobi import (
     trace_norm_bound,
     validate_params,
 )
-from hypjacobi import spectral
+from hypjacobi import cfrac, spectral
 from hypjacobi.spectral import (
     BAND_GUARD,
     GROWTH_LIMIT,
@@ -1365,8 +1365,8 @@ class TestJostCount:
 class TestResolventBuild:
     """The resolvent route of B makes its first build where it expects to
     stop: twice ``cfrac.convergence_order`` at z, rounded up to the orders
-    128, 256, ..., RESOLVENT_NMAX; an order beyond it builds min(8n,
-    RESOLVENT_NMAX), one build per three doublings."""
+    128, 256, ..., RESOLVENT_NMAX; an order beyond it requests just its
+    own block."""
 
     P = validate_params(1.3, 0.4, 2.1)
 
@@ -1397,7 +1397,7 @@ class TestResolventBuild:
 
     @pytest.mark.parametrize(
         "r, order, builds",
-        [(0.5, 128, [128]), (0.95, 1024, [1024]), (0.8, 128, [256]), (None, 256, [128, 2048])],
+        [(0.5, 128, [128]), (0.95, 1024, [1024]), (0.8, 128, [256]), (None, 256, [128, 256])],
     )
     def test_builds_per_three_doublings(self, monkeypatch, r, order, builds):
         # r = None: a complex triple whose prediction (54.6) falls short
@@ -1425,8 +1425,9 @@ class TestResolventBuild:
 
 
 class TestOneBuild:
-    """discrete_spectrum builds the coefficients once, to the trace-norm
-    horizon; only a ladder rung beyond it builds its own order."""
+    """discrete_spectrum asks the coefficient store for each block it
+    reads: the trace-norm bound builds once, to its horizon, and only a
+    ladder rung beyond that builds, once, at its own order."""
 
     @staticmethod
     def _spy(monkeypatch, floor=0):
@@ -1442,12 +1443,26 @@ class TestOneBuild:
         monkeypatch.setattr(spectral, "jacobi_coeffs", spy)
         return sizes
 
+    @staticmethod
+    def _builds(monkeypatch):
+        # records the length of every physical build of c_j
+        sizes = []
+        build = cfrac.c_array
+
+        def spy(p, n):
+            sizes.append(n)
+            return build(p, n)
+
+        monkeypatch.setattr(cfrac, "c_array", spy)
+        return sizes
+
     def test_count_zero_builds_once(self, monkeypatch):
-        # count 0 at N = 1024: one build, to the 2N + 1 entries of the
-        # trace-norm horizon, and none to order 64N
-        sizes = self._spy(monkeypatch)
-        discrete_spectrum(validate_params(1.96 + 0.3j, 1.91, 2.41), 1024)
-        assert sizes == [2 * 1024 + 1] == [2049]
+        # count 0 at N = 1024: one build, the c_1..c_4098 of the 2N + 1
+        # entries of J at the trace-norm horizon, and none to order 64N
+        p = validate_params(1.96 + 0.3j, 1.91, 2.41)
+        sizes = self._builds(monkeypatch)
+        discrete_spectrum(p, 1024)
+        assert sizes == [2 * (2 * 1024 + 1)] == [4098]
 
     @pytest.mark.parametrize(
         "N, cases",
@@ -1473,14 +1488,17 @@ class TestOneBuild:
 
     def test_rung_beyond_build_builds_its_own(self, monkeypatch):
         # with the horizon cut to 2N the Klein ladder of the near-band pair
-        # climbs past the trace-norm build; only the bound may change
-        p = validate_params(-5.1, -2.6, 0.5)
-        res = discrete_spectrum(p)
+        # climbs past the trace-norm build, and each rung beyond it builds
+        # its order once; only the bound may change.  Each run on a triple
+        # of its own, whose coefficient store starts empty
+        abc = (-5.1, -2.6, 0.5)
+        res = discrete_spectrum(validate_params(*abc))
         monkeypatch.setattr(spectral, "TAIL_HORIZON", 0)
-        sizes = self._spy(monkeypatch)
+        p = validate_params(*abc)
+        sizes = self._builds(monkeypatch)
         cut = discrete_spectrum(p)
-        assert sizes[0] == 513 and sizes[1:] == [1024 << k for k in range(len(sizes) - 1)]
-        assert res.N_check == cut.N_check == sizes[-1]
+        assert sizes[0] == 2 * 513 and sizes[1:] == [2 * 1024 << k for k in range(len(sizes) - 1)]
+        assert res.N_check == cut.N_check == sizes[-1] // 2
         for name in SpectralResult.__dataclass_fields__:
             if name != "trace_bound":
                 assert repr(getattr(res, name)) == repr(getattr(cut, name)), name

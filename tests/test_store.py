@@ -23,6 +23,7 @@ from hypjacobi import (
 from hypjacobi.cfrac import finite_c_array
 from hypjacobi.classify import _real_bands, quadrature, schur_reconstruct, sign_signature
 from test_extreme_inputs import ROUTES, _outcome, large_a_triples
+from test_invariants import POOL
 
 #: real, Stieltjes, near-band real (its ladder climbs past the first build),
 #: complex, and terminating triples
@@ -119,6 +120,23 @@ def test_request_inside_store_builds_nothing(monkeypatch):
     assert sizes == [] and p._store.build is made
     jacobi_coeffs(p, order + 1)
     assert sizes == [2 * order + 2] and p._store.build is not made
+    # the spectrum and its bound: a second call asks for blocks that the
+    # first one built
+    res = discrete_spectrum(p, 64)
+    sizes.clear()
+    assert repr(discrete_spectrum(p, 64)) == repr(res)
+    assert trace_norm_bound(p, 128).hex() == res.trace_bound.hex()
+    assert sizes == []
+
+
+def test_spectrum_bound_is_trace_norm_bound():
+    # the bound of a spectrum is the trace-norm bound at 2N, bit for bit,
+    # whichever is computed first
+    for e in POOL:
+        abc = tuple(complex(*e[k]) for k in "abc")
+        p, q = validate_params(*abc), validate_params(*abc)
+        bound = discrete_spectrum(p, 256).trace_bound
+        assert bound.hex() == trace_norm_bound(p, 512).hex() == trace_norm_bound(q, 512).hex(), abc
 
 
 def test_stored_arrays_are_read_only():
@@ -219,7 +237,7 @@ def test_threads_share_one_store():
 
 
 def test_store_arrays_match_fresh_builds():
-    # a prefix of the stored build against a build of exactly its length,
+    # a prefix of the stored build against a shorter build of its own,
     # bit for bit: c_j, a_n, b_n^2 and b_n
     for abc in TRIPLES:
         p = validate_params(*abc)
@@ -227,7 +245,8 @@ def test_store_arrays_match_fresh_builds():
         for n in (1, 2, 3, 17, 128, 1000):
             q = validate_params(*abc)
             got, want = jacobi_coeffs(p, n), jacobi_coeffs(q, n)
-            assert p._store.build.c[: 2 * len(want.diag)].tobytes() == q._store.build.c.tobytes()
+            short = q._store.build.c
+            assert p._store.build.c[: len(short)].tobytes() == short.tobytes()
             for name in ("diag", "offdiag_sq", "offdiag"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (abc, n, name)
             assert finite_c_array(p, n).tobytes() == finite_c_array(validate_params(*abc), n).tobytes()
